@@ -245,10 +245,7 @@ fn summarize(b: &dyn Benchmark, session: &Session, stats: &RunStats, rec: &Recor
         rec.counter(Counter::InstanceMiss),
     );
     println!(
-        "  cache: {} hits / {} misses; pool: {} reuses / {} acquires; \
-         uniform cache: {} hits / {} misses",
-        rec.counter(Counter::CacheHit),
-        rec.counter(Counter::CacheMiss),
+        "  pool: {} reuses / {} acquires; uniform cache: {} hits / {} misses",
         rec.counter(Counter::PoolReuse),
         rec.counter(Counter::PoolAcquire),
         rec.counter(Counter::UniformHit),

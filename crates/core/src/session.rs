@@ -21,10 +21,10 @@
 //!   [`CompileOptions::cache_key`], i.e. structural key plus the bound
 //!   params.
 //!
-//! Both levels are single-flight: N threads racing a cold key run phase 1
-//! once and phase 2 once. Instance hits/misses surface as the legacy
-//! `cache.hit`/`cache.miss` diagnostics counters *and* the explicit
-//! `session.instance_{hit,miss}`; plan lookups as `session.plan_{hit,miss}`.
+//! Both levels are the same single-flight LRU: N threads racing a cold key
+//! run phase 1 once and phase 2 once. Instance lookups surface as the
+//! `session.instance_{hit,miss}` diagnostics counters, plan lookups as
+//! `session.plan_{hit,miss}`.
 //!
 //! Cache keying rules:
 //!
@@ -47,7 +47,7 @@ use polymage_diag::{Counter, Diag};
 use polymage_ir::Pipeline;
 use polymage_vm::{Buffer, Engine, RunRequest, RunStats, VmError};
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Default number of cached compilations per session (each level).
 const DEFAULT_CACHE_CAPACITY: usize = 32;
@@ -138,17 +138,10 @@ struct FlightSlot<T> {
     /// `None` = pending, `Some(None)` = leader failed (followers retry),
     /// `Some(Some(_))` = done.
     state: Mutex<Option<Option<T>>>,
-    cv: std::sync::Condvar,
+    cv: Condvar,
 }
 
 impl<T: Clone> FlightSlot<T> {
-    fn new() -> FlightSlot<T> {
-        FlightSlot {
-            state: Mutex::new(None),
-            cv: std::sync::Condvar::new(),
-        }
-    }
-
     fn resolve(&self, result: Option<T>) {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         *state = Some(result);
@@ -166,18 +159,157 @@ impl<T: Clone> FlightSlot<T> {
     }
 }
 
-struct Cache {
-    /// Instance LRU: least recently used first, most recent last.
-    entries: Vec<(CacheKey, Arc<Compiled>)>,
-    /// Instance misses currently being bound, one slot per key.
-    inflight: Vec<(CacheKey, Arc<FlightSlot<Arc<Compiled>>>)>,
-    /// Plan LRU (size-independent level).
-    plans: Vec<(PlanKey, Arc<ParametricPlan>)>,
-    /// Plan misses currently being planned, one slot per key.
-    plan_inflight: Vec<(PlanKey, Arc<FlightSlot<Arc<ParametricPlan>>>)>,
-    /// Per-level entry capacity (shared setting).
+/// How a [`SingleFlight`] lookup was served.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Served {
+    /// The value was cached.
+    Hit,
+    /// Another thread was computing the key; this one waited for it.
+    Followed,
+    /// This thread computed the key (`evicted`: caching the value pushed
+    /// the least recently used entry out).
+    Led { evicted: bool },
+}
+
+struct Level<K, V> {
+    /// LRU: least recently used first, most recent last.
+    entries: Vec<(K, Arc<V>)>,
+    /// Keys being computed right now, one rendezvous per key.
+    inflight: Vec<(K, Arc<FlightSlot<Arc<V>>>)>,
     capacity: usize,
-    stats: CacheStats,
+    /// Lookups served without computing in the calling thread.
+    hits: u64,
+    /// Computations led — one per single-flight group, success or error.
+    misses: u64,
+    evictions: u64,
+}
+
+/// One cache level: an LRU of `Arc<V>` whose misses are single-flight.
+/// Errors are returned to the thread that computed them and never cached.
+struct SingleFlight<K, V>(Mutex<Level<K, V>>);
+
+impl<K: Clone + PartialEq, V> SingleFlight<K, V> {
+    fn new() -> SingleFlight<K, V> {
+        SingleFlight(Mutex::new(Level {
+            entries: Vec::new(),
+            inflight: Vec::new(),
+            capacity: DEFAULT_CACHE_CAPACITY,
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+        }))
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Level<K, V>> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Returns the cached value for `key`, or waits for the thread already
+    /// computing it, or runs `compute` — outside the lock, so a slow
+    /// computation blocks neither hits nor other keys' flights — and
+    /// caches its success. A follower whose leader failed retries (and
+    /// possibly leads).
+    fn get_or_try_insert_with<E>(
+        &self,
+        key: &K,
+        compute: impl FnOnce() -> Result<V, E>,
+    ) -> (Result<Arc<V>, E>, Served) {
+        loop {
+            let flight = {
+                let mut level = self.lock();
+                if let Some(i) = level.entries.iter().position(|(k, _)| k == key) {
+                    let entry = level.entries.remove(i);
+                    let hit = Arc::clone(&entry.1);
+                    level.entries.push(entry); // most recently used
+                    level.hits += 1;
+                    return (Ok(hit), Served::Hit);
+                }
+                let flight = level.inflight.iter().find(|(k, _)| k == key);
+                let flight = flight.map(|(_, slot)| Arc::clone(slot));
+                if flight.is_none() {
+                    // Become the leader; the miss counts whatever happens.
+                    let slot = FlightSlot {
+                        state: Mutex::new(None),
+                        cv: Condvar::new(),
+                    };
+                    level.inflight.push((key.clone(), Arc::new(slot)));
+                    level.misses += 1;
+                }
+                flight
+            };
+            match flight {
+                None => {
+                    // The guard fails the flight if `compute` unwinds, so
+                    // followers never block on a leader that died.
+                    let mut landing = Landing {
+                        cache: self,
+                        key,
+                        landed: false,
+                    };
+                    let result = compute().map(Arc::new);
+                    let evicted = landing.land(result.as_ref().ok().cloned());
+                    return (result, Served::Led { evicted });
+                }
+                Some(slot) => {
+                    if let Some(value) = slot.wait() {
+                        self.lock().hits += 1;
+                        return (Ok(value), Served::Followed);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Sets the capacity (minimum 1), evicting least recently used entries
+    /// down to it; returns how many went.
+    fn set_capacity(&self, capacity: usize) -> u64 {
+        let mut level = self.lock();
+        level.capacity = capacity.max(1);
+        let excess = level.entries.len().saturating_sub(level.capacity);
+        level.entries.drain(..excess);
+        level.evictions += excess as u64;
+        excess as u64
+    }
+}
+
+/// A leader's hold on its in-flight slot.
+struct Landing<'a, K: Clone + PartialEq, V> {
+    cache: &'a SingleFlight<K, V>,
+    key: &'a K,
+    landed: bool,
+}
+
+impl<K: Clone + PartialEq, V> Landing<'_, K, V> {
+    /// Caches a success, retires the in-flight slot and releases its
+    /// followers. Returns whether an entry was evicted to make room.
+    fn land(&mut self, result: Option<Arc<V>>) -> bool {
+        self.landed = true;
+        let mut level = self.cache.lock();
+        let mut evicted = false;
+        if let Some(value) = &result {
+            if level.entries.len() >= level.capacity {
+                level.entries.remove(0);
+                level.evictions += 1;
+                evicted = true;
+            }
+            level.entries.push((self.key.clone(), Arc::clone(value)));
+        }
+        let flight = level.inflight.iter().position(|(k, _)| k == self.key);
+        let slot = flight.map(|i| level.inflight.swap_remove(i).1);
+        drop(level);
+        if let Some(slot) = slot {
+            slot.resolve(result);
+        }
+        evicted
+    }
+}
+
+impl<K: Clone + PartialEq, V> Drop for Landing<'_, K, V> {
+    fn drop(&mut self) {
+        if !self.landed {
+            self.land(None); // unwinding: fail the flight
+        }
+    }
 }
 
 /// A long-lived compile-and-run session.
@@ -197,7 +329,10 @@ struct Cache {
 /// thundering herd on a cold cache plans once and binds once.
 pub struct Session {
     engine: Engine,
-    cache: Mutex<Cache>,
+    /// Size-independent plans, keyed without the bound parameter values.
+    plans: SingleFlight<PlanKey, ParametricPlan>,
+    /// Bound programs, keyed by the full options.
+    instances: SingleFlight<CacheKey, Compiled>,
     diag: Diag,
 }
 
@@ -231,14 +366,8 @@ impl Session {
     pub fn with_engine(engine: Engine) -> Session {
         Session {
             engine,
-            cache: Mutex::new(Cache {
-                entries: Vec::new(),
-                inflight: Vec::new(),
-                plans: Vec::new(),
-                plan_inflight: Vec::new(),
-                capacity: DEFAULT_CACHE_CAPACITY,
-                stats: CacheStats::default(),
-            }),
+            plans: SingleFlight::new(),
+            instances: SingleFlight::new(),
             diag: Diag::noop(),
         }
     }
@@ -261,19 +390,9 @@ impl Session {
     /// Sets the cache capacity (entries per level; minimum 1). Shrinking
     /// evicts the least recently used entries immediately.
     pub fn with_cache_capacity(self, capacity: usize) -> Session {
-        {
-            let mut cache = self.lock_cache();
-            cache.capacity = capacity.max(1);
-            while cache.entries.len() > cache.capacity {
-                cache.entries.remove(0);
-                cache.stats.evictions += 1;
-                self.diag.count(Counter::CacheEvict, 1);
-            }
-            while cache.plans.len() > cache.capacity {
-                cache.plans.remove(0);
-                cache.stats.plan_evictions += 1;
-            }
-        }
+        let evicted = self.instances.set_capacity(capacity);
+        self.diag.count(Counter::CacheEvict, evicted);
+        self.plans.set_capacity(capacity);
         self
     }
 
@@ -310,104 +429,14 @@ impl Session {
             pipe_hash: pipe.content_hash(),
             structural: opts.cache_key_structural(),
         };
-        loop {
-            let slot = {
-                let mut cache = self.lock_cache();
-                if let Some(i) = cache.plans.iter().position(|(k, _)| *k == key) {
-                    let entry = cache.plans.remove(i);
-                    let hit = Arc::clone(&entry.1);
-                    cache.plans.push(entry); // most recently used
-                    cache.stats.plan_hits += 1;
-                    self.diag.count(Counter::PlanHit, 1);
-                    return Ok(hit);
-                }
-                if let Some((_, slot)) = cache.plan_inflight.iter().find(|(k, _)| *k == key) {
-                    Some(Arc::clone(slot))
-                } else {
-                    cache
-                        .plan_inflight
-                        .push((key.clone(), Arc::new(FlightSlot::new())));
-                    cache.stats.plan_misses += 1;
-                    self.diag.count(Counter::PlanMiss, 1);
-                    None
-                }
-            };
-            if let Some(slot) = slot {
-                match slot.wait() {
-                    Some(plan) => {
-                        let mut cache = self.lock_cache();
-                        cache.stats.plan_hits += 1;
-                        self.diag.count(Counter::PlanHit, 1);
-                        drop(cache);
-                        return Ok(plan);
-                    }
-                    None => continue, // the leader failed; retry
-                }
-            }
-            return self.plan_as_leader(pipe, opts, &key);
-        }
-    }
-
-    /// Runs the planner for a key this thread holds the in-flight slot of,
-    /// then publishes the result. The guard unwinds the slot on error
-    /// *and* on panic, so followers never block on a dead flight.
-    fn plan_as_leader(
-        &self,
-        pipe: &Pipeline,
-        opts: &CompileOptions,
-        key: &PlanKey,
-    ) -> Result<Arc<ParametricPlan>, CompileError> {
-        struct PlanGuard<'a> {
-            session: &'a Session,
-            key: Option<PlanKey>,
-        }
-        impl PlanGuard<'_> {
-            fn finish(&mut self, result: Option<Arc<ParametricPlan>>) {
-                let key = self.key.take().expect("plan flight finished twice");
-                let slot = {
-                    let mut cache = self.session.lock_cache();
-                    if let Some(plan) = &result {
-                        if cache.plans.len() >= cache.capacity {
-                            cache.plans.remove(0);
-                            cache.stats.plan_evictions += 1;
-                        }
-                        cache.plans.push((key.clone(), Arc::clone(plan)));
-                    }
-                    let i = cache
-                        .plan_inflight
-                        .iter()
-                        .position(|(k, _)| *k == key)
-                        .expect("leader's plan flight slot disappeared");
-                    cache.plan_inflight.swap_remove(i).1
-                };
-                slot.resolve(result);
-            }
-        }
-        impl Drop for PlanGuard<'_> {
-            fn drop(&mut self) {
-                if self.key.is_some() {
-                    self.finish(None); // unwinding: fail the flight
-                }
-            }
-        }
-
-        // Plan outside every lock: a slow planning run must not block
-        // cache hits (or other keys' flights).
-        let mut guard = PlanGuard {
-            session: self,
-            key: Some(key.clone()),
+        let planner = || plan_with(pipe, opts, &self.diag);
+        let (result, served) = self.plans.get_or_try_insert_with(&key, planner);
+        let counter = match served {
+            Served::Led { .. } => Counter::PlanMiss,
+            Served::Hit | Served::Followed => Counter::PlanHit,
         };
-        match plan_with(pipe, opts, &self.diag) {
-            Ok(p) => {
-                let plan = Arc::new(p);
-                guard.finish(Some(Arc::clone(&plan)));
-                Ok(plan)
-            }
-            Err(e) => {
-                guard.finish(None);
-                Err(e)
-            }
-        }
+        self.diag.count(counter, 1);
+        result
     }
 
     /// Compiles a pipeline, consulting the cache first. On a hit the
@@ -434,121 +463,18 @@ impl Session {
             pipe_hash: pipe.content_hash(),
             opts: opts.cache_key(),
         };
-        loop {
-            let slot = {
-                let mut cache = self.lock_cache();
-                if let Some(i) = cache.entries.iter().position(|(k, _)| *k == key) {
-                    let entry = cache.entries.remove(i);
-                    let hit = Arc::clone(&entry.1);
-                    cache.entries.push(entry); // most recently used
-                    cache.stats.hits += 1;
-                    self.diag.count(Counter::CacheHit, 1);
-                    self.diag.count(Counter::InstanceHit, 1);
-                    return Ok(hit);
-                }
-                if let Some((_, slot)) = cache.inflight.iter().find(|(k, _)| *k == key) {
-                    // Another thread is already compiling this key:
-                    // follow its flight instead of compiling again.
-                    Some(Arc::clone(slot))
-                } else {
-                    // Become the leader. The miss is counted here — one
-                    // per single-flight group, hit or error.
-                    cache
-                        .inflight
-                        .push((key.clone(), Arc::new(FlightSlot::new())));
-                    cache.stats.misses += 1;
-                    self.diag.count(Counter::CacheMiss, 1);
-                    self.diag.count(Counter::InstanceMiss, 1);
-                    None
-                }
-            };
-            if let Some(slot) = slot {
-                match slot.wait() {
-                    Some(compiled) => {
-                        // Served by the leader's compilation: a hit from
-                        // this thread's perspective (no compiler run).
-                        let mut cache = self.lock_cache();
-                        cache.stats.hits += 1;
-                        self.diag.count(Counter::CacheHit, 1);
-                        self.diag.count(Counter::InstanceHit, 1);
-                        drop(cache);
-                        return Ok(compiled);
-                    }
-                    // The leader failed; retry (and possibly lead).
-                    None => continue,
-                }
+        // The plan level has its own single-flight, so racing binds of
+        // *different* sizes share one planning run.
+        let bind = || instantiate_with(&*self.plan(pipe, opts)?, &opts.params, &self.diag);
+        let (result, served) = self.instances.get_or_try_insert_with(&key, bind);
+        match served {
+            Served::Led { evicted } => {
+                self.diag.count(Counter::InstanceMiss, 1);
+                self.diag.count(Counter::CacheEvict, evicted as u64);
             }
-            return self.compile_as_leader(pipe, opts, &key);
+            Served::Hit | Served::Followed => self.diag.count(Counter::InstanceHit, 1),
         }
-    }
-
-    /// Runs phase 1 (via the plan cache) and phase 2 for a key this thread
-    /// holds the in-flight slot of, then publishes the result to the cache
-    /// and every follower. The guard unwinds the slot on error *and* on
-    /// panic, so followers never block on a flight whose leader died.
-    fn compile_as_leader(
-        &self,
-        pipe: &Pipeline,
-        opts: &CompileOptions,
-        key: &CacheKey,
-    ) -> Result<Arc<Compiled>, CompileError> {
-        struct FlightGuard<'a> {
-            session: &'a Session,
-            key: Option<CacheKey>,
-        }
-        impl FlightGuard<'_> {
-            fn finish(&mut self, result: Option<Arc<Compiled>>) {
-                let key = self.key.take().expect("flight finished twice");
-                let slot = {
-                    let mut cache = self.session.lock_cache();
-                    if let Some(compiled) = &result {
-                        if cache.entries.len() >= cache.capacity {
-                            cache.entries.remove(0);
-                            cache.stats.evictions += 1;
-                            self.session.diag.count(Counter::CacheEvict, 1);
-                        }
-                        cache.entries.push((key.clone(), Arc::clone(compiled)));
-                    }
-                    let i = cache
-                        .inflight
-                        .iter()
-                        .position(|(k, _)| *k == key)
-                        .expect("leader's flight slot disappeared");
-                    cache.inflight.swap_remove(i).1
-                };
-                slot.resolve(result);
-            }
-        }
-        impl Drop for FlightGuard<'_> {
-            fn drop(&mut self) {
-                if self.key.is_some() {
-                    self.finish(None); // unwinding: fail the flight
-                }
-            }
-        }
-
-        // Compile outside every lock: a slow compilation must not block
-        // cache hits (or other keys' flights). The plan level has its own
-        // single-flight, so racing binds of *different* sizes share one
-        // planning run.
-        let mut guard = FlightGuard {
-            session: self,
-            key: Some(key.clone()),
-        };
-        let result = self
-            .plan(pipe, opts)
-            .and_then(|plan| instantiate_with(&plan, &opts.params, &self.diag));
-        match result {
-            Ok(c) => {
-                let compiled = Arc::new(c);
-                guard.finish(Some(Arc::clone(&compiled)));
-                Ok(compiled)
-            }
-            Err(e) => {
-                guard.finish(None);
-                Err(e)
-            }
-        }
+        result
     }
 
     /// Compiles (cached) and runs a pipeline on the session's engine.
@@ -614,27 +540,34 @@ impl Session {
 
     /// Hit/miss/eviction counters of both cache levels.
     pub fn cache_stats(&self) -> CacheStats {
-        self.lock_cache().stats
+        let (hits, misses, evictions) = {
+            let level = self.instances.lock();
+            (level.hits, level.misses, level.evictions)
+        };
+        let plans = self.plans.lock();
+        CacheStats {
+            hits,
+            misses,
+            evictions,
+            plan_hits: plans.hits,
+            plan_misses: plans.misses,
+            plan_evictions: plans.evictions,
+        }
     }
 
     /// Number of currently cached instances (bound programs).
     pub fn cache_len(&self) -> usize {
-        self.lock_cache().entries.len()
+        self.instances.lock().entries.len()
     }
 
     /// Number of currently cached size-independent plans.
     pub fn plan_cache_len(&self) -> usize {
-        self.lock_cache().plans.len()
+        self.plans.lock().entries.len()
     }
 
     /// Drops every cached plan and instance (counters are kept).
     pub fn clear_cache(&self) {
-        let mut cache = self.lock_cache();
-        cache.entries.clear();
-        cache.plans.clear();
-    }
-
-    fn lock_cache(&self) -> std::sync::MutexGuard<'_, Cache> {
-        self.cache.lock().unwrap_or_else(|e| e.into_inner())
+        self.instances.lock().entries.clear();
+        self.plans.lock().entries.clear();
     }
 }

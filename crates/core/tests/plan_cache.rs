@@ -68,8 +68,6 @@ fn one_plan_serves_three_sizes() {
     assert_eq!(rec.counter(Counter::PlanHit), 2);
     assert_eq!(rec.counter(Counter::InstanceMiss), 3);
     assert_eq!(rec.counter(Counter::InstanceHit), 2);
-    assert_eq!(rec.counter(Counter::CacheMiss), 3);
-    assert_eq!(rec.counter(Counter::CacheHit), 2);
 }
 
 /// Without pinned estimates the estimates default to the bound parameters,

@@ -194,8 +194,8 @@ fn autotune_reuses_the_session_cache() {
     // The diagnostics counters mirror the cache stats, and every measured
     // configuration left a tune.config event with the model's prediction.
     let rec = diag.snapshot().expect("recording sink");
-    assert_eq!(rec.counter(Counter::CacheHit), 4);
-    assert_eq!(rec.counter(Counter::CacheMiss), 4);
+    assert_eq!(rec.counter(Counter::InstanceHit), 4);
+    assert_eq!(rec.counter(Counter::InstanceMiss), 4);
     let tune_events: Vec<_> = rec.events_named("tune.config").collect();
     assert_eq!(tune_events.len(), 8);
     assert!(tune_events

@@ -140,11 +140,7 @@ macro_rules! counters {
 }
 
 counters! {
-    /// Session compile-cache hits.
-    CacheHit => "cache.hit",
-    /// Session compile-cache misses (compiler ran).
-    CacheMiss => "cache.miss",
-    /// Session compile-cache LRU evictions.
+    /// Session instance-cache LRU evictions.
     CacheEvict => "cache.evict",
     /// Grouping merges accepted (overlap ratio under threshold).
     GroupMergeAccept => "grouping.merge.accept",
@@ -547,7 +543,7 @@ mod tests {
         assert!(sp.start.is_none(), "no-op spans must not read the clock");
         d.end(sp, "x", vec![]);
         d.event("y", vec![("k", Value::Int(1))]);
-        d.count(Counter::CacheHit, 5);
+        d.count(Counter::InstanceHit, 5);
         assert!(d.snapshot().is_none());
     }
 
@@ -559,8 +555,8 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(2));
         d.end(sp, "phase", vec![("n", Value::UInt(3))]);
         d.event("decision", vec![("ok", Value::Bool(true))]);
-        d.count(Counter::CacheMiss, 2);
-        d.count(Counter::CacheMiss, 1);
+        d.count(Counter::InstanceMiss, 2);
+        d.count(Counter::InstanceMiss, 1);
 
         let rec = d.snapshot().unwrap();
         assert_eq!(rec.events.len(), 2);
@@ -569,8 +565,8 @@ mod tests {
         assert_eq!(span.arg("n").unwrap().as_u64(), Some(3));
         let ev = rec.events_named("decision").next().unwrap();
         assert!(ev.dur_us.is_none());
-        assert_eq!(rec.counter(Counter::CacheMiss), 3);
-        assert_eq!(rec.counter(Counter::CacheHit), 0);
+        assert_eq!(rec.counter(Counter::InstanceMiss), 3);
+        assert_eq!(rec.counter(Counter::InstanceHit), 0);
     }
 
     #[test]

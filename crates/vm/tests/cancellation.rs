@@ -472,33 +472,3 @@ fn cancellation_fuzz_survivors_bit_exact_and_pool_balances() {
         );
     }
 }
-
-/// The deprecated pre-`RunRequest` entry points still work (they are kept
-/// as shims for embedders one release behind).
-#[test]
-#[allow(deprecated)]
-fn deprecated_shims_still_run() {
-    let engine = Engine::with_threads(2);
-    let prog = Arc::new(chain_program(3, 4096, 256));
-    let input = input_for(4096, 7);
-    let inputs = std::slice::from_ref(&input);
-
-    let via_run = engine.run(&prog, inputs).unwrap();
-    let via_threads = engine.run_with_threads(&prog, inputs, 1).unwrap();
-    let (via_stats, stats) = engine.run_stats(&prog, inputs).unwrap();
-    let via_submit = engine
-        .submit_default(&prog, inputs)
-        .unwrap()
-        .join()
-        .unwrap();
-    let via_new = engine
-        .submit(RunRequest::new(&prog, inputs))
-        .unwrap()
-        .join()
-        .unwrap();
-    assert_eq!(bits(&via_new), bits(&via_run));
-    assert_eq!(bits(&via_new), bits(&via_threads));
-    assert_eq!(bits(&via_new), bits(&via_stats));
-    assert_eq!(bits(&via_new), bits(&via_submit));
-    assert!(stats.tiles > 0);
-}

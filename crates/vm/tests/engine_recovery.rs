@@ -178,3 +178,32 @@ fn panicked_run_fails_while_concurrent_run_completes() {
         assert_eq!(bits(&oracle), bits(&got));
     }
 }
+
+/// Regression: polling `is_finished` (or joining) while a worker scans
+/// must never strand the run. The scheduler used to `try_lock` each run's
+/// state and read "busy" as "no work", so a caller holding that lock at
+/// the wrong instant sent the only worker to sleep with the run half
+/// done. One worker, a hot polling loop, many short runs; the whole body
+/// sits under a timeout so a hang fails instead of wedging the suite.
+#[test]
+fn join_never_strands_a_run() {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let engine = Engine::with_threads(1);
+        let prog = Arc::new(program(false));
+        let input = Buffer::zeros(Rect::new(vec![(0, 63)])).fill_with(|p| (p[0] % 7) as f32);
+        let inputs = std::slice::from_ref(&input);
+        let want = bits(&run_program_static(&prog, inputs, 1).unwrap());
+        for _ in 0..2_000 {
+            let handle = engine.submit(RunRequest::new(&prog, inputs)).unwrap();
+            while !handle.is_finished() {
+                std::hint::spin_loop();
+            }
+            assert_eq!(want, bits(&handle.join().unwrap()));
+        }
+        done_tx.send(()).unwrap();
+    });
+    done_rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("a run was stranded: 2000 polled runs did not finish in 60 s");
+}
