@@ -7,7 +7,7 @@
 
 use polymage_apps::{all_benchmarks, Scale};
 use polymage_core::{compile, CompileOptions, SimdLevel, SimdOpt};
-use polymage_vm::run_program;
+use polymage_vm::{run_program, run_program_stats};
 
 fn bits(bufs: &[polymage_vm::Buffer]) -> Vec<Vec<u32>> {
     bufs.iter()
@@ -71,6 +71,45 @@ fn simd_bit_exact_all_benchmarks_all_schedules() {
                         got,
                         "{}: SIMD level {level} changed output bits ({label}, threads {threads})",
                         b.name()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Index-pipeline coverage as a count: on the two applications whose
+/// indexed accesses all have provable ranges — Bilateral Grid (trilinear
+/// gathers, two reduction scatters) and Camera (LUT gathers, demosaic
+/// floor-division) — every indexed lane goes through the vector pipeline
+/// at a vector level and through the scalar walk at the scalar level.
+/// (Under a `POLYMAGE_SIMD` override both compiles resolve to the same
+/// level, and the matching half of the assertion is checked twice.)
+#[test]
+fn indexed_lanes_are_all_vector_or_all_scalar() {
+    for b in all_benchmarks(Scale::Tiny) {
+        if !["Bilateral Grid", "Camera Pipeline"].contains(&b.name()) {
+            continue;
+        }
+        let inputs = b.make_inputs(42);
+        for simd in [SimdOpt::Auto, SimdOpt::Off] {
+            let opts = CompileOptions::optimized(b.params()).with_simd(simd);
+            let c = compile(b.pipeline(), &opts).unwrap_or_else(|e| panic!("{}: {e}", b.name()));
+            for threads in [1usize, 3] {
+                let (_, stats) = run_program_stats(&c.program, &inputs, threads)
+                    .unwrap_or_else(|e| panic!("{}: {e}", b.name()));
+                let (vector, scalar) = (stats.index_lanes_vector, stats.index_lanes_scalar);
+                assert!(vector + scalar > 0, "{}: no indexed lanes", b.name());
+                if c.report.simd == SimdLevel::Scalar {
+                    assert_eq!(vector, 0, "{}: vector lanes at the scalar level", b.name());
+                } else {
+                    assert_eq!(
+                        scalar,
+                        0,
+                        "{}: {scalar} of {} indexed lanes fell back to the scalar walk at {}",
+                        b.name(),
+                        vector + scalar,
+                        c.report.simd
                     );
                 }
             }

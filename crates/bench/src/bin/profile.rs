@@ -261,12 +261,15 @@ fn summarize(b: &dyn Benchmark, session: &Session, stats: &RunStats, rec: &Recor
         stats.early_releases,
     );
     println!(
-        "  simd: {} (lanes avx2 {} / sse2 {} / neon {} / scalar {})",
+        "  simd: {} (lanes avx2 {} / sse2 {} / neon {} / scalar {}; \
+         indexed lanes vector {} / scalar {})",
         compiled.report.simd,
         rec.counter(Counter::SimdLanesAvx2),
         rec.counter(Counter::SimdLanesSse2),
         rec.counter(Counter::SimdLanesNeon),
         rec.counter(Counter::SimdLanesScalar),
+        rec.counter(Counter::IndexLanesVector),
+        rec.counter(Counter::IndexLanesScalar),
     );
 }
 

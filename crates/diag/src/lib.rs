@@ -174,6 +174,10 @@ counters! {
     SimdLanesNeon => "eval.simd.lanes.neon",
     /// Register lanes evaluated by the scalar fallback loops.
     SimdLanesScalar => "eval.simd.lanes.scalar",
+    /// Indexed-access lanes addressed through the vector index pipeline.
+    IndexLanesVector => "eval.index.lanes.vector",
+    /// Indexed-access lanes addressed by the scalar walk.
+    IndexLanesScalar => "eval.index.lanes.scalar",
     /// Scratch bytes eliminated by slot folding (per-worker, at compile).
     StorageFoldedBytes => "storage.folded_bytes",
     /// Full buffers returned to the pool before run completion.

@@ -73,8 +73,11 @@ impl Reduction {
 /// the expressions in `target` (which may reference images/functions — this
 /// is what makes histograms possible) are evaluated and rounded to produce an
 /// index into the accumulator's *variable domain*, and `value` is combined
-/// into that cell with `op`. Out-of-range targets are skipped, matching the
-/// usual saturating-histogram convention.
+/// into that cell with `op`. An out-of-range target is *clamped* into the
+/// domain, dimension by dimension — the saturating-histogram convention,
+/// and the same rule data-dependent loads follow — so every point of the
+/// reduction domain contributes to some cell; interpreter and VM agree on
+/// this.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Accumulate {
     /// Variables of the reduction domain.

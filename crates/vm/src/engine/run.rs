@@ -688,6 +688,8 @@ fn flush_diag(shared: &Shared, run: &RunContext, stats: &RunStats, sched: SchedC
         (Counter::SimdLanesSse2, stats.simd_lanes_sse2),
         (Counter::SimdLanesNeon, stats.simd_lanes_neon),
         (Counter::SimdLanesScalar, stats.simd_lanes_scalar),
+        (Counter::IndexLanesVector, stats.index_lanes_vector),
+        (Counter::IndexLanesScalar, stats.index_lanes_scalar),
     ] {
         diag.count(c, n);
     }

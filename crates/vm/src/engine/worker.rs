@@ -12,7 +12,7 @@ use super::run::{advance, ReduceTask, RunContext, RunState, Task, TiledTask};
 use super::{lock, panic_error, wait_on, Shared};
 use crate::exec::{reduction_views, row_size, run_tile, sweep_reduction, LocalStats, Slab};
 use crate::pool::BufferPool;
-use crate::{BufId, GroupKind, RegFile, TiledGroup};
+use crate::{BufId, GroupKind, RegFile};
 
 /// One computed slab of a written full buffer (pool-backed).
 struct SlabPart {
@@ -93,12 +93,13 @@ pub(super) fn worker_main(index: usize, shared: Arc<Shared>) {
 }
 
 /// The per-worker scratch/register state for one run's current group,
-/// (re)built on group change.
+/// (re)built on group change (`arena_len` is 0 for a reduction, which
+/// needs only the register file).
 fn worker_run_state<'a>(
     local: &'a mut Local,
     run: &RunContext,
     group: usize,
-    tg: &TiledGroup,
+    arena_len: usize,
 ) -> &'a mut WorkerRun {
     let Local { arena_pool, runs } = local;
     if runs.len() >= WORKER_RUN_CAP && !runs.contains_key(&run.run_id) {
@@ -116,7 +117,7 @@ fn worker_run_state<'a>(
         // Packed scratch arena, zero-filled exactly like a fresh
         // allocation (consumers may read the zeroed border of a producer's
         // region).
-        wr.arena = arena_pool.acquire_zeroed(tg.slots.arena_len);
+        wr.arena = arena_pool.acquire_zeroed(arena_len);
         wr.group = group;
     }
     wr
@@ -144,10 +145,10 @@ fn exec_task(
             shared,
             run,
             slot,
-            move || run_chunk(shared, run, &task, unit),
-            |st, part| {
+            move || run_chunk(shared, run, &task, unit, local),
+            |st, (part, stats)| {
                 st.red_parts[unit] = Some(part);
-                LocalStats::default()
+                stats
             },
         ),
     }
@@ -243,7 +244,7 @@ fn run_strip(
     let GroupKind::Tiled(tg) = &prog.groups[task.group].kind else {
         panic!("strip work targets a non-tiled group");
     };
-    let ws = worker_run_state(local, run, task.group, tg);
+    let ws = worker_run_state(local, run, task.group, tg.slots.arena_len);
     ws.regs.set_simd(prog.simd);
     let read_refs = read_refs(&task.reads);
 
@@ -310,7 +311,13 @@ fn run_strip(
 
 /// Computes one reduction chunk into a pool-backed, identity-filled
 /// partial.
-fn run_chunk(shared: &Shared, run: &RunContext, task: &ReduceTask, chunk: usize) -> Vec<f32> {
+fn run_chunk(
+    shared: &Shared,
+    run: &RunContext,
+    task: &ReduceTask,
+    chunk: usize,
+    local: &mut Local,
+) -> (Vec<f32>, LocalStats) {
     let prog = &*run.prog;
     let GroupKind::Reduction(red) = &prog.groups[task.group].kind else {
         panic!("chunk work targets a non-reduction group");
@@ -324,13 +331,21 @@ fn run_chunk(shared: &Shared, run: &RunContext, task: &ReduceTask, chunk: usize)
     // Chunk-level cancellation point: a cancelled run's combine step is
     // skipped anyway, so an identity-filled partial is as good as a swept
     // one and costs nothing.
+    let mut stats = LocalStats::default();
     if run.cancel_reason().is_some() {
-        return part;
+        return (part, stats);
     }
     let mut dom = red.red_dom.clone();
     *dom.range_mut(0) = (lo, hi);
-    sweep_reduction(prog, red, &views, &dom, &mut part);
-    part
+    let ws = worker_run_state(local, run, task.group, 0);
+    sweep_reduction(prog, red, &views, &dom, &mut part, &mut ws.regs);
+    // A sweep has never reported its kernel's chunk, load-class or lane
+    // counts (run statistics cover tiled groups); of what the register
+    // file gathered, only how the targets were addressed is carried.
+    let eval = ws.regs.take_counters();
+    stats.eval.index_lanes_vector = eval.index_lanes_vector;
+    stats.eval.index_lanes_scalar = eval.index_lanes_scalar;
+    (part, stats)
 }
 
 /// Merges one unit's counters into the run statistics at its
@@ -347,6 +362,8 @@ fn absorb_local(st: &mut RunState, slot: usize, local: &LocalStats, busy: Durati
     st.stats.simd_lanes_sse2 += local.eval.simd_lanes_sse2;
     st.stats.simd_lanes_neon += local.eval.simd_lanes_neon;
     st.stats.simd_lanes_scalar += local.eval.simd_lanes_scalar;
+    st.stats.index_lanes_vector += local.eval.index_lanes_vector;
+    st.stats.index_lanes_scalar += local.eval.index_lanes_scalar;
     st.stats.worker_tiles[slot] += local.tiles;
     st.stats.worker_busy[slot] += busy;
     st.group_worker[slot].0 += local.tiles;

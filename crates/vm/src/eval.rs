@@ -10,10 +10,11 @@
 //! register), which lets the evaluator take disjoint borrows of destination
 //! and source registers without copying.
 
+use crate::index::IndexPlan;
 use crate::kernel::OptMeta;
 use crate::loadclass::{self, ResolvedLoad};
 use crate::simd::{self, Lanes, SimdLevel};
-use crate::{BinF, CmpF, IdxPlan, Kernel, Op, UnF};
+use crate::{BinF, CmpF, Kernel, Op, UnF};
 
 /// Chunk capacity (lanes per register).
 pub const CHUNK: usize = 128;
@@ -72,6 +73,14 @@ pub struct EvalCounters {
     pub simd_lanes_neon: u64,
     /// Lanes evaluated on the portable scalar path.
     pub simd_lanes_scalar: u64,
+    /// Lanes of indexed accesses (strided, floor-divided, diagonal and
+    /// data-dependent loads; reduction scatter targets) whose offsets came
+    /// from the vector index pipeline.
+    pub index_lanes_vector: u64,
+    /// Lanes of indexed accesses addressed one at a time by the scalar
+    /// walk: everything at [`SimdLevel::Scalar`], and any access whose
+    /// offset range the pipeline could not prove.
+    pub index_lanes_scalar: u64,
 }
 
 impl EvalCounters {
@@ -84,6 +93,17 @@ impl EvalCounters {
             SimdLevel::Sse2 => self.simd_lanes_sse2 += lanes,
             SimdLevel::Neon => self.simd_lanes_neon += lanes,
             SimdLevel::Scalar => self.simd_lanes_scalar += lanes,
+        }
+    }
+
+    /// Tallies the lanes of one indexed access on the side that addressed
+    /// them.
+    #[inline]
+    pub(crate) fn count_indexed(&mut self, vector: bool, len: usize) {
+        if vector {
+            self.index_lanes_vector += len as u64;
+        } else {
+            self.index_lanes_scalar += len as u64;
         }
     }
 }
@@ -120,8 +140,10 @@ pub struct RegFile {
     cache_coords: Vec<i64>,
     /// Resolved load plans for the cached row, one per `Op::Load`.
     resolved: Vec<ResolvedLoad>,
+    /// The cached row's index plans ([`ResolvedLoad::Indexed`] positions).
+    pub(crate) plans: Vec<IndexPlan>,
     /// Optimized-kernel evaluation counters since the last drain.
-    counters: EvalCounters,
+    pub(crate) counters: EvalCounters,
 }
 
 impl Default for RegFile {
@@ -137,6 +159,7 @@ impl Default for RegFile {
             cache_inner: 0,
             cache_coords: Vec::new(),
             resolved: Vec::new(),
+            plans: Vec::new(),
             counters: EvalCounters::default(),
         }
     }
@@ -312,6 +335,9 @@ pub fn eval_kernel(k: &Kernel, ctx: &ChunkCtx<'_>, regs: &mut RegFile) {
         eval_optimized(k, meta, ctx, regs);
         return;
     }
+    // Loads on this path resolve per chunk into the row cache's plan list
+    // (see `exec_op`), so whatever row was cached is gone.
+    regs.begin_row();
     let len = ctx.len;
     for op in &k.ops {
         exec_op(op, ctx, regs, len);
@@ -331,24 +357,27 @@ fn eval_optimized(k: &Kernel, meta: &OptMeta, ctx: &ChunkCtx<'_>, regs: &mut Reg
         regs.counters.uniform_misses += 1;
         regs.cache_store_key(token, ctx);
         let mut resolved = std::mem::take(&mut regs.resolved);
+        let mut plans = std::mem::take(&mut regs.plans);
         resolved.clear();
+        plans.clear();
         for op in &k.ops {
             if let Op::Load { dst, buf, plan } = op {
-                if meta.dep[dst.0 as usize] & inner_bit == 0 {
-                    resolved.push(ResolvedLoad::Uniform);
+                let r = if meta.dep[dst.0 as usize] & inner_bit == 0 {
+                    ResolvedLoad::Uniform
                 } else {
-                    resolved.push(loadclass::resolve_load(ctx, *buf, plan));
-                }
-                regs.counters
-                    .loads
-                    .add(resolved[resolved.len() - 1].class());
+                    loadclass::resolve_load(ctx, *buf, plan, &mut plans)
+                };
+                regs.counters.loads.add(r.class(&plans));
+                resolved.push(r);
             }
         }
         regs.resolved = resolved;
+        regs.plans = plans;
     } else {
         regs.counters.uniform_hits += 1;
     }
     let resolved = std::mem::take(&mut regs.resolved);
+    let plans = std::mem::take(&mut regs.plans);
     let mut li = 0usize;
     for op in &k.ops {
         let dst = op.dst().0 as usize;
@@ -369,13 +398,14 @@ fn eval_optimized(k: &Kernel, meta: &OptMeta, ctx: &ChunkCtx<'_>, regs: &mut Reg
             }
         });
         if let Op::Load { dst, buf, .. } = op {
-            loadclass::exec_resolved(ctx, regs, *dst, *buf, &resolved[li], len);
+            loadclass::exec_resolved(ctx, regs, *dst, *buf, resolved[li], &plans, len);
             li += 1;
         } else {
             exec_op(op, ctx, regs, len);
         }
     }
     regs.resolved = resolved;
+    regs.plans = plans;
     // Consumers (stores, reduction scatter, store masks) read full lanes.
     for &o in &k.outs {
         if meta.dep[o.0 as usize] & inner_bit == 0 {
@@ -671,152 +701,27 @@ fn exec_op(op: &Op, ctx: &ChunkCtx<'_>, regs: &mut RegFile, len: usize) {
                 }
             }
             Op::Load { dst, buf, plan } => {
-                load_chunk(ctx, regs, *dst, *buf, plan, len);
-            }
-        }
-    }
-}
-
-/// Executes one [`Op::Load`].
-fn load_chunk(
-    ctx: &ChunkCtx<'_>,
-    regs: &mut RegFile,
-    dst: crate::RegId,
-    buf: crate::BufId,
-    plan: &[IdxPlan],
-    len: usize,
-) {
-    let view = ctx.bufs[buf.0]
-        .as_ref()
-        .unwrap_or_else(|| panic!("load from unresolved buffer {buf:?}"));
-    debug_assert_eq!(plan.len(), view.sizes.len());
-
-    // Split the plan: base offset from non-varying dims; the varying parts.
-    // More than one plan dimension varying along the chunk axis (diagonal
-    // accesses like g(x, x)) takes the general per-lane path.
-    let mut base = 0i64;
-    let mut inner_aff: Option<(i64, i64, i64, i64)> = None; // (q,o,m,stride)
-    let mut extra_inner: Vec<(i64, i64, i64, i64)> = Vec::new();
-    let mut reg_dims: Vec<(usize, crate::RegId)> = Vec::new();
-    for (d, p) in plan.iter().enumerate() {
-        match *p {
-            IdxPlan::Affine { dim, q, o, m } => {
-                if dim == Some(ctx.inner) && q != 0 {
-                    if inner_aff.is_none() {
-                        inner_aff = Some((q, o, m, view.strides[d]));
-                    } else {
-                        extra_inner.push((q, o, m, view.strides[d]));
+                // No row cache on this path: resolve for this chunk alone,
+                // with the (invalidated) cache's plan list as scratch.
+                let mut plans = std::mem::take(&mut regs.plans);
+                plans.clear();
+                match loadclass::resolve_load(ctx, *buf, plan, &mut plans) {
+                    ResolvedLoad::Uniform => {
+                        let v = loadclass::load_scalar(ctx, regs, *buf, plan);
+                        regs.regs[dst.0 as usize][..len].fill(v);
                     }
-                } else {
-                    let coord = dim.map_or(0, |dd| ctx.coords[dd]);
-                    let idx = (q * coord + o).div_euclid(m);
-                    debug_assert!(
-                        idx >= view.origin[d] && idx < view.origin[d] + view.sizes[d],
-                        "affine index {idx} out of buffer range on dim {d} \
-                         (origin {}, size {})",
-                        view.origin[d],
-                        view.sizes[d]
-                    );
-                    base += (idx - view.origin[d]).clamp(0, view.sizes[d] - 1) * view.strides[d];
+                    r => loadclass::exec_resolved(ctx, regs, *dst, *buf, r, &plans, len),
                 }
+                regs.plans = plans;
             }
-            IdxPlan::Reg(r) => reg_dims.push((d, r)),
         }
     }
-
-    let d = dst.0 as usize;
-    if !extra_inner.is_empty() {
-        // general diagonal path: every lane computes all varying dims
-        let x0 = ctx.coords[ctx.inner];
-        let dreg = &mut regs.regs[d];
-        let (q0, o0, m0, st0) = inner_aff.expect("first inner plan");
-        let org0 = view.origin[inner_dim_of(plan, ctx.inner)];
-        for (i, v) in dreg[..len].iter_mut().enumerate() {
-            let x = x0 + i as i64;
-            let mut idx = base + ((q0 * x + o0).div_euclid(m0) - org0) * st0;
-            for &(q, o, m, st) in &extra_inner {
-                // origin of the matching dim: recover by stride match
-                let dd = plan
-                    .iter()
-                    .enumerate()
-                    .position(|(pd, p)| {
-                        matches!(p, IdxPlan::Affine { dim: Some(x), q: qq, o: oo, m: mm }
-                            if *x == ctx.inner && *qq == q && *oo == o && *mm == m)
-                            && view.strides[pd] == st
-                    })
-                    .expect("extra inner dim present");
-                idx += ((q * x + o).div_euclid(m) - view.origin[dd]) * st;
-            }
-            *v = view.data[idx as usize];
-        }
-        return;
-    }
-    if reg_dims.is_empty() {
-        match inner_aff {
-            None => {
-                // Fully scalar: broadcast one element.
-                let v = view.data[base as usize];
-                regs.regs[d][..len].fill(v);
-            }
-            Some((q, o, m, stride)) => {
-                let x0 = ctx.coords[ctx.inner];
-                if q == 1 && m == 1 && stride == 1 {
-                    // Contiguous fast path.
-                    let start = base + (x0 + o) - view.origin[inner_dim_of(plan, ctx.inner)];
-                    debug_assert!(start >= 0);
-                    let start = start as usize;
-                    regs.regs[d][..len].copy_from_slice(&view.data[start..start + len]);
-                } else {
-                    let org = view.origin[inner_dim_of(plan, ctx.inner)];
-                    let dreg = &mut regs.regs[d];
-                    for (i, v) in dreg[..len].iter_mut().enumerate() {
-                        let idx = (q * (x0 + i as i64) + o).div_euclid(m) - org;
-                        *v = view.data[(base + idx * stride) as usize];
-                    }
-                }
-            }
-        }
-    } else {
-        // General gather: data-dependent dims from registers.
-        let mut flat = [0i64; CHUNK];
-        flat[..len].fill(base);
-        for &(dim, r) in &reg_dims {
-            let idxs: &[f32; CHUNK] = regs.reg(r);
-            let (org, sz, st) = (view.origin[dim], view.sizes[dim], view.strides[dim]);
-            for i in 0..len {
-                let raw = round_ties_away(idxs[i]) as i64;
-                let clamped = raw.clamp(org, org + sz - 1);
-                flat[i] += (clamped - org) * st;
-            }
-        }
-        if let Some((q, o, m, stride)) = inner_aff {
-            let x0 = ctx.coords[ctx.inner];
-            let org = view.origin[inner_dim_of(plan, ctx.inner)];
-            for (i, f) in flat[..len].iter_mut().enumerate() {
-                let idx = (q * (x0 + i as i64) + o).div_euclid(m) - org;
-                *f += idx * stride;
-            }
-        }
-        let dreg = &mut regs.regs[d];
-        for i in 0..len {
-            dreg[i] = view.data[flat[i] as usize];
-        }
-    }
-}
-
-/// The buffer dimension whose plan varies along the consumer's inner dim.
-fn inner_dim_of(plan: &[IdxPlan], inner: usize) -> usize {
-    plan.iter()
-        .position(
-            |p| matches!(p, IdxPlan::Affine { dim: Some(dd), q, .. } if *dd == inner && *q != 0),
-        )
-        .expect("inner plan present")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BufId, RegId};
+    use crate::{BufId, IdxPlan, RegId};
 
     fn view(data: &[f32], origin: Vec<i64>, sizes: Vec<i64>) -> BufView<'_> {
         let mut strides = vec![1i64; sizes.len()];

@@ -1,6 +1,7 @@
 //! The parallel executor: tiled groups, reductions, sequential scans.
 
 use crate::eval::{eval_kernel, BufView, ChunkCtx};
+use crate::index::{IndexPlan, RegTerm};
 use crate::{
     BufDecl, BufId, Buffer, CaseExec, EvalMode, GroupKind, Program, ReductionExec, RegFile,
     SeqExec, StageExec, TiledGroup, VmError, CHUNK,
@@ -55,6 +56,13 @@ pub struct RunStats {
     pub simd_lanes_neon: u64,
     /// Lanes evaluated on the portable scalar path.
     pub simd_lanes_scalar: u64,
+    /// Lanes of indexed accesses (non-contiguous loads and reduction
+    /// scatter targets) addressed through the vector index pipeline.
+    pub index_lanes_vector: u64,
+    /// Lanes of indexed accesses addressed by the scalar walk (the
+    /// `SimdLevel::Scalar` path, or an offset range the pipeline could not
+    /// prove in bounds).
+    pub index_lanes_scalar: u64,
     /// Full buffers returned to the pool before run completion (engine
     /// runs under a narrowed [`crate::StoragePlan`]; 0 on the static path
     /// and for run-scoped plans).
@@ -942,7 +950,8 @@ pub(crate) fn execute_reduction(
     let total = (rhi - rlo + 1).max(0);
     let nth = nthreads.min(total.max(1) as usize).max(1);
     if nth == 1 {
-        sweep_reduction(prog, red, &views, &red.red_dom, &mut out_vec);
+        let mut regs = RegFile::new();
+        sweep_reduction(prog, red, &views, &red.red_dom, &mut out_vec, &mut regs);
     } else {
         let chunk = total.div_euclid(nth as i64) + 1;
         let mut partials: Vec<Vec<f32>> = Vec::new();
@@ -960,7 +969,7 @@ pub(crate) fn execute_reduction(
                     let mut part = vec![identity; sz];
                     let mut dom = red.red_dom.clone();
                     *dom.range_mut(0) = (lo, hi);
-                    sweep_reduction(prog, red, views, &dom, &mut part);
+                    sweep_reduction(prog, red, views, &dom, &mut part, &mut RegFile::new());
                     part
                 }));
             }
@@ -1018,28 +1027,42 @@ pub(crate) fn reduction_views<'a>(
     views
 }
 
-/// Sweeps (part of) the reduction domain, combining into `out`.
+/// Sweeps (part of) the reduction domain, combining into `out` in the
+/// domain's row-major order (lanes ascending within a chunk), so the
+/// result does not depend on how the targets were addressed.
 pub(crate) fn sweep_reduction(
     prog: &Program,
     red: &ReductionExec,
     views: &[Option<BufView<'_>>],
     dom: &Rect,
     out: &mut [f32],
+    regs: &mut RegFile,
 ) {
-    if dom.is_empty() {
+    let decl = &prog.buffers[red.out.0];
+    // An accumulator with an empty dimension has no cell to combine into.
+    if dom.is_empty() || decl.sizes.iter().any(|&s| s <= 0) {
         return;
     }
-    let decl = &prog.buffers[red.out.0];
-    let strides = decl.strides();
+    // Every target dimension is a register index, clamped into the
+    // accumulator like a data-dependent load's.
+    let mut target = IndexPlan::new(0);
+    for (d, &stride) in decl.strides().iter().enumerate() {
+        target.push_reg(RegTerm {
+            org: decl.origin[d],
+            size: decl.sizes[d],
+            stride,
+            reg: red.kernel.outs[1 + d],
+        });
+    }
     let n = dom.ndim();
-    let ndim_out = decl.sizes.len();
     let step = match prog.mode {
         EvalMode::Vector => CHUNK,
         EvalMode::Scalar => 1,
     };
-    let mut regs = RegFile::new();
     regs.set_simd(prog.simd);
+    let lvl = regs.simd_level();
     let (xlo, xhi) = dom.range(n - 1);
+    let mut off = [0i32; CHUNK];
     for_each_row(dom, dom.ndim() - 1, &mut |coords| {
         regs.begin_row();
         let mut x = xlo;
@@ -1052,31 +1075,39 @@ pub(crate) fn sweep_reduction(
                 inner: n - 1,
                 bufs: views,
             };
-            eval_kernel(&red.kernel, &ctx, &mut regs);
-            // Borrow only the live lanes (stale lanes beyond `len` are
-            // meaningless); the index registers below are read per-lane.
+            eval_kernel(&red.kernel, &ctx, regs);
+            // Only the live lanes: those beyond `len` are stale.
             let val = &regs.reg(red.kernel.outs[0])[..len];
-            // Gather target indices and scatter-combine.
-            for (i, &v) in val.iter().enumerate() {
-                let mut flat = 0i64;
-                let mut ok = true;
-                for (d, &stride) in strides.iter().enumerate().take(ndim_out) {
-                    let idx = regs.reg(red.kernel.outs[1 + d])[i].round() as i64;
-                    let idx = idx.clamp(decl.origin[d], decl.origin[d] + decl.sizes[d] - 1);
-                    if decl.sizes[d] == 0 {
-                        ok = false;
-                        break;
-                    }
-                    flat += (idx - decl.origin[d]) * stride;
-                }
-                if ok {
-                    let cell = &mut out[flat as usize];
-                    *cell = red.op.combine(*cell as f64, v as f64) as f32;
-                }
+            let vector = target.fill_offsets(lvl, &regs.regs, x, len, out.len(), &mut off);
+            if vector {
+                scatter(red.op, out, off[..len].iter().map(|&o| o as usize), val);
+            } else {
+                let cells = (0..len).map(|i| target.offset_at(&regs.regs, x, i) as usize);
+                scatter(red.op, out, cells, val);
             }
+            regs.counters.count_indexed(vector, len);
             x += len as i64;
         }
     });
+}
+
+/// Combines `vals` into `out[cell]`, lane by lane in ascending order (many
+/// lanes may hit one cell; the order is what makes a `Sum` reproducible).
+/// The combine is the `f32` one: `(a as f64 + b as f64) as f32 == a + b`
+/// (rounding a sum of floats to a double first is innocuous, 53 being at
+/// least 2·24 + 2 bits), and `min`/`max` round nothing.
+fn scatter(
+    op: polymage_ir::Reduction,
+    out: &mut [f32],
+    cells: impl Iterator<Item = usize>,
+    vals: &[f32],
+) {
+    use polymage_ir::Reduction;
+    match op {
+        Reduction::Sum => cells.zip(vals).for_each(|(c, &v)| out[c] += v),
+        Reduction::Min => cells.zip(vals).for_each(|(c, &v)| out[c] = out[c].min(v)),
+        Reduction::Max => cells.zip(vals).for_each(|(c, &v)| out[c] = out[c].max(v)),
+    }
 }
 
 pub(crate) fn execute_seq(

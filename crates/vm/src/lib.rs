@@ -31,6 +31,7 @@ mod engine;
 mod error;
 mod eval;
 mod exec;
+mod index;
 mod kernel;
 mod loadclass;
 pub mod opt;

@@ -1,29 +1,31 @@
 //! Load classification: specialized access forms for [`crate::Op::Load`].
 //!
-//! The legacy evaluator re-derives the shape of every load from its
-//! `Vec<IdxPlan>` on every chunk. For optimized kernels the shape is
-//! resolved **once per row** into a [`ResolvedLoad`] — the base offset from
-//! all non-varying dimensions is folded ahead of time and each access form
-//! gets its own tight loop:
+//! The shape of a load is resolved into a [`ResolvedLoad`] — **once per
+//! row** for optimized kernels (cached by the register file), once per
+//! chunk for kernels without optimizer metadata. The base offset from all
+//! non-varying dimensions is folded ahead of time, and what remains takes
+//! one of four forms:
 //!
 //! - **broadcast** — the plan is chunk-invariant; the value is computed in
 //!   the scalar preamble ([`ResolvedLoad::Uniform`]);
 //! - **contiguous** — unit-stride along the chunk axis (`q == 1, m == 1`,
 //!   innermost buffer dimension): a straight `copy_from_slice`;
-//! - **constant-stride** — a single affine dimension varies along the
-//!   chunk axis: one strided loop;
-//! - **gather** — data-dependent register indices (round + clamp per lane);
-//! - **diagonal** — two or more affine dimensions vary along the chunk
-//!   axis (accesses like `g(x, x)`).
+//! - **ramp** — one affine dimension varies with a constant non-unit
+//!   stride (`m == 1`): a strided walk, hardware-gathered on AVX2;
+//! - **indexed** — everything else goes through one
+//!   [`IndexPlan`](crate::index::IndexPlan): a floor-divided index, several
+//!   dimensions varying together (diagonal accesses like `g(x, x)`),
+//!   data-dependent register indices, or any mix.
 //!
-//! Every form computes exactly the indices the legacy path computes, so
-//! values are bit-identical.
+//! For reporting, ramps and indexed accesses with affine terms only are
+//! *strided*; an indexed access with a register term is a *gather*.
 //!
 //! [`classify`] is the compile-time counterpart used for reporting: it tags
 //! each load with the class it will take under the nominal chunk axis (the
 //! innermost loop dimension).
 
 use crate::eval::{round_ties_away, ChunkCtx, RegFile, CHUNK};
+use crate::index::{AffTerm, IndexPlan, RegTerm};
 use crate::{BufId, IdxPlan, RegId};
 
 /// Compile-time access class of one load (under the nominal chunk axis).
@@ -139,143 +141,135 @@ pub(crate) fn classify(plan: &[IdxPlan], dep: &[u32], inner: usize) -> LoadClass
 
 /// A load plan resolved against concrete views and a concrete chunk axis,
 /// valid for one row (fixed outer coordinates).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum ResolvedLoad {
-    /// Chunk-invariant: evaluated in the scalar preamble.
+    /// Chunk-invariant: one element, read by [`load_scalar`].
     Uniform,
     /// Unit stride along the chunk axis: flat index = `shift + x`.
     Contig {
         /// Precomputed `base + o − origin` (add the chunk-axis coordinate).
         shift: i64,
     },
-    /// One affine dimension varies along the chunk axis.
-    Strided {
-        /// Coefficient.
-        q: i64,
-        /// Offset.
-        o: i64,
-        /// Floor divisor.
-        m: i64,
-        /// Element stride of the varying dimension.
-        stride: i64,
-        /// Origin of the varying dimension.
-        org: i64,
-        /// Flat offset from all non-varying dimensions.
-        base: i64,
+    /// One affine dimension varies, without floor division: flat index =
+    /// `shift + x·step`.
+    Ramp {
+        /// Precomputed `base + (o − origin)·stride`.
+        shift: i64,
+        /// `q·stride`.
+        step: i64,
     },
-    /// Data-dependent register indices (plus an optional affine chunk-axis
-    /// term).
-    Gather {
-        /// Flat offset from non-varying affine dimensions.
-        base: i64,
-        /// Per register-indexed dimension: `(origin, size, stride, reg)`.
-        dims: Vec<(i64, i64, i64, RegId)>,
-        /// Affine chunk-axis term `(q, o, m, stride, origin)`, if any.
-        inner: Option<(i64, i64, i64, i64, i64)>,
-    },
-    /// Two or more affine dimensions vary along the chunk axis.
-    Multi {
-        /// Flat offset from non-varying dimensions.
-        base: i64,
-        /// Varying terms `(q, o, m, stride, origin)`, in plan order.
-        dims: Vec<(i64, i64, i64, i64, i64)>,
-    },
+    /// Everything else — floor-divided, diagonal, data-dependent —
+    /// addressed through the [`IndexPlan`] at this position of the row's
+    /// plan list.
+    Indexed(usize),
 }
 
 impl ResolvedLoad {
     /// The access class this resolved form corresponds to (used by the
     /// runtime resolution counters; matches [`classify`]'s taxonomy, with
-    /// diagonal `Multi` accesses tallied as strided).
-    pub(crate) fn class(&self) -> LoadClass {
-        match self {
+    /// diagonal accesses tallied as strided).
+    pub(crate) fn class(&self, plans: &[IndexPlan]) -> LoadClass {
+        match *self {
             ResolvedLoad::Uniform => LoadClass::Broadcast,
             ResolvedLoad::Contig { .. } => LoadClass::Contiguous,
-            ResolvedLoad::Strided { .. } | ResolvedLoad::Multi { .. } => LoadClass::Strided,
-            ResolvedLoad::Gather { .. } => LoadClass::Gather,
+            ResolvedLoad::Indexed(i) if plans[i].has_reg() => LoadClass::Gather,
+            ResolvedLoad::Ramp { .. } | ResolvedLoad::Indexed(_) => LoadClass::Strided,
         }
     }
 }
 
-/// Resolves a lane-varying load plan against the current views and chunk
-/// axis. Must only be called for plans that vary along `ctx.inner`.
-pub(crate) fn resolve_load(ctx: &ChunkCtx<'_>, buf: BufId, plan: &[IdxPlan]) -> ResolvedLoad {
+/// Whether dimension plan `p` varies along chunk axis `inner`.
+fn varies(p: &IdxPlan, inner: usize) -> bool {
+    match *p {
+        IdxPlan::Affine { dim, q, .. } => dim == Some(inner) && q != 0,
+        IdxPlan::Reg(_) => true,
+    }
+}
+
+/// Resolves a load plan against the current views and chunk axis. Register
+/// dimensions count as varying (callers that know a register to be uniform
+/// do not come here); an [`IndexPlan`], when one is needed, is appended to
+/// `plans`.
+pub(crate) fn resolve_load(
+    ctx: &ChunkCtx<'_>,
+    buf: BufId,
+    plan: &[IdxPlan],
+    plans: &mut Vec<IndexPlan>,
+) -> ResolvedLoad {
     let view = ctx.bufs[buf.0]
         .as_ref()
         .unwrap_or_else(|| panic!("load from unresolved buffer {buf:?}"));
     debug_assert_eq!(plan.len(), view.sizes.len());
     let mut base = 0i64;
-    let mut inner_aff: Option<(i64, i64, i64, i64, i64)> = None; // (q,o,m,stride,org)
-    let mut extra: Vec<(i64, i64, i64, i64, i64)> = Vec::new();
-    let mut reg_dims: Vec<(i64, i64, i64, RegId)> = Vec::new();
+    let mut nvarying = 0usize;
+    // `(shift, step)` of a varying dimension without floor division.
+    let mut ramp: Option<(i64, i64)> = None;
     for (d, p) in plan.iter().enumerate() {
-        match *p {
-            IdxPlan::Affine { dim, q, o, m } => {
-                if dim == Some(ctx.inner) && q != 0 {
-                    let term = (q, o, m, view.strides[d], view.origin[d]);
-                    if inner_aff.is_none() {
-                        inner_aff = Some(term);
-                    } else {
-                        extra.push(term);
-                    }
-                } else {
-                    let coord = dim.map_or(0, |dd| ctx.coords[dd]);
-                    let idx = (q * coord + o).div_euclid(m);
-                    debug_assert!(
-                        idx >= view.origin[d] && idx < view.origin[d] + view.sizes[d],
-                        "affine index {idx} out of buffer range on dim {d} \
-                         (origin {}, size {})",
-                        view.origin[d],
-                        view.sizes[d]
-                    );
-                    base += (idx - view.origin[d]).clamp(0, view.sizes[d] - 1) * view.strides[d];
-                }
+        if varies(p, ctx.inner) {
+            nvarying += 1;
+            if let IdxPlan::Affine { q, o, m: 1, .. } = *p {
+                ramp = Some(((o - view.origin[d]) * view.strides[d], q * view.strides[d]));
             }
-            IdxPlan::Reg(r) => {
-                reg_dims.push((view.origin[d], view.sizes[d], view.strides[d], r));
-            }
+        } else if let IdxPlan::Affine { dim, q, o, m } = *p {
+            let coord = dim.map_or(0, |dd| ctx.coords[dd]);
+            let idx = (q * coord + o).div_euclid(m);
+            debug_assert!(
+                idx >= view.origin[d] && idx < view.origin[d] + view.sizes[d],
+                "affine index {idx} out of buffer range on dim {d} \
+                 (origin {}, size {})",
+                view.origin[d],
+                view.sizes[d]
+            );
+            base += (idx - view.origin[d]).clamp(0, view.sizes[d] - 1) * view.strides[d];
         }
     }
-    if !extra.is_empty() {
-        debug_assert!(
-            reg_dims.is_empty(),
-            "diagonal access mixed with register indices"
-        );
-        let mut dims = vec![inner_aff.expect("first chunk-axis plan dim")];
-        dims.extend(extra);
-        return ResolvedLoad::Multi { base, dims };
-    }
-    if reg_dims.is_empty() {
-        let (q, o, m, stride, org) = inner_aff.expect("varying load has a chunk-axis dim");
-        if q == 1 && m == 1 && stride == 1 {
-            ResolvedLoad::Contig {
-                shift: base + o - org,
+    match (nvarying, ramp) {
+        (0, _) => return ResolvedLoad::Uniform,
+        (1, Some((shift, 1))) => {
+            return ResolvedLoad::Contig {
+                shift: base + shift,
             }
-        } else {
-            ResolvedLoad::Strided {
+        }
+        (1, Some((shift, step))) => {
+            return ResolvedLoad::Ramp {
+                shift: base + shift,
+                step,
+            }
+        }
+        _ => {}
+    }
+    plans.push(IndexPlan::new(base));
+    let ip = plans.last_mut().expect("just pushed");
+    for (d, p) in plan.iter().enumerate() {
+        match *p {
+            IdxPlan::Affine { q, o, m, .. } if varies(p, ctx.inner) => ip.push_aff(AffTerm {
                 q,
                 o,
                 m,
-                stride,
-                org,
-                base,
-            }
-        }
-    } else {
-        ResolvedLoad::Gather {
-            base,
-            dims: reg_dims,
-            inner: inner_aff,
+                stride: view.strides[d],
+                org: view.origin[d],
+            }),
+            IdxPlan::Affine { .. } => {}
+            IdxPlan::Reg(reg) => ip.push_reg(RegTerm {
+                org: view.origin[d],
+                size: view.sizes[d],
+                stride: view.strides[d],
+                reg,
+            }),
         }
     }
+    ResolvedLoad::Indexed(plans.len() - 1)
 }
 
-/// Executes one lane-varying load through its resolved form.
+/// Executes one lane-varying load through its resolved form (`plans` is
+/// the list [`resolve_load`] appended to).
 pub(crate) fn exec_resolved(
     ctx: &ChunkCtx<'_>,
     regs: &mut RegFile,
     dst: RegId,
     buf: BufId,
-    r: &ResolvedLoad,
+    r: ResolvedLoad,
+    plans: &[IndexPlan],
     len: usize,
 ) {
     let view = ctx.bufs[buf.0]
@@ -283,76 +277,46 @@ pub(crate) fn exec_resolved(
         .unwrap_or_else(|| panic!("load from unresolved buffer {buf:?}"));
     let x0 = ctx.coords[ctx.inner];
     let d = dst.0 as usize;
-    match *r {
+    let lvl = regs.simd;
+    let plan = match r {
         ResolvedLoad::Uniform => unreachable!("uniform load dispatched to varying body"),
         ResolvedLoad::Contig { shift } => {
             let start = shift + x0;
             debug_assert!(start >= 0);
             let start = start as usize;
             regs.regs[d][..len].copy_from_slice(&view.data[start..start + len]);
+            return;
         }
-        ResolvedLoad::Strided {
-            q,
-            o,
-            m,
-            stride,
-            org,
-            base,
-        } => {
-            let lvl = regs.simd;
+        ResolvedLoad::Ramp { shift, step } => {
+            // No index arithmetic to speak of: a hardware gather over an
+            // in-register ramp (AVX2), else the indexed loop.
+            let start = shift + x0 * step;
             let dreg = &mut regs.regs[d];
-            // With no floor division the lane index is affine in the lane
-            // number — a hardware gather (AVX2) loads exactly the elements
-            // the scalar loop would. Other shapes, and any index that the
-            // wrapper cannot prove in-bounds, take the scalar walk.
-            if m == 1 {
-                let start = base + (q * x0 + o - org) * stride;
-                let step = q * stride;
-                if crate::simd::strided_load(lvl, &mut dreg.0, view.data, start, step, len) {
-                    return;
+            if !crate::simd::strided_load(lvl, dreg, view.data, start, step, len) {
+                for (i, v) in dreg[..len].iter_mut().enumerate() {
+                    *v = view.data[(start + i as i64 * step) as usize];
                 }
             }
-            for (i, v) in dreg[..len].iter_mut().enumerate() {
-                let idx = (q * (x0 + i as i64) + o).div_euclid(m) - org;
-                *v = view.data[(base + idx * stride) as usize];
-            }
+            regs.counters
+                .count_indexed(lvl != crate::SimdLevel::Scalar, len);
+            return;
         }
-        ResolvedLoad::Gather {
-            base,
-            ref dims,
-            inner,
-        } => {
-            let mut flat = [0i64; CHUNK];
-            flat[..len].fill(base);
-            for &(org, sz, st, r) in dims {
-                let idxs = regs.reg(r);
-                for i in 0..len {
-                    let raw = round_ties_away(idxs[i]) as i64;
-                    let clamped = raw.clamp(org, org + sz - 1);
-                    flat[i] += (clamped - org) * st;
-                }
-            }
-            if let Some((q, o, m, stride, org)) = inner {
-                for (i, f) in flat[..len].iter_mut().enumerate() {
-                    let idx = (q * (x0 + i as i64) + o).div_euclid(m) - org;
-                    *f += idx * stride;
-                }
-            }
-            let dreg = &mut regs.regs[d];
-            for i in 0..len {
-                dreg[i] = view.data[flat[i] as usize];
+        ResolvedLoad::Indexed(i) => &plans[i],
+    };
+    let mut off = [0i32; CHUNK];
+    let vector = plan.fill_offsets(lvl, &regs.regs, x0, len, view.data.len(), &mut off);
+    regs.counters.count_indexed(vector, len);
+    if vector {
+        let dreg = &mut regs.regs[d];
+        if !crate::simd::gather(lvl, dreg, view.data, &off, len) {
+            for (v, &o) in dreg[..len].iter_mut().zip(&off) {
+                *v = view.data[o as usize];
             }
         }
-        ResolvedLoad::Multi { base, ref dims } => {
-            let dreg = &mut regs.regs[d];
-            for (i, v) in dreg[..len].iter_mut().enumerate() {
-                let x = x0 + i as i64;
-                let mut idx = base;
-                for &(q, o, m, st, org) in dims {
-                    idx += ((q * x + o).div_euclid(m) - org) * st;
-                }
-                *v = view.data[idx as usize];
-            }
+    } else {
+        for i in 0..len {
+            let flat = plan.offset_at(&regs.regs, x0 + i as i64, i);
+            regs.regs[d][i] = view.data[flat as usize];
         }
     }
 }

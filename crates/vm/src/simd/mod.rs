@@ -22,9 +22,10 @@
 //! zeros, subnormals, and infinities. That shapes the implementation:
 //!
 //! - only IEEE-exact ops are vectorized (add/sub/mul/div/min/max,
-//!   comparisons, mask algebra, select, round/saturate casts, and loads);
-//!   transcendentals (`UnF`), `Mod`, `Pow`, and data-dependent gathers stay
-//!   on the scalar paths;
+//!   comparisons, mask algebra, select, round/saturate casts, loads, and
+//!   the float → index conversion of data-dependent accesses, which
+//!   yields integers and so has no rounding to preserve);
+//!   transcendentals (`UnF`), `Mod` and `Pow` stay on the scalar paths;
 //! - **no FMA contraction is ever emitted** — multiplies and adds remain
 //!   separate instructions, so results match the scalar evaluation exactly;
 //! - `min`/`max` blend around the asymmetric NaN/±0 behavior of
@@ -528,6 +529,94 @@ pub(crate) fn strided_load(
             unsafe { x86::strided_avx2(d, data, start, step, len) };
             true
         }
+        _ => false,
+    }
+}
+
+/// One lane of [`index_from_f32`]: `v` rounded half away from zero and
+/// clamped to `[lo, hi]`, exactly as `(v.round() as i64).clamp(lo, hi)`
+/// computes it — `as` sends NaN to 0 and saturates ±∞ — for integer
+/// bounds with `lo ≤ hi` and magnitudes up to 2²⁴.
+///
+/// Clamping first is what lets a 32-bit truncating convert do the rest:
+/// rounding is monotone and fixes integers, so with integer bounds
+/// `clamp(round(v)) == round(clamp(v))`, and the clamped value is small
+/// enough that `v − trunc(v)` is exact.
+#[inline]
+pub(crate) fn index_lane(v: f32, lo: i32, hi: i32) -> i32 {
+    let v = if v.is_nan() { 0.0 } else { v };
+    let c = v.clamp(lo as f32, hi as f32);
+    let t = c as i32;
+    let frac = c - t as f32;
+    t + i32::from(frac >= 0.5) - i32::from(frac <= -0.5)
+}
+
+/// The register term of the index pipeline:
+/// `acc[i] += (index(src[i]) − lo)·stride` for `i < len`, in wrapping
+/// `i32` arithmetic, where `index` is [`index_lane`]. Every level computes
+/// the same integers; the caller guarantees `lo ≤ hi`, both within ±2²⁴.
+#[inline]
+pub(crate) fn index_from_f32(
+    level: SimdLevel,
+    acc: &mut [i32; CHUNK],
+    src: &[f32; CHUNK],
+    lo: i32,
+    hi: i32,
+    stride: i32,
+    len: usize,
+) {
+    debug_assert!(lo <= hi && lo.unsigned_abs() <= 1 << 24 && hi.unsigned_abs() <= 1 << 24);
+    match level {
+        // SAFETY (all three): `level` is executable on this CPU (see the
+        // section comment above); the bodies touch only `acc` and `src`.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => unsafe { x86::index_avx2(acc, src, lo, hi, stride, len) },
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Sse2 => unsafe { x86::index_sse2(acc, src, lo, hi, stride, len) },
+        #[cfg(target_arch = "aarch64")]
+        SimdLevel::Neon => unsafe { neon::index_neon(acc, src, lo, hi, stride, len) },
+        _ => index_tail(acc, src, lo, hi, stride, 0, len),
+    }
+}
+
+/// Lanes `from..len` of [`index_from_f32`], one at a time.
+#[inline]
+fn index_tail(
+    acc: &mut [i32; CHUNK],
+    src: &[f32; CHUNK],
+    lo: i32,
+    hi: i32,
+    stride: i32,
+    from: usize,
+    len: usize,
+) {
+    for i in from..len {
+        let term = (index_lane(src[i], lo, hi) - lo).wrapping_mul(stride);
+        acc[i] = acc[i].wrapping_add(term);
+    }
+}
+
+/// Vectorized indexed load: `d[i] = data[off[i]]` for `i < len` (hardware
+/// gather on AVX2).
+///
+/// Sound for any offsets: each vector of offsets is compared against
+/// `data.len()` and out-of-range lanes are masked out of the gather, so
+/// nothing outside `data` is ever read. Returns `false` — with `d`
+/// unspecified — when a lane was out of range or the level has no gather;
+/// the caller's indexed loop then loads (and bounds-checks) every lane.
+#[inline]
+pub(crate) fn gather(
+    level: SimdLevel,
+    d: &mut [f32; CHUNK],
+    data: &[f32],
+    off: &[i32; CHUNK],
+    len: usize,
+) -> bool {
+    match level {
+        // SAFETY: `level` is executable on this CPU; `gather_avx2` itself
+        // keeps every read inside `data`.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => unsafe { x86::gather_avx2(d, data, off, len) },
         _ => false,
     }
 }

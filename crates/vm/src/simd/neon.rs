@@ -232,3 +232,39 @@ pub(super) unsafe fn store_neon(
         (None, false) => dst.copy_from_slice(&src[..len]),
     }
 }
+
+/// The register term of the index pipeline, 4 lanes at a time: see
+/// [`super::index_from_f32`]. The same sequence as the x86 bodies —
+/// NaN → 0, NaN-free clamp, truncating convert, exact-fraction
+/// round-half-away — so the integers are identical.
+#[target_feature(enable = "neon")]
+pub(super) unsafe fn index_neon(
+    acc: &mut [i32; CHUNK],
+    src: &[f32; CHUNK],
+    lo: i32,
+    hi: i32,
+    stride: i32,
+    len: usize,
+) {
+    let n = len & !3;
+    let (vlo, vhi) = (vdupq_n_f32(lo as f32), vdupq_n_f32(hi as f32));
+    let (vorg, vstride) = (vdupq_n_s32(lo), vdupq_n_s32(stride));
+    let (half, neg_half) = (vdupq_n_f32(0.5), vdupq_n_f32(-0.5));
+    let mut i = 0;
+    while i < n {
+        let x = vld1q_f32(src.as_ptr().add(i));
+        let x = vbslq_f32(vceqq_f32(x, x), x, vdupq_n_f32(0.0));
+        let c = vminq_f32(vmaxq_f32(x, vlo), vhi);
+        let t = vcvtq_s32_f32(c);
+        let frac = vsubq_f32(c, vcvtq_f32_s32(t));
+        // Compare masks are −1 per true lane: subtracting one adds 1.
+        let up = vreinterpretq_s32_u32(vcgeq_f32(frac, half));
+        let down = vreinterpretq_s32_u32(vcleq_f32(frac, neg_half));
+        let idx = vaddq_s32(vsubq_s32(t, up), down);
+        let term = vmulq_s32(vsubq_s32(idx, vorg), vstride);
+        let ap = acc.as_mut_ptr().add(i);
+        vst1q_s32(ap, vaddq_s32(vld1q_s32(ap), term));
+        i += 4;
+    }
+    super::index_tail(acc, src, lo, hi, stride, n, len);
+}

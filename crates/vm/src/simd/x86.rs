@@ -317,6 +317,82 @@ pub(super) unsafe fn strided_avx2(
     }
 }
 
+/// The register term of the index pipeline, 8 lanes at a time: see
+/// [`super::index_from_f32`]. `acc` lives on the caller's stack, so its
+/// accesses are unaligned.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn index_avx2(
+    acc: &mut [i32; CHUNK],
+    src: &[f32; CHUNK],
+    lo: i32,
+    hi: i32,
+    stride: i32,
+    len: usize,
+) {
+    let n = len & !7;
+    let (vlo, vhi) = (_mm256_set1_ps(lo as f32), _mm256_set1_ps(hi as f32));
+    let (vorg, vstride) = (_mm256_set1_epi32(lo), _mm256_set1_epi32(stride));
+    let (half, neg_half) = (_mm256_set1_ps(0.5), _mm256_set1_ps(-0.5));
+    let mut i = 0;
+    while i < n {
+        let x = _mm256_load_ps(src.as_ptr().add(i));
+        // NaN → +0.0, then a NaN-free clamp (operand order is irrelevant).
+        let x = _mm256_and_ps(x, _mm256_cmp_ps::<_CMP_ORD_Q>(x, x));
+        let c = _mm256_min_ps(_mm256_max_ps(x, vlo), vhi);
+        // |c| ≤ 2²⁴: truncation and the fraction are exact.
+        let t = _mm256_cvttps_epi32(c);
+        let frac = _mm256_sub_ps(c, _mm256_cvtepi32_ps(t));
+        // Compare masks are −1 per true lane: subtracting one adds 1.
+        let up = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_GE_OQ>(frac, half));
+        let down = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_LE_OQ>(frac, neg_half));
+        let idx = _mm256_add_epi32(_mm256_sub_epi32(t, up), down);
+        let term = _mm256_mullo_epi32(_mm256_sub_epi32(idx, vorg), vstride);
+        let ap = acc.as_mut_ptr().add(i) as *mut __m256i;
+        _mm256_storeu_si256(ap, _mm256_add_epi32(_mm256_loadu_si256(ap), term));
+        i += 8;
+    }
+    super::index_tail(acc, src, lo, hi, stride, n, len);
+}
+
+/// Indexed load via hardware gather: `d[i] = data[off[i]]`. Offsets
+/// outside `data` are masked out of the gather (their lanes load nothing)
+/// and make the result `false`; see [`super::gather`].
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn gather_avx2(
+    d: &mut [f32; CHUNK],
+    data: &[f32],
+    off: &[i32; CHUNK],
+    len: usize,
+) -> bool {
+    let n = len & !7;
+    let base = data.as_ptr();
+    // In range ⇔ −1 < off < min(data.len(), i32::MAX).
+    let bound = _mm256_set1_epi32(data.len().min(i32::MAX as usize) as i32);
+    let minus_one = _mm256_set1_epi32(-1);
+    let mut all = minus_one;
+    let mut i = 0;
+    while i < n {
+        let idx = _mm256_loadu_si256(off.as_ptr().add(i) as *const __m256i);
+        let ok = _mm256_and_si256(
+            _mm256_cmpgt_epi32(bound, idx),
+            _mm256_cmpgt_epi32(idx, minus_one),
+        );
+        let v =
+            _mm256_mask_i32gather_ps::<4>(_mm256_setzero_ps(), base, idx, _mm256_castsi256_ps(ok));
+        _mm256_store_ps(d.as_mut_ptr().add(i), v);
+        all = _mm256_and_si256(all, ok);
+        i += 8;
+    }
+    let mut ok = _mm256_movemask_ps(_mm256_castsi256_ps(all)) == 0xff;
+    for i in n..len {
+        match data.get(off[i] as usize) {
+            Some(&v) => d[i] = v,
+            None => ok = false,
+        }
+    }
+    ok
+}
+
 // ---------------------------------------------------------------------------
 // SSE2 (4 lanes). Same sequences at 128-bit width; SSE2 has no `blendv`
 // (that is SSE4.1), so selects use and/andnot/or on full-width masks.
@@ -575,4 +651,51 @@ pub(super) unsafe fn store_sse2(
         }
         (None, false) => dst.copy_from_slice(&src[..len]),
     }
+}
+
+/// Low 32 bits of the lane products (SSE2 has no `pmulld`): the even and
+/// odd lanes go through `pmuludq` separately — the low half of a product
+/// does not depend on signedness — and are interleaved back.
+#[inline]
+#[target_feature(enable = "sse2")]
+unsafe fn mullo4(a: __m128i, b: __m128i) -> __m128i {
+    let even = _mm_mul_epu32(a, b);
+    let odd = _mm_mul_epu32(_mm_srli_si128::<4>(a), _mm_srli_si128::<4>(b));
+    _mm_unpacklo_epi32(
+        _mm_shuffle_epi32::<0b00_00_10_00>(even),
+        _mm_shuffle_epi32::<0b00_00_10_00>(odd),
+    )
+}
+
+/// The register term of the index pipeline, 4 lanes at a time: the same
+/// sequence as [`index_avx2`].
+#[target_feature(enable = "sse2")]
+pub(super) unsafe fn index_sse2(
+    acc: &mut [i32; CHUNK],
+    src: &[f32; CHUNK],
+    lo: i32,
+    hi: i32,
+    stride: i32,
+    len: usize,
+) {
+    let n = len & !3;
+    let (vlo, vhi) = (_mm_set1_ps(lo as f32), _mm_set1_ps(hi as f32));
+    let (vorg, vstride) = (_mm_set1_epi32(lo), _mm_set1_epi32(stride));
+    let (half, neg_half) = (_mm_set1_ps(0.5), _mm_set1_ps(-0.5));
+    let mut i = 0;
+    while i < n {
+        let x = _mm_load_ps(src.as_ptr().add(i));
+        let x = _mm_and_ps(x, _mm_cmpord_ps(x, x));
+        let c = _mm_min_ps(_mm_max_ps(x, vlo), vhi);
+        let t = _mm_cvttps_epi32(c);
+        let frac = _mm_sub_ps(c, _mm_cvtepi32_ps(t));
+        let up = _mm_castps_si128(_mm_cmpge_ps(frac, half));
+        let down = _mm_castps_si128(_mm_cmple_ps(frac, neg_half));
+        let idx = _mm_add_epi32(_mm_sub_epi32(t, up), down);
+        let term = mullo4(_mm_sub_epi32(idx, vorg), vstride);
+        let ap = acc.as_mut_ptr().add(i) as *mut __m128i;
+        _mm_storeu_si128(ap, _mm_add_epi32(_mm_loadu_si128(ap), term));
+        i += 4;
+    }
+    super::index_tail(acc, src, lo, hi, stride, n, len);
 }
