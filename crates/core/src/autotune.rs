@@ -44,9 +44,9 @@ pub struct TuneRecord {
     /// recorded next to the measured times so model-vs-measured tables
     /// fall straight out of a sweep.
     pub predicted_overlap: f64,
-    /// Single-thread execution time.
+    /// Single-thread execution time (median of the timed runs).
     pub t1: Duration,
-    /// Execution time with `threads` workers.
+    /// Execution time with `threads` workers (median of the timed runs).
     pub tn: Duration,
 }
 
@@ -64,12 +64,32 @@ pub struct TuneOutcome {
 }
 
 impl TuneOutcome {
+    /// Picks the record with the smallest `tn` (the first, on ties), with
+    /// the measured records as the whole candidate space.
+    fn from_records(records: Vec<TuneRecord>) -> TuneOutcome {
+        let best = records
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, r)| r.tn)
+            .map(|(i, _)| i)
+            .unwrap_or(0);
+        TuneOutcome {
+            considered: records.len(),
+            records,
+            best,
+        }
+    }
+
     /// The best record.
     pub fn best_record(&self) -> &TuneRecord {
         &self.records[self.best]
     }
 }
 
+/// Compiles and times one configuration — one warm-up, then the median of
+/// `runs` timed executions per thread count — and records it (model
+/// prediction next to measured times) as a `tune.config` event on the
+/// session's diagnostics sink.
 fn measure(
     session: &Session,
     pipe: &Pipeline,
@@ -77,56 +97,58 @@ fn measure(
     inputs: &[Buffer],
     threads: usize,
     runs: usize,
-) -> Result<(Duration, Duration, f64), RunError> {
+) -> Result<TuneRecord, RunError> {
     let compiled = session.compile(pipe, opts)?;
-    let predicted = compiled.report.predicted_overlap();
     let engine = session.engine();
     let time_with = |n: usize| -> Result<Duration, RunError> {
-        let run_once = || -> Result<(), RunError> {
+        let run_once = || -> Result<Duration, RunError> {
+            let start = Instant::now();
             engine
                 .submit(RunRequest::new(&compiled.program, inputs).threads(n))?
                 .join()?;
-            Ok(())
+            Ok(start.elapsed())
         };
-        // one warm-up, then average
         run_once()?;
-        let start = Instant::now();
-        for _ in 0..runs {
-            run_once()?;
-        }
-        Ok(start.elapsed() / runs.max(1) as u32)
+        let mut times = (0..runs.max(1))
+            .map(|_| run_once())
+            .collect::<Result<Vec<_>, _>>()?;
+        times.sort();
+        // Median: the middle element, or the mean of the middle two.
+        let n = times.len();
+        Ok((times[(n - 1) / 2] + times[n / 2]) / 2)
     };
     let t1 = time_with(1)?;
     let tn = if threads > 1 { time_with(threads)? } else { t1 };
-    Ok((t1, tn, predicted))
-}
-
-/// Records one tuned configuration (model prediction next to measured
-/// times) through the session's diagnostics sink.
-fn emit_tune_event(session: &Session, rec: &TuneRecord) {
+    let rec = TuneRecord {
+        tile: opts.tiles.baseline_sizes().to_vec(),
+        threshold: opts.overlap_threshold,
+        predicted_overlap: compiled.report.predicted_overlap(),
+        t1,
+        tn,
+    };
     let diag = session.diag();
-    if !diag.enabled() {
-        return;
+    if diag.enabled() {
+        let tile: Vec<String> = rec.tile.iter().map(|t| t.to_string()).collect();
+        diag.event(
+            "tune.config",
+            vec![
+                ("tile", Value::from(tile.join("x"))),
+                ("threshold", Value::Float(rec.threshold)),
+                ("predicted_overlap", Value::Float(rec.predicted_overlap)),
+                ("t1_us", Value::UInt(rec.t1.as_micros() as u64)),
+                ("tn_us", Value::UInt(rec.tn.as_micros() as u64)),
+            ],
+        );
     }
-    let tile: Vec<String> = rec.tile.iter().map(|t| t.to_string()).collect();
-    diag.event(
-        "tune.config",
-        vec![
-            ("tile", Value::from(tile.join("x"))),
-            ("threshold", Value::Float(rec.threshold)),
-            ("predicted_overlap", Value::Float(rec.predicted_overlap)),
-            ("t1_us", Value::UInt(rec.t1.as_micros() as u64)),
-            ("tn_us", Value::UInt(rec.tn.as_micros() as u64)),
-        ],
-    );
+    Ok(rec)
 }
 
 /// Runs the paper's model-driven sweep: `tiles² × thresholds` (square tiles
 /// per 2-D group; pass `dims = 1` for 1-D pipelines).
 ///
-/// `runs` executions are averaged per configuration (after one warm-up).
-/// All measurements run on one [`Session`], so the worker pool persists
-/// across the whole sweep.
+/// Each configuration's time is the median of `runs` executions (after one
+/// warm-up). All measurements run on one [`Session`], so the worker pool
+/// persists across the whole sweep.
 ///
 /// # Errors
 ///
@@ -177,31 +199,12 @@ pub fn autotune_with_session(
             for &th in thresholds {
                 opts.tiles = TileSpec::Fixed(vec![t0, t1]);
                 opts.overlap_threshold = th;
-                let (d1, dn, predicted) = measure(session, pipe, &opts, inputs, threads, runs)?;
+                records.push(measure(session, pipe, &opts, inputs, threads, runs)?);
                 opts.skip_bounds_check = true; // checked once is enough
-                records.push(TuneRecord {
-                    tile: vec![t0, t1],
-                    threshold: th,
-                    predicted_overlap: predicted,
-                    t1: d1,
-                    tn: dn,
-                });
-                emit_tune_event(session, records.last().expect("just pushed"));
             }
         }
     }
-    let best = records
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, r)| r.tn)
-        .map(|(i, _)| i)
-        .unwrap_or(0);
-    let considered = records.len();
-    Ok(TuneOutcome {
-        records,
-        best,
-        considered,
-    })
+    Ok(TuneOutcome::from_records(records))
 }
 
 /// Model score of one fixed-tile configuration: the summed
@@ -211,9 +214,11 @@ pub fn autotune_with_session(
 ///
 /// # Errors
 ///
-/// Structural pipeline errors only (cycles, estimate mismatch) — the same
+/// Structural pipeline errors and unusable option values only (cycles,
+/// estimate mismatch, [`CompileError::InvalidOptions`]) — the same
 /// conditions [`crate::plan`] reports.
 pub fn model_score(pipe: &Pipeline, opts: &CompileOptions) -> Result<f64, CompileError> {
+    opts.validate()?;
     let (pipe2, _) = if opts.inline_pointwise {
         inline_pointwise(pipe)?
     } else {
@@ -325,27 +330,12 @@ pub fn autotune_pruned_with_session(
     for &(_, t0, t1, th) in ranked.iter().take(measured) {
         opts.tiles = TileSpec::Fixed(vec![t0, t1]);
         opts.overlap_threshold = th;
-        let (d1, dn, predicted) = measure(session, pipe, &opts, inputs, threads, runs)?;
+        records.push(measure(session, pipe, &opts, inputs, threads, runs)?);
         opts.skip_bounds_check = true;
-        records.push(TuneRecord {
-            tile: vec![t0, t1],
-            threshold: th,
-            predicted_overlap: predicted,
-            t1: d1,
-            tn: dn,
-        });
-        emit_tune_event(session, records.last().expect("just pushed"));
     }
-    let best = records
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, r)| r.tn)
-        .map(|(i, _)| i)
-        .unwrap_or(0);
     Ok(TuneOutcome {
-        records,
-        best,
         considered,
+        ..TuneOutcome::from_records(records)
     })
 }
 
@@ -374,32 +364,12 @@ pub fn random_search(
     for i in 0..budget {
         let pow0 = rng.gen_range(2..=10u32);
         let pow1 = rng.gen_range(2..=10u32);
-        let tile = vec![1i64 << pow0, 1i64 << pow1];
-        opts.tiles = TileSpec::Fixed(tile.clone());
+        opts.tiles = TileSpec::Fixed(vec![1i64 << pow0, 1i64 << pow1]);
         opts.overlap_threshold = rng.gen_range(0.0..1.0);
         opts.fuse = rng.gen_bool(0.8);
         opts.tile = rng.gen_bool(0.8);
         opts.skip_bounds_check = i > 0;
-        let (d1, dn, predicted) = measure(&session, pipe, &opts, inputs, threads, runs)?;
-        records.push(TuneRecord {
-            tile,
-            threshold: opts.overlap_threshold,
-            predicted_overlap: predicted,
-            t1: d1,
-            tn: dn,
-        });
-        emit_tune_event(&session, records.last().expect("just pushed"));
+        records.push(measure(&session, pipe, &opts, inputs, threads, runs)?);
     }
-    let best = records
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, r)| r.tn)
-        .map(|(i, _)| i)
-        .unwrap_or(0);
-    let considered = records.len();
-    Ok(TuneOutcome {
-        records,
-        best,
-        considered,
-    })
+    Ok(TuneOutcome::from_records(records))
 }

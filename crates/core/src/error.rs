@@ -44,6 +44,15 @@ pub enum CompileError {
         /// Stage or image name.
         name: String,
     },
+    /// A [`crate::CompileOptions`] field holds a value the scheduler cannot
+    /// use (empty or out-of-range tile sizes, `par_strips < 1`, a negative
+    /// or non-finite overlap threshold).
+    InvalidOptions {
+        /// The offending `CompileOptions` field.
+        field: &'static str,
+        /// What was wrong with its value.
+        reason: String,
+    },
 }
 
 impl fmt::Display for CompileError {
@@ -90,6 +99,9 @@ impl fmt::Display for CompileError {
             }
             CompileError::EmptyDomain { name } => {
                 write!(f, "domain of `{name}` is empty for the given parameters")
+            }
+            CompileError::InvalidOptions { field, reason } => {
+                write!(f, "invalid compile option `{field}`: {reason}")
             }
         }
     }

@@ -1,6 +1,12 @@
 //! Compiler options: the schedule-relevant knobs of the paper.
 
+use crate::CompileError;
 use polymage_vm::{EvalMode, SimdOpt};
+
+/// Accepted range of a tile size and of `par_strips`: positive, and small
+/// enough that `2 * t` and `extent + par_strips` cannot overflow `i64` for
+/// any extent a buffer can have.
+const SIZE_RANGE: std::ops::RangeInclusive<i64> = 1..=1 << 30;
 
 /// The historical global tile shape (the paper's evaluation default): 32
 /// rows × 256 columns. Used by [`TileSpec::Fixed`] defaults, as the
@@ -231,6 +237,34 @@ impl CompileOptions {
     /// [`params`](Self::params) otherwise.
     pub fn estimates(&self) -> &[i64] {
         self.param_estimates.as_deref().unwrap_or(&self.params)
+    }
+
+    /// Rejects values the scheduler's tile arithmetic cannot use, so that
+    /// caller-supplied `pub` fields surface as a typed error instead of a
+    /// division by zero or an overflow while tiling.
+    pub(crate) fn validate(&self) -> Result<(), CompileError> {
+        let invalid = |field, reason: String| Err(CompileError::InvalidOptions { field, reason });
+        if let TileSpec::Fixed(sizes) = &self.tiles {
+            if sizes.is_empty() {
+                return invalid("tiles", "no tile size given".into());
+            }
+            if let Some(t) = sizes.iter().find(|t| !SIZE_RANGE.contains(t)) {
+                return invalid("tiles", format!("tile size {t} outside 1..=2^30"));
+            }
+        }
+        if !SIZE_RANGE.contains(&self.par_strips) {
+            return invalid(
+                "par_strips",
+                format!("{} outside 1..=2^30", self.par_strips),
+            );
+        }
+        if !(self.overlap_threshold.is_finite() && self.overlap_threshold >= 0.0) {
+            return invalid(
+                "overlap_threshold",
+                format!("{} is not a finite value >= 0", self.overlap_threshold),
+            );
+        }
+        Ok(())
     }
 
     /// The hashable normal form of these options, used (together with the

@@ -299,9 +299,10 @@ pub(crate) fn sat_round(ty: ScalarType) -> (Option<(f32, f32)>, bool) {
 /// # Errors
 ///
 /// Same structural conditions as [`crate::compile`] (cycles, unsupported
-/// self-references, estimate-count mismatch). Bounds violations and empty
-/// domains are only detectable per binding and surface from
-/// [`crate::instantiate`].
+/// self-references, estimate-count mismatch), and
+/// [`CompileError::InvalidOptions`] for unusable option values. Bounds
+/// violations and empty domains are only detectable per binding and
+/// surface from [`crate::instantiate`].
 pub fn plan(pipe: &Pipeline, opts: &CompileOptions) -> Result<ParametricPlan, CompileError> {
     plan_with(pipe, opts, &Diag::noop())
 }
@@ -314,6 +315,7 @@ pub fn plan_with(
     opts: &CompileOptions,
     diag: &Diag,
 ) -> Result<ParametricPlan, CompileError> {
+    opts.validate()?;
     if opts.estimates().len() != pipe.params().len() {
         return Err(CompileError::param_mismatch(pipe, opts.estimates().len()));
     }

@@ -4,7 +4,7 @@
 //! diagnostics counters `session.plan_*` / `session.instance_*` mirror
 //! [`CacheStats`].
 
-use polymage_core::{CompileOptions, Session};
+use polymage_core::{compile, plan, CompileError, CompileOptions, Session};
 use polymage_diag::{Counter, Diag};
 use polymage_ir::*;
 use std::sync::Arc;
@@ -149,4 +149,41 @@ fn racing_binds_never_duplicate_plan_compilation() {
     );
     assert_eq!(s.misses, 2, "A's and D's instantiations only");
     assert_eq!(s.hits, RACERS as u64 - 1, "followers wait on the leader");
+}
+
+/// Caller-supplied `pub` option fields the tile arithmetic cannot use are
+/// a typed error from every entry point, and a failed compile caches
+/// nothing. `par_strips: 0` used to divide by zero inside `compile` on any
+/// schedule whose outer dimension is untiled, an `i64::MAX` tile size
+/// overflowed there, and empty or zero tile sizes silently left every
+/// group untiled.
+#[test]
+fn invalid_options_rejected() {
+    let pipe = blur1d();
+    let opt = CompileOptions::optimized(vec![64]);
+    let bad = [
+        (
+            "par_strips",
+            CompileOptions {
+                par_strips: 0,
+                ..CompileOptions::base(vec![64])
+            },
+        ),
+        ("tiles", opt.clone().with_tiles(vec![])),
+        ("tiles", opt.clone().with_tiles(vec![0])),
+        ("tiles", opt.clone().with_tiles(vec![i64::MAX])),
+        ("overlap_threshold", opt.clone().with_threshold(f64::NAN)),
+        ("overlap_threshold", opt.clone().with_threshold(-0.1)),
+    ];
+    let session = Session::with_threads(1);
+    for (field, opts) in bad {
+        let check = |e: CompileError| match e {
+            CompileError::InvalidOptions { field: f, .. } => assert_eq!(f, field),
+            other => panic!("expected InvalidOptions({field}), got {other:?}"),
+        };
+        check(plan(&pipe, &opts).unwrap_err());
+        check(compile(&pipe, &opts).unwrap_err());
+        check(session.compile(&pipe, &opts).unwrap_err());
+    }
+    assert_eq!((session.plan_cache_len(), session.cache_len()), (0, 0));
 }
