@@ -16,11 +16,12 @@
 //! - **storage folding** (§3.6, second half): liveness-based scratch-slot
 //!   reuse and early full-buffer release on/off
 //!   (`CompileOptions::with_storage_fold(false)`);
-//! - **tile model** (§3.8): per-group cache-model tile shapes
-//!   (`TileSpec::Auto`) vs the fixed `[32, 256]` default.
+//! - **tile model** (§3.8): the fixed `[32, 256]` shape for every group
+//!   (`CompileOptions::with_tiles`) vs the default per-group cache-model
+//!   shapes, which differ only for groups that overflow the L2 budget.
 
 use polymage_bench::{ms, time_program, HarnessArgs};
-use polymage_core::{CompileOptions, Session, SimdOpt, TileSpec};
+use polymage_core::{CompileOptions, Session, SimdOpt, DEFAULT_TILE_SIZES};
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -42,7 +43,7 @@ fn main() {
         "no-kopt",
         "simd-off",
         "fold-off",
-        "tile-model"
+        "tile-fixed"
     );
     for b in args.benchmarks() {
         let inputs = b.make_inputs(42);
@@ -73,7 +74,7 @@ fn main() {
             CompileOptions::optimized(b.params()).with_kernel_opt(false),
             CompileOptions::optimized(b.params()).with_simd(SimdOpt::Off),
             CompileOptions::optimized(b.params()).with_storage_fold(false),
-            CompileOptions::optimized(b.params()).with_tile_spec(TileSpec::Auto),
+            CompileOptions::optimized(b.params()).with_tiles(DEFAULT_TILE_SIZES.to_vec()),
         ];
         for opts in variants {
             let compiled = session

@@ -6,14 +6,15 @@
 //! the benchmark's concrete parameters.
 
 use polymage_bench::HarnessArgs;
-use polymage_core::{emit_c, instantiate, plan, CacheModel, CompileOptions, TileSpec};
+use polymage_core::{emit_c, instantiate, plan, CacheModel, CompileOptions};
 
 fn main() {
     let args = HarnessArgs::parse();
     let model = CacheModel::get();
     println!(
-        "cache model: L1 {} KiB, L2 {} KiB, {}-byte lines → per-tile budget \
-         {} KiB, strip floor {} tiles (POLYMAGE_CACHE overrides)",
+        "cache model (detected): L1 {} KiB, L2 {} KiB, {}-byte lines → \
+         per-tile budget {} KiB, strip floor {} tiles; only groups whose whole \
+         domain overflows the budget get model tiles",
         model.l1 / 1024,
         model.l2 / 1024,
         model.line,
@@ -24,9 +25,7 @@ fn main() {
         let params = b.params();
         let p = plan(
             b.pipeline(),
-            &CompileOptions::optimized(params.clone())
-                .with_estimates(params.clone())
-                .with_tile_spec(TileSpec::Auto),
+            &CompileOptions::optimized(params.clone()).with_estimates(params.clone()),
         )
         .expect("plan");
         let compiled = instantiate(&p, &params).expect("instantiate");

@@ -24,7 +24,9 @@ use polymage_vm::{Buffer, RunRequest};
 use rand::Rng;
 use std::time::{Duration, Instant};
 
-/// The paper's tile-size candidates.
+/// The paper's tile-size candidates per dimension — the ladder the
+/// exhaustive sweep measures and the cache model
+/// ([`crate::tilemodel::select_tiles`]) chooses among analytically.
 pub const TILE_CANDIDATES: [i64; 7] = [8, 16, 32, 64, 128, 256, 512];
 /// The paper's overlap-threshold candidates.
 pub const THRESHOLDS: [f64; 3] = [0.2, 0.4, 0.5];
@@ -233,12 +235,8 @@ pub fn model_score(pipe: &Pipeline, opts: &CompileOptions) -> Result<f64, Compil
             continue;
         }
         if let Some(geom) = GroupGeom::build(&pipe2, &graph, g, opts) {
-            let tiles = effective_tiles_from(
-                geom.sink_extents(),
-                opts.tiles.baseline_sizes(),
-                opts.tile,
-                opts.par_strips,
-            );
+            let tiles =
+                effective_tiles_from(geom.sink_extents(), opts.tiles.baseline_sizes(), opts.tile);
             total += predict_group_cost(&geom, &tiles, &model);
         }
     }

@@ -44,9 +44,19 @@ pub enum CompileError {
         /// Stage or image name.
         name: String,
     },
+    /// A stage reads or accumulates through an access the executor cannot
+    /// address: more than [`polymage_vm::MAX_INDEX_TERMS`] data-dependent
+    /// dimensions, or more than that many dimensions driven by one loop
+    /// variable.
+    UnsupportedAccess {
+        /// Stage name.
+        func: String,
+        /// Explanation.
+        reason: String,
+    },
     /// A [`crate::CompileOptions`] field holds a value the scheduler cannot
-    /// use (empty or out-of-range tile sizes, `par_strips < 1`, a negative
-    /// or non-finite overlap threshold).
+    /// use (empty or out-of-range tile sizes, a negative or non-finite
+    /// overlap threshold).
     InvalidOptions {
         /// The offending `CompileOptions` field.
         field: &'static str,
@@ -99,6 +109,9 @@ impl fmt::Display for CompileError {
             }
             CompileError::EmptyDomain { name } => {
                 write!(f, "domain of `{name}` is empty for the given parameters")
+            }
+            CompileError::UnsupportedAccess { func, reason } => {
+                write!(f, "unsupported access in `{func}`: {reason}")
             }
             CompileError::InvalidOptions { field, reason } => {
                 write!(f, "invalid compile option `{field}`: {reason}")

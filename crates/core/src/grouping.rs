@@ -101,24 +101,18 @@ impl Grouping {
 /// that is the fixed default shape, so grouping structure never depends on
 /// the cache model's per-group decisions (which run *after* grouping).
 pub(crate) fn effective_tiles(extents: &[i64], opts: &CompileOptions) -> Vec<Option<i64>> {
-    effective_tiles_from(
-        extents,
-        opts.tiles.baseline_sizes(),
-        opts.tile,
-        opts.par_strips,
-    )
+    effective_tiles_from(extents, opts.tiles.baseline_sizes(), opts.tile)
 }
+
+/// Target strip count for parallelism when a domain's outer dimension is
+/// not tiled.
+pub(crate) const PAR_STRIPS: i64 = 128;
 
 /// [`effective_tiles`] with the tile sizes passed explicitly. Dimensions
 /// beyond `sizes.len()` reuse the last specified size (paper convention):
 /// `[32, 256]` on a 3-D domain means `[32, 256, 256]` before the
 /// twice-the-extent rule filters each dimension.
-pub(crate) fn effective_tiles_from(
-    extents: &[i64],
-    sizes: &[i64],
-    tile: bool,
-    par_strips: i64,
-) -> Vec<Option<i64>> {
+pub(crate) fn effective_tiles_from(extents: &[i64], sizes: &[i64], tile: bool) -> Vec<Option<i64>> {
     let mut out = vec![None; extents.len()];
     if tile {
         for (d, &ext) in extents.iter().enumerate() {
@@ -130,14 +124,19 @@ pub(crate) fn effective_tiles_from(
             }
         }
     }
-    if out.first() == Some(&None) && !extents.is_empty() {
-        // Strip the outer dimension for parallelism even when untiled.
-        let strip = (extents[0] + par_strips - 1) / par_strips;
-        if strip < extents[0] {
-            out[0] = Some(strip.max(1));
+    strip_untiled_outer(extents, &mut out);
+    out
+}
+
+/// Strips an untiled outer dimension into about [`PAR_STRIPS`] strips, so
+/// the group still runs in parallel.
+pub(crate) fn strip_untiled_outer(extents: &[i64], tiles: &mut [Option<i64>]) {
+    if let (Some(&ext), Some(t @ None)) = (extents.first(), tiles.first_mut()) {
+        let strip = (ext + PAR_STRIPS - 1) / PAR_STRIPS;
+        if strip < ext {
+            *t = Some(strip.max(1));
         }
     }
-    out
 }
 
 /// Runs Algorithm 1.

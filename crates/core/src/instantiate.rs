@@ -15,7 +15,7 @@
 //! produces directly at the same values whenever the grouping heuristics
 //! agree between the plan's estimates and the bound sizes.
 
-use crate::grouping::{effective_tiles, GroupKindTag};
+use crate::grouping::{effective_tiles, strip_untiled_outer, GroupKindTag};
 use crate::lower::{KernelBuilder, LowerEnv};
 use crate::plan::{CasePlan, GroupPlan, ParametricPlan, ReductionPlan, SelfRefPlan, TiledPlan};
 use crate::report::{CompileReport, GroupReport, Provenance};
@@ -479,13 +479,7 @@ fn bound_tiles_for(
     if demoted > 0 {
         diag.count(Counter::TileModelRecheck, demoted);
     }
-    if out.first() == Some(&None) && !sink_extents.is_empty() {
-        // Strip the outer dimension for parallelism even when untiled.
-        let strip = (sink_extents[0] + plan.opts.par_strips - 1) / plan.opts.par_strips;
-        if strip < sink_extents[0] {
-            out[0] = Some(strip.max(1));
-        }
-    }
+    strip_untiled_outer(sink_extents, &mut out);
     out
 }
 

@@ -3,41 +3,36 @@
 use crate::CompileError;
 use polymage_vm::{EvalMode, SimdOpt};
 
-/// Accepted range of a tile size and of `par_strips`: positive, and small
-/// enough that `2 * t` and `extent + par_strips` cannot overflow `i64` for
-/// any extent a buffer can have.
+/// Accepted range of a tile size: positive, and small enough that `2 * t`
+/// cannot overflow `i64` for any extent a buffer can have.
 const SIZE_RANGE: std::ops::RangeInclusive<i64> = 1..=1 << 30;
 
 /// The historical global tile shape (the paper's evaluation default): 32
-/// rows × 256 columns. Used by [`TileSpec::Fixed`] defaults, as the
-/// baseline shape Algorithm 1's overlap estimate reads under
-/// [`TileSpec::Auto`], and as the fallback when the cache model finds no
-/// feasible shape.
+/// rows × 256 columns. Under [`TileSpec::Auto`] it is the shape of every
+/// group the cache model leaves alone, the baseline Algorithm 1's overlap
+/// estimate reads, and the fallback when the model finds no feasible
+/// shape.
 pub const DEFAULT_TILE_SIZES: [i64; 2] = [32, 256];
 
 /// How tile shapes are chosen for tiled groups.
 ///
-/// [`Fixed`](TileSpec::Fixed) applies one global shape to every group
-/// (the historical behavior, bit-for-bit). [`Auto`](TileSpec::Auto) runs
-/// the per-group cache model ([`crate::tilemodel`]) after grouping: each
-/// group gets the largest tile shape whose per-tile working set fits the
-/// detected cache budget, subject to a parallelism floor and the group's
-/// overlap threshold. Both are value-invisible — tiling never changes
-/// output bits — so this is purely a performance knob, but it participates
-/// in [`CompileOptions::cache_key`] because it changes the produced
-/// program.
-///
-/// The `POLYMAGE_TILE` environment variable, when set, flips the default:
-/// `auto` selects [`TileSpec::Auto`], `fixed`/`default` the historical
-/// [`DEFAULT_TILE_SIZES`], and an explicit shape like `32x256` (or
-/// `32,256`) a custom [`TileSpec::Fixed`].
+/// [`Auto`](TileSpec::Auto), the default, runs the per-group cache model
+/// ([`crate::tilemodel`]) after grouping: a group whose whole-domain
+/// working set already fits the detected cache budget keeps
+/// [`DEFAULT_TILE_SIZES`]; any other group gets the largest tile shape
+/// whose per-tile working set fits that budget, subject to a parallelism
+/// floor and the group's overlap threshold. [`Fixed`](TileSpec::Fixed)
+/// applies one explicit global shape to every group (set with
+/// [`CompileOptions::with_tiles`]; what the §3.8 autotuner sweeps). Both
+/// are value-invisible — tiling never changes output bits — but the spec
+/// participates in [`CompileOptions::cache_key`] because it changes the
+/// produced program.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum TileSpec {
     /// Per-group tile shapes from the cache model (`core::tilemodel`).
     Auto,
-    /// One global tile shape, as the paper's `T` (the historical
-    /// `tile_sizes` knob). Dimensions beyond the vector reuse its last
-    /// entry.
+    /// One global tile shape, as the paper's `T`. Dimensions beyond the
+    /// vector reuse its last entry.
     Fixed(Vec<i64>),
 }
 
@@ -50,23 +45,6 @@ impl TileSpec {
         match self {
             TileSpec::Auto => &DEFAULT_TILE_SIZES,
             TileSpec::Fixed(sizes) => sizes,
-        }
-    }
-
-    /// Parses a `POLYMAGE_TILE`-style spelling: `auto`, `fixed`/`default`,
-    /// or an explicit shape (`32x256`, `32,256`). `None` for anything
-    /// unrecognized.
-    pub fn parse(s: &str) -> Option<TileSpec> {
-        match s.to_ascii_lowercase().as_str() {
-            "auto" | "model" => Some(TileSpec::Auto),
-            "fixed" | "default" => Some(TileSpec::Fixed(DEFAULT_TILE_SIZES.to_vec())),
-            other => {
-                let sizes: Option<Vec<i64>> = other
-                    .split(['x', ','])
-                    .map(|t| t.trim().parse::<i64>().ok().filter(|&v| v > 0))
-                    .collect();
-                sizes.filter(|v| !v.is_empty()).map(TileSpec::Fixed)
-            }
         }
     }
 }
@@ -94,11 +72,10 @@ pub struct CompileOptions {
     /// shares the plan across them (see
     /// [`cache_key_structural`](Self::cache_key_structural)).
     pub param_estimates: Option<Vec<i64>>,
-    /// Tile-shape selection: a global fixed shape (the paper's `T`; a
-    /// dimension is tiled only when its extent is at least twice the
-    /// requested size) or per-group shapes from the cache model
-    /// ([`TileSpec::Auto`]). The `POLYMAGE_TILE` environment variable,
-    /// when set, flips the default.
+    /// Tile-shape selection: per-group shapes from the cache model
+    /// ([`TileSpec::Auto`], the default) or a global fixed shape (the
+    /// paper's `T`; a dimension is tiled only when its extent is at least
+    /// twice the requested size).
     pub tiles: TileSpec,
     /// The overlap threshold of Algorithm 1 (`othresh`); fraction of
     /// redundant computation tolerated per tile.
@@ -124,12 +101,8 @@ pub struct CompileOptions {
     /// arena slot for scratchpads of stages whose live ranges don't
     /// intersect, and release full buffers right after their last consumer
     /// group instead of at run end. Bit-exact; purely a memory-footprint /
-    /// locality knob. The `POLYMAGE_STORAGE_FOLD` environment variable
-    /// (`off`/`0`/`false`), when set, flips the default for ablation runs.
+    /// locality knob.
     pub storage_fold: bool,
-    /// Target strip count for parallelism when a domain's outer dimension is
-    /// not tiled.
-    pub par_strips: i64,
     /// Skip the static bounds check (useful in the autotuner's inner loop,
     /// where the same pipeline was already checked).
     pub skip_bounds_check: bool,
@@ -156,15 +129,14 @@ impl CompileOptions {
         CompileOptions {
             params,
             param_estimates: None,
-            tiles: default_tile_spec(),
+            tiles: TileSpec::Auto,
             overlap_threshold: 0.4,
             mode: EvalMode::Vector,
             fuse: true,
             tile: true,
             inline_pointwise: true,
             storage_opt: true,
-            storage_fold: default_storage_fold(),
-            par_strips: 128,
+            storage_fold: true,
             skip_bounds_check: false,
             kernel_opt: true,
             simd: SimdOpt::Auto,
@@ -187,16 +159,10 @@ impl CompileOptions {
         self
     }
 
-    /// Sets a global fixed tile shape ([`TileSpec::Fixed`]).
+    /// Sets a global fixed tile shape ([`TileSpec::Fixed`]) in place of
+    /// the cache model.
     pub fn with_tiles(mut self, tiles: Vec<i64>) -> Self {
         self.tiles = TileSpec::Fixed(tiles);
-        self
-    }
-
-    /// Sets the tile-shape selection mode (fixed global shape or the
-    /// per-group cache model).
-    pub fn with_tile_spec(mut self, tiles: TileSpec) -> Self {
-        self.tiles = tiles;
         self
     }
 
@@ -218,8 +184,8 @@ impl CompileOptions {
         self
     }
 
-    /// Enables or disables liveness-driven storage folding (on by default
-    /// unless `POLYMAGE_STORAGE_FOLD` says otherwise).
+    /// Enables or disables liveness-driven storage folding (on by
+    /// default).
     pub fn with_storage_fold(mut self, on: bool) -> Self {
         self.storage_fold = on;
         self
@@ -251,12 +217,6 @@ impl CompileOptions {
             if let Some(t) = sizes.iter().find(|t| !SIZE_RANGE.contains(t)) {
                 return invalid("tiles", format!("tile size {t} outside 1..=2^30"));
             }
-        }
-        if !SIZE_RANGE.contains(&self.par_strips) {
-            return invalid(
-                "par_strips",
-                format!("{} outside 1..=2^30", self.par_strips),
-            );
         }
         if !(self.overlap_threshold.is_finite() && self.overlap_threshold >= 0.0) {
             return invalid(
@@ -295,7 +255,7 @@ impl CompileOptions {
     /// across sizes.
     pub fn cache_key_structural(&self) -> StructuralKey {
         let tiles = match &self.tiles {
-            // The model's decisions depend on the resolved cache geometry
+            // The model's decisions depend on the detected cache geometry
             // and parallelism floor, so they participate in the key the
             // same way the resolved SIMD level does.
             TileSpec::Auto => {
@@ -319,66 +279,39 @@ impl CompileOptions {
             inline_pointwise: self.inline_pointwise,
             storage_opt: self.storage_opt,
             storage_fold: self.storage_fold,
-            par_strips: self.par_strips,
             kernel_opt: self.kernel_opt,
             simd: polymage_vm::resolve_simd(self.simd),
         }
     }
 }
 
-/// Default for [`CompileOptions::tiles`]: the historical fixed
-/// [`DEFAULT_TILE_SIZES`], unless the `POLYMAGE_TILE` environment variable
-/// selects the cache model (`auto`) or another fixed shape (used by the CI
-/// matrix, mirroring `POLYMAGE_SIMD`/`POLYMAGE_STORAGE_FOLD`).
-fn default_tile_spec() -> TileSpec {
-    env::get()
-        .tiles
-        .clone()
-        .unwrap_or_else(|| TileSpec::Fixed(DEFAULT_TILE_SIZES.to_vec()))
-}
-
-/// Default for [`CompileOptions::storage_fold`]: on, unless the
-/// `POLYMAGE_STORAGE_FOLD` environment variable disables it (used by the
-/// CI ablation matrix, mirroring `POLYMAGE_SIMD`).
-fn default_storage_fold() -> bool {
-    env::get().storage_fold.unwrap_or(true)
-}
-
 pub mod env {
     //! Centralized `POLYMAGE_*` environment handling.
     //!
-    //! Historically each knob parsed its own variable where it was
-    //! consumed (`POLYMAGE_TILE` and `POLYMAGE_STORAGE_FOLD` here in
-    //! `options`, `POLYMAGE_CACHE` in [`crate::tilemodel`],
-    //! `POLYMAGE_SIMD` in `polymage_vm::simd`), and anything unknown or
-    //! malformed was silently ignored — a typo like
-    //! `POLYMAGE_STORAGE_FOLD=of` quietly ran the default configuration.
-    //! This module is the single parse-and-validate entry point: every
-    //! `POLYMAGE_*` variable is parsed once per process into [`EnvConfig`]
-    //! and every problem is captured as an [`EnvIssue`], reported once via
-    //! diag (`env.invalid` events) and stderr when compilation first runs
-    //! with an enabled sink (see [`report`]).
+    //! `POLYMAGE_SIMD` is the one environment override; it is *consumed*
+    //! where the SIMD level resolves (`polymage_vm::resolve_simd`, which
+    //! also covers engine-only embedders) and validated here. This module
+    //! is the single parse-and-validate entry point, so that a typo or a
+    //! variable this toolchain does not read (such as the retired tile,
+    //! cache and storage-fold overrides) is reported instead of silently
+    //! running the default configuration: every `POLYMAGE_*` variable is
+    //! parsed once per process into [`EnvConfig`] and every problem is
+    //! captured as an [`EnvIssue`], reported once via diag (`env.invalid`
+    //! events) and stderr when compilation first runs with an enabled sink
+    //! (see [`report`]).
     //!
-    //! The grammar of each knob stays owned by its type —
-    //! [`TileSpec::parse`], [`CacheModel::parse`](crate::tilemodel::CacheModel::parse),
-    //! [`SimdOpt::parse_spelling`](polymage_vm::SimdOpt::parse_spelling) —
+    //! The grammar stays owned by its type,
+    //! [`SimdOpt::parse_spelling`](polymage_vm::SimdOpt::parse_spelling),
     //! so engine-only embedders that bypass `polymage-core` keep the exact
     //! same spellings.
 
-    use super::TileSpec;
-    use crate::tilemodel::CacheModel;
     use polymage_diag::{Diag, Value};
     use polymage_vm::SimdOpt;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Once, OnceLock};
 
     /// Every `POLYMAGE_*` variable the toolchain understands.
-    pub const KNOWN_VARS: [&str; 4] = [
-        "POLYMAGE_SIMD",
-        "POLYMAGE_TILE",
-        "POLYMAGE_STORAGE_FOLD",
-        "POLYMAGE_CACHE",
-    ];
+    pub const KNOWN_VARS: [&str; 1] = ["POLYMAGE_SIMD"];
 
     /// One rejected or unrecognized `POLYMAGE_*` variable.
     #[derive(Debug, Clone, PartialEq, Eq)]
@@ -391,25 +324,15 @@ pub mod env {
         pub problem: String,
     }
 
-    /// The parsed `POLYMAGE_*` overrides: `None` per knob means unset *or*
-    /// malformed (malformed values keep the built-in default and record an
-    /// [`EnvIssue`], exactly like the historical per-site parsers).
+    /// The parsed `POLYMAGE_*` overrides: `None` means unset *or*
+    /// malformed (a malformed value keeps the built-in default and records
+    /// an [`EnvIssue`]).
     #[derive(Debug, Clone, Default)]
     pub struct EnvConfig {
         /// `POLYMAGE_SIMD` — validated here; *consumed* by
         /// `polymage_vm::resolve_simd`, which also covers engine-only
         /// embedders.
         pub simd: Option<SimdOpt>,
-        /// `POLYMAGE_TILE` — the [`CompileOptions::tiles`](super::CompileOptions::tiles)
-        /// default.
-        pub tiles: Option<TileSpec>,
-        /// `POLYMAGE_STORAGE_FOLD` — the
-        /// [`CompileOptions::storage_fold`](super::CompileOptions::storage_fold)
-        /// default.
-        pub storage_fold: Option<bool>,
-        /// `POLYMAGE_CACHE` — the cache geometry override consumed by
-        /// [`CacheModel::get`].
-        pub cache: Option<CacheModel>,
         /// Everything rejected, in variable-name order.
         pub issues: Vec<EnvIssue>,
     }
@@ -436,25 +359,6 @@ pub mod env {
                 "POLYMAGE_SIMD" => match SimdOpt::parse_spelling(&value) {
                     Some(opt) => cfg.simd = Some(opt),
                     None => bad(&mut cfg, "expected off|scalar|sse2|avx2|neon|auto"),
-                },
-                "POLYMAGE_TILE" => match TileSpec::parse(&value) {
-                    Some(spec) => cfg.tiles = Some(spec),
-                    None => bad(
-                        &mut cfg,
-                        "expected auto|fixed|default or a shape like 32x256",
-                    ),
-                },
-                "POLYMAGE_STORAGE_FOLD" => match value.to_ascii_lowercase().as_str() {
-                    "on" | "1" | "true" | "yes" => cfg.storage_fold = Some(true),
-                    "off" | "0" | "false" | "no" => cfg.storage_fold = Some(false),
-                    _ => bad(&mut cfg, "expected on|off|1|0|true|false"),
-                },
-                "POLYMAGE_CACHE" => match CacheModel::parse(&value) {
-                    Some(model) => cfg.cache = Some(model),
-                    None => bad(
-                        &mut cfg,
-                        "expected l1:l2:line byte counts (k/m/g suffixes allowed)",
-                    ),
                 },
                 _ => bad(&mut cfg, "unknown POLYMAGE_* variable"),
             }
@@ -520,69 +424,45 @@ pub mod env {
         fn parses_known_vars() {
             let cfg = parse(pairs(&[
                 ("POLYMAGE_SIMD", "avx2"),
-                ("POLYMAGE_TILE", "auto"),
-                ("POLYMAGE_STORAGE_FOLD", "off"),
-                ("POLYMAGE_CACHE", "48k:2m:64"),
                 ("PATH", "/usr/bin"), // non-POLYMAGE vars are ignored
             ]));
             assert_eq!(cfg.simd, Some(SimdOpt::Avx2));
-            assert_eq!(cfg.tiles, Some(TileSpec::Auto));
-            assert_eq!(cfg.storage_fold, Some(false));
-            assert_eq!(
-                cfg.cache,
-                Some(CacheModel {
-                    l1: 48 * 1024,
-                    l2: 2 * 1024 * 1024,
-                    line: 64
-                })
-            );
             assert!(cfg.issues.is_empty());
         }
 
         #[test]
         fn flags_malformed_values_and_keeps_defaults() {
-            let cfg = parse(pairs(&[
-                ("POLYMAGE_SIMD", "avx512"),
-                ("POLYMAGE_TILE", "banana"),
-                ("POLYMAGE_STORAGE_FOLD", "of"),
-                ("POLYMAGE_CACHE", "big"),
-            ]));
+            let cfg = parse(pairs(&[("POLYMAGE_SIMD", "avx512")]));
             assert_eq!(cfg.simd, None);
-            assert_eq!(cfg.tiles, None);
-            assert_eq!(cfg.storage_fold, None);
-            assert_eq!(cfg.cache, None);
-            assert_eq!(cfg.issues.len(), 4);
-            assert!(cfg.issues.iter().all(|i| i.var.starts_with("POLYMAGE_")));
+            assert_eq!(cfg.issues.len(), 1);
+            assert_eq!(cfg.issues[0].var, "POLYMAGE_SIMD");
         }
 
         #[test]
         fn flags_unknown_polymage_vars() {
             let cfg = parse(pairs(&[
-                ("POLYMAGE_TILES", "auto"), // typo: TILES, not TILE
+                ("POLYMAGE_TILES", "auto"), // typo
                 ("POLYMAGE_SIMD", "off"),
+                // Overrides this toolchain no longer reads.
+                ("POLYMAGE_TILE", "auto"),
+                ("POLYMAGE_CACHE", "48k:2m:64"),
+                ("POLYMAGE_STORAGE_FOLD", "off"),
             ]));
             assert_eq!(cfg.simd, Some(SimdOpt::Off));
-            assert_eq!(cfg.issues.len(), 1);
-            assert_eq!(cfg.issues[0].var, "POLYMAGE_TILES");
-            assert_eq!(cfg.issues[0].problem, "unknown POLYMAGE_* variable");
-        }
-
-        #[test]
-        fn bool_spellings() {
-            for (s, want) in [
-                ("on", true),
-                ("1", true),
-                ("TRUE", true),
-                ("yes", true),
-                ("off", false),
-                ("0", false),
-                ("False", false),
-                ("no", false),
-            ] {
-                let cfg = parse(pairs(&[("POLYMAGE_STORAGE_FOLD", s)]));
-                assert_eq!(cfg.storage_fold, Some(want), "spelling {s}");
-                assert!(cfg.issues.is_empty());
-            }
+            let vars: Vec<&str> = cfg.issues.iter().map(|i| i.var.as_str()).collect();
+            assert_eq!(
+                vars,
+                [
+                    "POLYMAGE_CACHE",
+                    "POLYMAGE_STORAGE_FOLD",
+                    "POLYMAGE_TILE",
+                    "POLYMAGE_TILES"
+                ]
+            );
+            assert!(cfg
+                .issues
+                .iter()
+                .all(|i| i.problem == "unknown POLYMAGE_* variable"));
         }
 
         #[test]
@@ -626,7 +506,6 @@ pub struct StructuralKey {
     inline_pointwise: bool,
     storage_opt: bool,
     storage_fold: bool,
-    par_strips: i64,
     kernel_opt: bool,
     /// The *resolved* [`polymage_vm::SimdLevel`]: environment override and
     /// host clamping applied, so two option sets that resolve to the same
@@ -635,12 +514,11 @@ pub struct StructuralKey {
 }
 
 /// The hashable normal form of [`TileSpec`]: fixed shapes by value,
-/// [`TileSpec::Auto`] by the *resolved* cache geometry and parallelism
-/// floor its decisions depend on (environment override applied), so two
-/// option sets resolving to the same model share a cache entry.
+/// [`TileSpec::Auto`] by the detected cache geometry and parallelism
+/// floor its decisions depend on.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum TileKey {
-    /// Cache-model selection with the resolved model inputs.
+    /// Cache-model selection with the detected model inputs.
     Auto {
         /// L1 data-cache bytes.
         l1: u64,
@@ -731,38 +609,16 @@ mod tests {
     }
 
     #[test]
-    fn tile_spec_parse_and_baseline() {
-        assert_eq!(TileSpec::parse("auto"), Some(TileSpec::Auto));
-        assert_eq!(
-            TileSpec::parse("fixed"),
-            Some(TileSpec::Fixed(DEFAULT_TILE_SIZES.to_vec()))
-        );
-        assert_eq!(
-            TileSpec::parse("default"),
-            Some(TileSpec::Fixed(DEFAULT_TILE_SIZES.to_vec()))
-        );
-        assert_eq!(
-            TileSpec::parse("32x256"),
-            Some(TileSpec::Fixed(vec![32, 256]))
-        );
-        assert_eq!(
-            TileSpec::parse("64, 64"),
-            Some(TileSpec::Fixed(vec![64, 64]))
-        );
-        assert_eq!(TileSpec::parse(""), None);
-        assert_eq!(TileSpec::parse("banana"), None);
-        assert_eq!(TileSpec::parse("32x-1"), None);
+    fn tile_spec_baseline() {
         assert_eq!(TileSpec::Auto.baseline_sizes(), &DEFAULT_TILE_SIZES);
         assert_eq!(TileSpec::Fixed(vec![8]).baseline_sizes(), &[8]);
     }
 
     #[test]
     fn auto_and_fixed_key_differently() {
-        // Pin the fixed side so the comparison survives a POLYMAGE_TILE
-        // override (the CI tile matrix leg).
-        let fixed = CompileOptions::optimized(vec![100, 200])
-            .with_tile_spec(TileSpec::Fixed(DEFAULT_TILE_SIZES.to_vec()));
-        let auto = fixed.clone().with_tile_spec(TileSpec::Auto);
+        let auto = CompileOptions::optimized(vec![100, 200]);
+        assert_eq!(auto.tiles, TileSpec::Auto, "the cache model is the default");
+        let fixed = auto.clone().with_tiles(DEFAULT_TILE_SIZES.to_vec());
         assert_ne!(fixed.cache_key(), auto.cache_key());
         assert_ne!(fixed.cache_key_structural(), auto.cache_key_structural());
         // Auto keys are stable across calls (the resolved model is a

@@ -25,8 +25,9 @@ use polymage_diag::{Diag, Value};
 use polymage_graph::{inline_pointwise, PipelineGraph};
 use polymage_ir::{Cond, Expr, FuncBody, FuncId, Pipeline, ScalarType, Source, VarId};
 use polymage_poly::{extract_accesses, narrow_rect_by_cond, solve_alignment, Access, DimMap, Rect};
+use polymage_vm::MAX_INDEX_TERMS;
 use polymage_vm::{fixed_dims, optimize_kernel, sync_mask};
-use polymage_vm::{BufId, CaseExec, Kernel, KernelOptReport, RegId, SimdLevel};
+use polymage_vm::{BufId, CaseExec, IdxPlan, Kernel, KernelOptReport, Op, RegId, SimdLevel};
 use std::collections::{HashMap, HashSet};
 
 /// A size-independent compilation plan: phase 1's output, phase 2's input.
@@ -64,7 +65,8 @@ pub struct ParametricPlan {
     /// SIMD level, resolved once at plan time.
     pub(crate) simd: SimdLevel,
     /// Cache-model tile decisions, parallel to `grouping.groups`
-    /// (`Some` only for Normal groups under [`crate::TileSpec::Auto`]).
+    /// (`Some` only for Normal groups under [`crate::TileSpec::Auto`]
+    /// whose whole domain overflows the cache budget).
     /// Made at the estimates; `instantiate` re-checks them against each
     /// binding's concrete bounds.
     pub(crate) tile_choices: Vec<Option<crate::TileChoice>>,
@@ -89,7 +91,8 @@ impl ParametricPlan {
 
     /// The cache model's tile decision per group (parallel to the
     /// grouping): `Some` only for Normal groups planned under
-    /// [`crate::TileSpec::Auto`].
+    /// [`crate::TileSpec::Auto`] whose whole domain overflows the cache
+    /// budget.
     pub fn tile_choices(&self) -> &[Option<crate::TileChoice>] {
         &self.tile_choices
     }
@@ -712,6 +715,7 @@ fn plan_cases(
             outs.push(m);
         }
         let (kernel, _reads) = b.finish(outs);
+        check_index_terms(&kernel, &fd.name)?;
 
         // Pre-optimize at the estimate geometry; `instantiate` reuses the
         // result when the binding's fixed-dimension signature matches.
@@ -775,6 +779,17 @@ fn plan_reduction(ctx: &mut PlanCtx<'_>, f: FuncId) -> Result<GroupPlan, Compile
     }
     let param_sensitive = b.param_sensitive();
     let (kernel, _reads) = b.finish(outs);
+    check_index_terms(&kernel, &fd.name)?;
+    // Every target dimension is a data-dependent index of the scatter.
+    if acc.target.len() > MAX_INDEX_TERMS {
+        return Err(CompileError::UnsupportedAccess {
+            func: fd.name.clone(),
+            reason: format!(
+                "accumulates into {} dimensions; at most {MAX_INDEX_TERMS} are supported",
+                acc.target.len()
+            ),
+        });
+    }
     let group_name = format!("{}(reduce)", fd.name);
 
     let opt = if ctx.opts.kernel_opt {
@@ -800,6 +815,44 @@ fn plan_reduction(ctx: &mut PlanCtx<'_>, f: FuncId) -> Result<GroupPlan, Compile
         kernel,
         opt,
     }))
+}
+
+/// Rejects a lowered kernel with a load the executor's index pipeline
+/// cannot address: more than [`MAX_INDEX_TERMS`] data-dependent
+/// dimensions, or more than that many dimensions driven by one loop
+/// variable (the executor picks the chunk axis per region, so any loop
+/// variable may become it).
+fn check_index_terms(kernel: &Kernel, func: &str) -> Result<(), CompileError> {
+    for op in &kernel.ops {
+        let Op::Load { plan, .. } = op else { continue };
+        let data_dependent = plan.iter().filter(|p| matches!(p, IdxPlan::Reg(_))).count();
+        let driven: Vec<usize> = plan
+            .iter()
+            .filter_map(|p| match *p {
+                IdxPlan::Affine {
+                    dim: Some(v), q, ..
+                } if q != 0 => Some(v),
+                _ => None,
+            })
+            .collect();
+        let widest = driven
+            .iter()
+            .map(|v| driven.iter().filter(|&u| u == v).count())
+            .max()
+            .unwrap_or(0);
+        let reason = if data_dependent > MAX_INDEX_TERMS {
+            format!("a read has {data_dependent} data-dependent dimensions")
+        } else if widest > MAX_INDEX_TERMS {
+            format!("a read varies in {widest} dimensions along one loop variable")
+        } else {
+            continue;
+        };
+        return Err(CompileError::UnsupportedAccess {
+            func: func.to_string(),
+            reason: format!("{reason}; at most {MAX_INDEX_TERMS} are supported"),
+        });
+    }
+    Ok(())
 }
 
 fn plan_selfref(ctx: &mut PlanCtx<'_>, f: FuncId) -> Result<GroupPlan, CompileError> {

@@ -36,8 +36,9 @@ pub struct GroupReport {
     /// groups).
     pub scratch_slots: usize,
     /// The cache model's predicted per-tile working set in bytes for the
-    /// chosen tile shape (`0` when the group was not model-tiled, i.e.
-    /// under `TileSpec::Fixed` or for non-normal groups).
+    /// chosen tile shape (`0` when the group was not model-tiled: under
+    /// `TileSpec::Fixed`, for non-normal groups, or when the whole group
+    /// fits the cache budget).
     pub predicted_working_set: usize,
     /// `true` when the cache model found no shape satisfying every
     /// constraint and fell back to the fixed baseline.

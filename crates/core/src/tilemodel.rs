@@ -3,16 +3,22 @@
 //!
 //! The paper picks tile sizes so that each tile's working set fits in
 //! cache while the redundant recomputation introduced by overlapped tiling
-//! stays bounded; this reproduction historically applied one fixed shape
-//! (`[32, 256]`) to every group. Under [`crate::TileSpec::Auto`] this
-//! module runs once per *group*, after grouping (Algorithm 1) has settled
-//! the structure, and chooses the largest tile shape such that
+//! stays bounded. Under [`crate::TileSpec::Auto`] (the default) this module
+//! runs once per *group*, after grouping (Algorithm 1) has settled the
+//! structure.
+//!
+//! A group whose whole-domain working set — every stage at its full
+//! extent plus every out-of-group source in full, an upper bound on any
+//! tile's — already fits the cache budget gets no decision: no tile shape
+//! can change what fits in cache, so it keeps the fixed
+//! [`crate::DEFAULT_TILE_SIZES`], and the model costs one pass over its
+//! stage list. Every other group gets the largest tile shape such that
 //!
 //! 1. **cache budget** — the per-tile working set (scratch slot bytes
 //!    after simulated liveness folding, plus streamed full-store bytes and
 //!    input/full-buffer read footprints with the overlap halos of
 //!    [`polymage_poly::group_overlap`]) fits a fraction of the detected L2
-//!    ([`CacheModel`], `POLYMAGE_CACHE` override);
+//!    ([`CacheModel`]);
 //! 2. **parallelism floor** — the strip dimension still yields at least
 //!    [`min_strip_tiles`] tiles so the engine's dynamic strip claiming can
 //!    balance load;
@@ -26,19 +32,16 @@
 //! (`autotune_pruned`), so only the few configurations the model cannot
 //! separate are ever measured.
 
-use crate::grouping::{effective_tiles_from, Group, GroupKindTag};
+use crate::autotune::TILE_CANDIDATES;
+use crate::grouping::{effective_tiles_from, Group, GroupKindTag, PAR_STRIPS};
 use crate::CompileOptions;
 use polymage_diag::{Counter, Diag, Value};
 use polymage_graph::PipelineGraph;
-use polymage_ir::{FuncId, Pipeline, Source};
+use polymage_ir::{visit_func_exprs, Expr, FuncId, Pipeline, Source};
 use polymage_poly::{
     extract_accesses, group_overlap, solve_alignment, AccessDim, DimMap, GroupOverlap,
 };
 use std::sync::OnceLock;
-
-/// Ladder of candidate tile sizes per dimension — the paper's autotuning
-/// candidates (§3.8), which the model selects among analytically.
-pub const TILE_LADDER: [i64; 7] = [8, 16, 32, 64, 128, 256, 512];
 
 /// Fraction of L2 the per-tile working set may occupy (numerator /
 /// denominator): leave headroom for the engine's own state and the
@@ -72,11 +75,8 @@ const MODEL_MARGIN: f64 = 0.03;
 
 /// The cache geometry the model plans against.
 ///
-/// Detected once per process from sysfs on Linux (with conservative
-/// defaults elsewhere); the `POLYMAGE_CACHE` environment variable
-/// overrides detection with `l1:l2:line` byte counts, e.g.
-/// `POLYMAGE_CACHE=32768:1048576:64` or with unit suffixes
-/// `POLYMAGE_CACHE=48k:2m:64`.
+/// Detected once per process from sysfs on Linux, with
+/// [`CacheModel::FALLBACK`] wherever detection finds nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheModel {
     /// L1 data-cache bytes.
@@ -101,30 +101,11 @@ impl CacheModel {
         self.l2 / WS_BUDGET_DEN * WS_BUDGET_NUM
     }
 
-    /// The process-wide model: `POLYMAGE_CACHE` if set and parseable
-    /// (via [`crate::options::env`], which reports malformed values),
-    /// else sysfs detection, else [`CacheModel::FALLBACK`]. Resolved once
-    /// (it participates in compile-cache keys, which must be stable).
+    /// The process-wide model: [`CacheModel::detect`], resolved once (it
+    /// participates in compile-cache keys, which must be stable).
     pub fn get() -> CacheModel {
         static MODEL: OnceLock<CacheModel> = OnceLock::new();
-        *MODEL.get_or_init(|| {
-            crate::options::env::get()
-                .cache
-                .unwrap_or_else(CacheModel::detect)
-        })
-    }
-
-    /// Parses an `l1:l2:line` override (`:` or `,` separated; `k`/`m`/`g`
-    /// suffixes allowed). `None` when malformed or non-positive.
-    pub fn parse(s: &str) -> Option<CacheModel> {
-        let parts: Vec<usize> = s
-            .split([':', ','])
-            .map(|t| parse_bytes(t.trim()))
-            .collect::<Option<_>>()?;
-        match parts[..] {
-            [l1, l2, line] if l1 > 0 && l2 > 0 && line > 0 => Some(CacheModel { l1, l2, line }),
-            _ => None,
-        }
+        *MODEL.get_or_init(CacheModel::detect)
     }
 
     /// Detects the host cache geometry (Linux sysfs; anything missing
@@ -155,30 +136,29 @@ impl CacheModel {
     }
 }
 
-/// Parses a byte count with an optional `k`/`m`/`g` suffix (sysfs spells
-/// sizes like `48K`).
+/// Parses a sysfs byte count with an optional `K`/`M`/`G` suffix (sysfs
+/// spells sizes like `48K`).
 fn parse_bytes(s: &str) -> Option<usize> {
-    let s = s.trim();
     let (digits, mult) = match s.chars().last()? {
         'k' | 'K' => (&s[..s.len() - 1], 1024),
         'm' | 'M' => (&s[..s.len() - 1], 1024 * 1024),
         'g' | 'G' => (&s[..s.len() - 1], 1024 * 1024 * 1024),
         _ => (s, 1),
     };
-    digits.trim().parse::<usize>().ok().map(|v| v * mult)
+    digits.parse::<usize>().ok().map(|v| v * mult)
 }
 
 /// The parallelism floor: the strip dimension must yield at least this
 /// many tiles (`STRIP_TILES_PER_WORKER` × available workers, capped at
-/// 128 — the untiled strip target). Resolved once per process; it
-/// participates in compile-cache keys.
+/// the untiled strip target). Resolved once per process; it participates
+/// in compile-cache keys.
 pub fn min_strip_tiles() -> usize {
     static FLOOR: OnceLock<usize> = OnceLock::new();
     *FLOOR.get_or_init(|| {
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        (STRIP_TILES_PER_WORKER * workers).min(128)
+        (STRIP_TILES_PER_WORKER * workers).min(PAR_STRIPS as usize)
     })
 }
 
@@ -255,10 +235,6 @@ pub struct GroupGeom {
     stages: Vec<StageGeom>,
     /// Sum of stage domain volumes at the estimates (cost weight).
     points: f64,
-    /// The executor's strip count for an untiled dim 0 (instantiation
-    /// turns `None` into `⌈ext/par_strips⌉`-wide strips), so the model
-    /// evaluates the shape that actually runs.
-    par_strips: i64,
 }
 
 impl GroupGeom {
@@ -402,7 +378,6 @@ impl GroupGeom {
             overlap_total,
             stages: geoms,
             points,
-            par_strips: opts.par_strips.max(1),
         })
     }
 
@@ -414,7 +389,7 @@ impl GroupGeom {
     /// Predicted redundancy fraction for a tile assignment — the same
     /// `∏(τ_d + o_d)/∏ τ_d − 1` Algorithm 1 bounds, evaluated on the
     /// *effective* shape: an untiled dim 0 still runs as
-    /// `⌈ext/par_strips⌉`-wide strips that each recompute their halo,
+    /// `⌈ext/PAR_STRIPS⌉`-wide strips that each recompute their halo,
     /// while untiled inner dims are materialized whole (one span, no
     /// recomputation). Overlaps are in scheduled units, so tile spans
     /// convert through the sink scale.
@@ -457,7 +432,7 @@ impl GroupGeom {
 
     /// The tile span per group dimension for a tile assignment: the tile
     /// size where tiled, the full extent where not — except dim 0, where
-    /// instantiation turns `None` into `⌈ext/par_strips⌉`-wide strips, so
+    /// instantiation turns `None` into `⌈ext/PAR_STRIPS⌉`-wide strips, so
     /// that is the span that actually executes.
     fn spans(&self, tiles: &[Option<i64>]) -> Vec<i64> {
         self.sink_extents
@@ -465,7 +440,7 @@ impl GroupGeom {
             .enumerate()
             .map(|(d, &ext)| match tiles.get(d).copied().flatten() {
                 Some(t) => t.min(ext),
-                None if d == 0 => (ext + self.par_strips - 1) / self.par_strips,
+                None if d == 0 => (ext + PAR_STRIPS - 1) / PAR_STRIPS,
                 None => ext,
             })
             .collect()
@@ -574,13 +549,13 @@ impl GroupGeom {
     }
 
     /// Tile count along the strip (outermost) dimension at the estimates
-    /// (an untiled dim 0 strips by `par_strips`, so it never constrains
+    /// (an untiled dim 0 strips by `PAR_STRIPS`, so it never constrains
     /// parallelism).
-    pub fn strip_tiles(&self, tiles: &[Option<i64>], par_strips: i64) -> i64 {
+    pub fn strip_tiles(&self, tiles: &[Option<i64>]) -> i64 {
         let ext = self.sink_extents.first().copied().unwrap_or(1);
         match tiles.first().copied().flatten() {
             Some(t) if t > 0 => (ext + t - 1) / t,
-            _ => ext.min(par_strips.max(1)),
+            _ => ext.min(PAR_STRIPS),
         }
     }
 }
@@ -629,7 +604,7 @@ pub fn select_tiles(geom: &GroupGeom, opts: &CompileOptions, model: &CacheModel)
         .sink_extents
         .iter()
         .map(|&ext| {
-            let mut c: Vec<Option<i64>> = TILE_LADDER
+            let mut c: Vec<Option<i64>> = TILE_CANDIDATES
                 .iter()
                 .copied()
                 .filter(|&t| ext >= 2 * t)
@@ -645,12 +620,7 @@ pub fn select_tiles(geom: &GroupGeom, opts: &CompileOptions, model: &CacheModel)
     // feasible.
     let max_strips = cand
         .first()
-        .map(|c| {
-            c.iter()
-                .map(|t| geom.strip_tiles(&[*t], opts.par_strips))
-                .max()
-                .unwrap_or(1)
-        })
+        .map(|c| c.iter().map(|t| geom.strip_tiles(&[*t])).max().unwrap_or(1))
         .unwrap_or(1);
     let floor = min_strips.min(max_strips);
 
@@ -669,7 +639,7 @@ pub fn select_tiles(geom: &GroupGeom, opts: &CompileOptions, model: &CacheModel)
         if ratio >= opts.overlap_threshold {
             return;
         }
-        if geom.strip_tiles(tiles, opts.par_strips) < floor {
+        if geom.strip_tiles(tiles) < floor {
             return;
         }
         let ws = geom.working_set(tiles, model);
@@ -706,16 +676,11 @@ pub fn select_tiles(geom: &GroupGeom, opts: &CompileOptions, model: &CacheModel)
         }
     });
 
-    let baseline = effective_tiles_from(
-        &geom.sink_extents,
-        opts.tiles.baseline_sizes(),
-        opts.tile,
-        opts.par_strips,
-    );
+    let baseline = effective_tiles_from(&geom.sink_extents, opts.tiles.baseline_sizes(), opts.tile);
     let base_ws = geom.working_set(&baseline, model);
     let base_ratio = geom.redundancy(&baseline);
     let base_feasible = base_ratio < opts.overlap_threshold
-        && geom.strip_tiles(&baseline, opts.par_strips) >= floor
+        && geom.strip_tiles(&baseline) >= floor
         && base_ws <= budget;
 
     match best {
@@ -765,10 +730,72 @@ fn enumerate(
     }
 }
 
-/// Runs the model for every group of a grouping: `Some(choice)` for
-/// Normal groups under `opts.tile`, `None` otherwise. Emits a
-/// `tilemodel.choice` event plus [`Counter::TileModelSelect`] /
-/// [`Counter::TileModelFallback`] per modeled group.
+/// An upper bound on any tile's working set in bytes, from the estimates
+/// alone: every stage of the group at its full extent (twice when it
+/// needs both a scratch slot and a full array, as [`GroupGeom::working_set`]
+/// counts it), plus every out-of-group source each stage reads, in full.
+fn whole_group_bytes(
+    pipe: &Pipeline,
+    graph: &PipelineGraph,
+    group: &Group,
+    opts: &CompileOptions,
+) -> usize {
+    let est = opts.estimates();
+    let bytes_of = |src: Source| -> usize {
+        source_extents(pipe, src, est)
+            .iter()
+            .fold(4usize, |b, &e| b.saturating_mul(e as usize))
+    };
+    let in_group = |f: &FuncId| group.stages.contains(f);
+    let mut total = 0usize;
+    for &f in &group.stages {
+        let consumers = graph.consumers(f);
+        let needs_full =
+            pipe.live_outs().contains(&f) || !consumers.iter().all(in_group) || !opts.storage_opt;
+        let copies = 1 + usize::from(needs_full && consumers.iter().any(in_group));
+        total = total.saturating_add(bytes_of(Source::Func(f)).saturating_mul(copies));
+        let mut sources: Vec<Source> = Vec::new();
+        visit_func_exprs(pipe.func(f), &mut |e| {
+            if let Expr::Call(src, _) = e {
+                let outside = !matches!(src, Source::Func(p) if in_group(p));
+                if outside && !sources.contains(src) {
+                    sources.push(*src);
+                }
+            }
+        });
+        for src in sources {
+            total = total.saturating_add(bytes_of(src));
+        }
+    }
+    total
+}
+
+/// The model's decision for one group: `None` for non-Normal groups,
+/// with tiling off, or when the whole group already fits `model`'s budget
+/// (then no shape changes what fits in cache, and the group keeps the
+/// fixed baseline shape); the [`select_tiles`] choice otherwise. The fit
+/// check runs first because it needs no [`GroupGeom`], the expensive part.
+pub fn group_tiles(
+    pipe: &Pipeline,
+    graph: &PipelineGraph,
+    group: &Group,
+    opts: &CompileOptions,
+    model: &CacheModel,
+) -> Option<TileChoice> {
+    if group.kind != GroupKindTag::Normal
+        || !opts.tile
+        || whole_group_bytes(pipe, graph, group, opts) <= model.budget()
+    {
+        return None;
+    }
+    let geom = GroupGeom::build(pipe, graph, group, opts)?;
+    Some(select_tiles(&geom, opts, model))
+}
+
+/// Runs [`group_tiles`] against the process-wide [`CacheModel`] for every
+/// group of a grouping. Emits a `tilemodel.choice` event plus
+/// [`Counter::TileModelSelect`] / [`Counter::TileModelFallback`] per
+/// modeled group.
 pub(crate) fn choose_group_tiles(
     pipe: &Pipeline,
     graph: &PipelineGraph,
@@ -780,11 +807,7 @@ pub(crate) fn choose_group_tiles(
     groups
         .iter()
         .map(|g| {
-            if g.kind != GroupKindTag::Normal || !opts.tile {
-                return None;
-            }
-            let geom = GroupGeom::build(pipe, graph, g, opts)?;
-            let choice = select_tiles(&geom, opts, &model);
+            let choice = group_tiles(pipe, graph, g, opts, &model)?;
             diag.count(
                 if choice.fallback {
                     Counter::TileModelFallback
@@ -842,28 +865,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cache_model_parse() {
-        assert_eq!(
-            CacheModel::parse("32768:1048576:64"),
-            Some(CacheModel {
-                l1: 32768,
-                l2: 1048576,
-                line: 64
-            })
-        );
-        assert_eq!(
-            CacheModel::parse("48k, 2m, 64"),
-            Some(CacheModel {
-                l1: 48 * 1024,
-                l2: 2 * 1024 * 1024,
-                line: 64
-            })
-        );
-        assert_eq!(CacheModel::parse("48k:2m"), None);
-        assert_eq!(CacheModel::parse("0:2m:64"), None);
-        assert_eq!(CacheModel::parse("x:y:z"), None);
+    fn cache_model_detect() {
+        assert_eq!(parse_bytes("48K"), Some(48 * 1024));
+        assert_eq!(parse_bytes("2M"), Some(2 * 1024 * 1024));
+        assert_eq!(parse_bytes("64"), Some(64));
+        assert_eq!(parse_bytes("x"), None);
         let d = CacheModel::detect();
         assert!(d.l1 > 0 && d.l2 > 0 && d.line > 0);
+        assert_eq!(CacheModel::get(), d);
         assert!(CacheModel::FALLBACK.budget() < CacheModel::FALLBACK.l2);
     }
 
@@ -871,6 +880,6 @@ mod tests {
     fn strip_floor_is_positive_and_capped() {
         let f = min_strip_tiles();
         assert!(f >= STRIP_TILES_PER_WORKER);
-        assert!(f <= 128);
+        assert!(f <= PAR_STRIPS as usize);
     }
 }

@@ -153,22 +153,13 @@ fn racing_binds_never_duplicate_plan_compilation() {
 
 /// Caller-supplied `pub` option fields the tile arithmetic cannot use are
 /// a typed error from every entry point, and a failed compile caches
-/// nothing. `par_strips: 0` used to divide by zero inside `compile` on any
-/// schedule whose outer dimension is untiled, an `i64::MAX` tile size
-/// overflowed there, and empty or zero tile sizes silently left every
-/// group untiled.
+/// nothing. An `i64::MAX` tile size used to overflow inside `compile`, and
+/// empty or zero tile sizes silently left every group untiled.
 #[test]
 fn invalid_options_rejected() {
     let pipe = blur1d();
     let opt = CompileOptions::optimized(vec![64]);
     let bad = [
-        (
-            "par_strips",
-            CompileOptions {
-                par_strips: 0,
-                ..CompileOptions::base(vec![64])
-            },
-        ),
         ("tiles", opt.clone().with_tiles(vec![])),
         ("tiles", opt.clone().with_tiles(vec![0])),
         ("tiles", opt.clone().with_tiles(vec![i64::MAX])),

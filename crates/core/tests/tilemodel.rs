@@ -3,10 +3,13 @@
 //! and dimensionality) and randomized cache models, every non-fallback
 //! shape returned by `select_tiles` must satisfy all three of its
 //! constraints — the cache budget, the parallelism floor (relaxed to what
-//! the geometry can achieve), and the redundancy cap.
+//! the geometry can achieve), and the redundancy cap. Plus the rule that
+//! decides whether the model acts at all: only on a group whose whole
+//! domain overflows the budget.
 
-use polymage_core::tilemodel::{min_strip_tiles, select_tiles, CacheModel, GroupGeom, TILE_LADDER};
-use polymage_core::{group_stages, CompileOptions, GroupKindTag, TileSpec};
+use polymage_core::autotune::TILE_CANDIDATES;
+use polymage_core::tilemodel::{group_tiles, min_strip_tiles, select_tiles, CacheModel, GroupGeom};
+use polymage_core::{group_stages, CompileOptions, GroupKindTag};
 use polymage_graph::PipelineGraph;
 use polymage_ir::*;
 use proptest::prelude::*;
@@ -60,15 +63,48 @@ fn stencil_chain(exts: &[i64], depth: i64, rad: i64) -> Pipeline {
 /// The floor `select_tiles` actually enforces: the global parallelism
 /// floor, relaxed to the best strip count any single-dim candidate (ladder
 /// or untiled) can achieve on this geometry.
-fn achievable_floor(geom: &GroupGeom, par_strips: i64) -> i64 {
+fn achievable_floor(geom: &GroupGeom) -> i64 {
     let ext = geom.sink_extents().first().copied().unwrap_or(1);
-    let mut best = ext.min(par_strips.max(1)); // untiled strip count
-    for &t in &TILE_LADDER {
+    let mut best = geom.strip_tiles(&[None]); // untiled strip count
+    for &t in &TILE_CANDIDATES {
         if ext >= 2 * t {
             best = best.max((ext + t - 1) / t);
         }
     }
     (min_strip_tiles() as i64).min(best)
+}
+
+/// The model acts only on a group that overflows the budget: one 128×128
+/// three-stage chain (input plus three stages, ~256 KiB whole) keeps the
+/// fixed shape against a 2 MiB L2 and gets a model choice against 64 KiB.
+#[test]
+fn model_acts_only_when_the_whole_group_overflows_the_budget() {
+    let pipe = stencil_chain(&[128, 128], 3, 1);
+    let opts = CompileOptions::optimized(vec![]);
+    let graph = PipelineGraph::build(&pipe).expect("graph");
+    let grouping = group_stages(&pipe, &graph, &opts);
+    assert_eq!(grouping.groups.len(), 1, "the chain fuses into one group");
+    let group = &grouping.groups[0];
+    let model = |l2| CacheModel {
+        l1: 32 * 1024,
+        l2,
+        line: 64,
+    };
+    assert_eq!(
+        group_tiles(&pipe, &graph, group, &opts, &model(2 << 20)),
+        None
+    );
+    let choice = group_tiles(&pipe, &graph, group, &opts, &model(64 << 10))
+        .expect("a group over the budget gets a decision");
+    assert!(!choice.fallback, "{choice:?}");
+    assert!(choice.working_set <= model(64 << 10).budget(), "{choice:?}");
+    // Tiling off: no decision whatever the budget.
+    let mut untiled = opts.clone();
+    untiled.tile = false;
+    assert_eq!(
+        group_tiles(&pipe, &graph, group, &untiled, &model(64 << 10)),
+        None
+    );
 }
 
 proptest! {
@@ -88,7 +124,7 @@ proptest! {
         // Domains must survive `depth` shrinks of `rad` per side.
         prop_assume!(exts.iter().all(|&e| e > 2 * depth * rad + 4));
         let pipe = stencil_chain(&exts, depth, rad);
-        let mut opts = CompileOptions::optimized(vec![]).with_tile_spec(TileSpec::Auto);
+        let mut opts = CompileOptions::optimized(vec![]);
         opts.overlap_threshold = [0.2, 0.4, 0.5][thresh_i];
         let model = CacheModel {
             l1: 32 * 1024,
@@ -120,11 +156,11 @@ proptest! {
                 choice.working_set, model.budget(), choice.tiles, exts
             );
             // (b) parallelism floor (relaxed to the achievable maximum)
-            let floor = achievable_floor(&geom, opts.par_strips);
+            let floor = achievable_floor(&geom);
             prop_assert!(
-                geom.strip_tiles(&choice.tiles, opts.par_strips) >= floor,
+                geom.strip_tiles(&choice.tiles) >= floor,
                 "strip tiles {} below floor {} (tiles {:?}, exts {:?})",
-                geom.strip_tiles(&choice.tiles, opts.par_strips), floor,
+                geom.strip_tiles(&choice.tiles), floor,
                 choice.tiles, exts
             );
             // (c) redundancy cap

@@ -400,6 +400,25 @@ mod tests {
     }
 
     #[test]
+    fn fifo_within_a_band() {
+        // Three deadline-less Normal runs, submitted 1 ms apart and
+        // inserted out of order: scanned by submission, and a queued run
+        // gets no unit before every unit of the runs ahead of it is out.
+        let t0 = Instant::now();
+        let mut rs = Vec::new();
+        for id in [3u64, 1, 2] {
+            let submitted = t0 + Duration::from_millis(id);
+            let mut slot = RunSlot::new(id, Normal, None, submitted, 2, ());
+            slot.phase = Phase::Advancing;
+            slot.publish(vec![1, 1]);
+            insert(&mut rs, slot);
+        }
+        assert_eq!(order(&rs), [1, 2, 3]);
+        let got: Vec<u64> = std::iter::from_fn(|| served(&mut rs, 0, t0)).collect();
+        assert_eq!(got, [1, 1, 2, 2, 3, 3]);
+    }
+
+    #[test]
     fn fresh_run_is_advanced_once() {
         let t0 = Instant::now();
         let mut rs = vec![RunSlot::new(1, Normal, None, t0, 1, ())];

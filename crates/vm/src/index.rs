@@ -38,8 +38,11 @@ use crate::eval::{round_ties_away, CHUNK};
 use crate::simd::{self, Lanes, SimdLevel};
 use crate::RegId;
 
-/// Inline capacity of an [`IndexPlan`], per kind of term.
-pub(crate) const MAX_TERMS: usize = 4;
+/// Inline capacity of an `IndexPlan`, per kind of term: how many
+/// dimensions of one access may vary along the chunk axis, and how many
+/// may be data-dependent (a reduction's target dimensions all are).
+/// Compilers must reject accesses beyond it before they run.
+pub const MAX_TERMS: usize = 4;
 
 /// Largest magnitude at which every integer is an exact `f32`.
 const F32_EXACT: u64 = 1 << 24;

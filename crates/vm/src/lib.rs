@@ -51,6 +51,7 @@ pub use eval::{eval_kernel, BufView, ChunkCtx, EvalCounters, RegFile, CHUNK};
 pub use exec::{
     run_program, run_program_static, run_program_static_stats, run_program_stats, RunStats,
 };
+pub use index::MAX_TERMS as MAX_INDEX_TERMS;
 pub use kernel::{BinF, CmpF, IdxPlan, Kernel, Op, OptMeta, RegId, UnF};
 pub use loadclass::{LoadClass, LoadHistogram};
 pub use opt::{

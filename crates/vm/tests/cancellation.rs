@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A chain of `ngroups` pointwise tiled groups over a 1-D domain of
 /// `len` points, `tile` points per tile (one tile per strip). Group `g`
@@ -368,7 +368,11 @@ fn priority_and_deadline_order_claims() {
     );
 }
 
-/// Queued runs report the time they spent waiting for their first claim.
+/// Queued runs report the time they spent waiting for their first claim:
+/// a positive wait, no longer than the run's whole submit-to-join time.
+/// (Which of two runs waits longer is not ordered by one worker's wall
+/// clock; the FIFO claim order itself is pinned thread-free in the engine's
+/// `policy` tests.)
 #[test]
 fn sched_wait_reported_for_queued_runs() {
     let engine = Engine::with_threads(1);
@@ -377,14 +381,15 @@ fn sched_wait_reported_for_queued_runs() {
     let inputs = std::slice::from_ref(&input);
 
     let first = engine.submit(RunRequest::new(&prog, inputs)).unwrap();
+    let submitted = Instant::now();
     let queued = engine.submit(RunRequest::new(&prog, inputs)).unwrap();
-    let (_, s1) = first.join_stats().unwrap();
+    first.join_stats().unwrap();
     let (_, s2) = queued.join_stats().unwrap();
+    let lifetime = submitted.elapsed();
     assert!(
-        s2.sched_wait >= s1.sched_wait,
-        "queued run waited {:?}, first {:?}",
-        s2.sched_wait,
-        s1.sched_wait
+        s2.sched_wait > Duration::ZERO && s2.sched_wait <= lifetime,
+        "queued run waited {:?} of its {lifetime:?}",
+        s2.sched_wait
     );
     assert_eq!(s2.cancelled_tiles, 0);
 }

@@ -2,7 +2,7 @@
 //! right errors, at the right phase — builder, graph construction, static
 //! bounds checking, compilation, or execution — never by computing garbage.
 
-use polymage::core::{compile, CompileError, CompileOptions};
+use polymage::core::{compile, plan, CompileError, CompileOptions, Session};
 use polymage::graph::{GraphError, PipelineGraph};
 use polymage::ir::*;
 use polymage::poly::Rect;
@@ -141,6 +141,62 @@ fn zero_sized_image_rejected() {
         compile(&pipe, &CompileOptions::optimized(vec![0])),
         Err(CompileError::EmptyDomain { .. })
     ));
+}
+
+/// The executor addresses at most `MAX_INDEX_TERMS` (4) data-dependent
+/// dimensions per access; a fifth, in a read or in a reduction's target,
+/// used to panic mid-run. Every compile entry point now rejects it with a
+/// typed error naming the stage, and caches nothing.
+#[test]
+fn five_data_dependent_dims_rejected() {
+    let mut p = PipelineBuilder::new("gather5");
+    let table = p.image("T", ScalarType::Float, vec![PAff::cst(2); 5]);
+    let keys = p.image("K", ScalarType::Float, vec![PAff::cst(16)]);
+    let x = p.var("x");
+    let key = Expr::at(keys, [x + 0]);
+    let f = p.func("f", &[(x, Interval::cst(0, 15))], ScalarType::Float);
+    p.define(f, vec![Case::always(Expr::at(table, vec![key; 5]))])
+        .unwrap();
+    let read = p.finish(&[f]).unwrap();
+
+    let mut p = PipelineBuilder::new("scatter5");
+    let keys = p.image("K", ScalarType::Float, vec![PAff::cst(16)]);
+    let r = p.var("r");
+    let dims: Vec<(VarId, Interval)> = (0..5)
+        .map(|d| (p.var(format!("v{d}")), Interval::cst(0, 1)))
+        .collect();
+    let key = Expr::at(keys, [r + 0]);
+    let h = p
+        .accumulator(
+            "h",
+            &dims,
+            ScalarType::Float,
+            Accumulate {
+                red_vars: vec![r],
+                red_dom: vec![Interval::cst(0, 15)],
+                target: vec![key; 5],
+                value: Expr::Const(1.0),
+                op: Reduction::Sum,
+            },
+        )
+        .unwrap();
+    let scatter = p.finish(&[h]).unwrap();
+
+    let session = Session::with_threads(1);
+    for (pipe, stage) in [(read, "f"), (scatter, "h")] {
+        let opts = CompileOptions::optimized(vec![]);
+        let check = |e: CompileError| match e {
+            CompileError::UnsupportedAccess { func, reason } => {
+                assert_eq!(func, stage);
+                assert!(reason.contains("5"), "{reason}");
+            }
+            other => panic!("expected UnsupportedAccess({stage}), got {other:?}"),
+        };
+        check(plan(&pipe, &opts).unwrap_err());
+        check(compile(&pipe, &opts).unwrap_err());
+        check(session.compile(&pipe, &opts).unwrap_err());
+    }
+    assert_eq!((session.plan_cache_len(), session.cache_len()), (0, 0));
 }
 
 #[test]
