@@ -1,15 +1,15 @@
-//! Pooled-engine equivalence: for every benchmark, the persistent
+//! Pool-size invariance: for every benchmark, one persistent 4-worker
 //! [`Engine`] (dynamic strip scheduling, recycled buffers, reused worker
-//! threads) must produce **bit-identical** outputs to the legacy static
-//! executor (`run_program_static`, fresh threads and static `s % nthreads`
-//! strip assignment) at every thread count. The engine is reused across
-//! all benchmarks and thread counts, so buffer-pool recycling between
-//! heterogeneous programs is exercised too.
+//! threads) must produce **bit-identical** outputs to a fresh single-worker
+//! engine at the same requested thread count. `RunRequest::threads` fixes
+//! the reduction chunk boundaries; the pool size, the claim order and what
+//! the pool recycled from earlier runs must not change a bit. The shared
+//! engine is reused across all benchmarks and thread counts, so buffer-pool
+//! recycling between heterogeneous programs is exercised too.
 
 use polymage_apps::{all_benchmarks, Scale};
 use polymage_core::{compile, CompileOptions};
-use polymage_vm::{run_program_static, Engine, RunRequest};
-use std::sync::Arc;
+use polymage_vm::{Engine, RunRequest};
 
 fn bits(bufs: &[polymage_vm::Buffer]) -> Vec<Vec<u32>> {
     bufs.iter()
@@ -18,7 +18,7 @@ fn bits(bufs: &[polymage_vm::Buffer]) -> Vec<Vec<u32>> {
 }
 
 #[test]
-fn engine_matches_static_executor_bit_exact_all_benchmarks() {
+fn shared_engine_matches_single_worker_engine_bit_exact_all_benchmarks() {
     let engine = Engine::with_threads(4);
     for b in all_benchmarks(Scale::Tiny) {
         let inputs = b.make_inputs(42);
@@ -28,18 +28,19 @@ fn engine_matches_static_executor_bit_exact_all_benchmarks() {
         ] {
             let compiled =
                 compile(b.pipeline(), &opts).unwrap_or_else(|e| panic!("{}: {e}", b.name()));
-            let prog = Arc::clone(&compiled.program);
             for nthreads in [1usize, 2, 4] {
-                let legacy = run_program_static(&prog, &inputs, nthreads)
-                    .unwrap_or_else(|e| panic!("{}: static run: {e}", b.name()));
-                let pooled = engine
-                    .submit(RunRequest::new(&prog, &inputs).threads(nthreads))
+                let single = Engine::with_threads(1)
+                    .submit(RunRequest::new(&compiled.program, &inputs).threads(nthreads))
                     .and_then(|h| h.join())
-                    .unwrap_or_else(|e| panic!("{}: engine run: {e}", b.name()));
+                    .unwrap_or_else(|e| panic!("{}: single-worker run: {e}", b.name()));
+                let pooled = engine
+                    .submit(RunRequest::new(&compiled.program, &inputs).threads(nthreads))
+                    .and_then(|h| h.join())
+                    .unwrap_or_else(|e| panic!("{}: shared-engine run: {e}", b.name()));
                 assert_eq!(
-                    bits(&legacy),
+                    bits(&single),
                     bits(&pooled),
-                    "{}: engine output differs from static executor \
+                    "{}: 4-worker engine differs from a single worker \
                      (threads {nthreads}, fuse {})",
                     b.name(),
                     opts.fuse

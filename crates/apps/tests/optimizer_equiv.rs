@@ -8,7 +8,7 @@
 
 use polymage_apps::{all_benchmarks, Scale};
 use polymage_core::{compile, CompileOptions};
-use polymage_vm::{run_program, EvalMode};
+use polymage_vm::{Engine, EvalMode, RunRequest};
 
 fn bits(bufs: &[polymage_vm::Buffer]) -> Vec<Vec<u32>> {
     bufs.iter()
@@ -18,6 +18,7 @@ fn bits(bufs: &[polymage_vm::Buffer]) -> Vec<Vec<u32>> {
 
 #[test]
 fn kernel_opt_bit_exact_all_benchmarks_all_schedules() {
+    let engine = Engine::with_threads(3);
     for b in all_benchmarks(Scale::Tiny) {
         let inputs = b.make_inputs(42);
         let schedules = [
@@ -36,10 +37,12 @@ fn kernel_opt_bit_exact_all_benchmarks_all_schedules() {
             let c_on = compile(b.pipeline(), &on).unwrap_or_else(|e| panic!("{}: {e}", b.name()));
             let c_off = compile(b.pipeline(), &off).unwrap_or_else(|e| panic!("{}: {e}", b.name()));
             for threads in [1usize, 3] {
-                let got = run_program(&c_on.program, &inputs, threads)
-                    .unwrap_or_else(|e| panic!("{}: {e}", b.name()));
-                let want = run_program(&c_off.program, &inputs, threads)
-                    .unwrap_or_else(|e| panic!("{}: {e}", b.name()));
+                let [got, want] = [&c_on, &c_off].map(|c| {
+                    engine
+                        .submit(RunRequest::new(&c.program, &inputs).threads(threads))
+                        .and_then(|h| h.join())
+                        .unwrap_or_else(|e| panic!("{}: {e}", b.name()))
+                });
                 assert_eq!(
                     bits(&want),
                     bits(&got),

@@ -7,7 +7,7 @@
 
 use polymage_apps::{all_benchmarks, Scale};
 use polymage_core::{compile, CompileOptions, SimdLevel, SimdOpt};
-use polymage_vm::{run_program, run_program_stats};
+use polymage_vm::{Engine, RunRequest};
 
 fn bits(bufs: &[polymage_vm::Buffer]) -> Vec<Vec<u32>> {
     bufs.iter()
@@ -37,6 +37,7 @@ fn simd_bit_exact_all_benchmarks_all_schedules() {
         eprintln!("skipped: POLYMAGE_SIMD overrides per-compile levels");
         return;
     }
+    let engine = Engine::with_threads(4);
     for b in all_benchmarks(Scale::Tiny) {
         let inputs = b.make_inputs(42);
         let schedules = [
@@ -51,7 +52,9 @@ fn simd_bit_exact_all_benchmarks_all_schedules() {
             let want: Vec<_> = [1usize, 2, 4]
                 .map(|threads| {
                     bits(
-                        &run_program(&c_scalar.program, &inputs, threads)
+                        &engine
+                            .submit(RunRequest::new(&c_scalar.program, &inputs).threads(threads))
+                            .and_then(|h| h.join())
                             .unwrap_or_else(|e| panic!("{}: {e}", b.name())),
                     )
                 })
@@ -63,7 +66,9 @@ fn simd_bit_exact_all_benchmarks_all_schedules() {
                 assert_eq!(c.report.simd, level);
                 for (ti, threads) in [1usize, 2, 4].into_iter().enumerate() {
                     let got = bits(
-                        &run_program(&c.program, &inputs, threads)
+                        &engine
+                            .submit(RunRequest::new(&c.program, &inputs).threads(threads))
+                            .and_then(|h| h.join())
                             .unwrap_or_else(|e| panic!("{}: {e}", b.name())),
                     );
                     assert_eq!(
@@ -87,6 +92,7 @@ fn simd_bit_exact_all_benchmarks_all_schedules() {
 /// level, and the matching half of the assertion is checked twice.)
 #[test]
 fn indexed_lanes_are_all_vector_or_all_scalar() {
+    let engine = Engine::with_threads(3);
     for b in all_benchmarks(Scale::Tiny) {
         if !["Bilateral Grid", "Camera Pipeline"].contains(&b.name()) {
             continue;
@@ -96,7 +102,9 @@ fn indexed_lanes_are_all_vector_or_all_scalar() {
             let opts = CompileOptions::optimized(b.params()).with_simd(simd);
             let c = compile(b.pipeline(), &opts).unwrap_or_else(|e| panic!("{}: {e}", b.name()));
             for threads in [1usize, 3] {
-                let (_, stats) = run_program_stats(&c.program, &inputs, threads)
+                let (_, stats) = engine
+                    .submit(RunRequest::new(&c.program, &inputs).threads(threads))
+                    .and_then(|h| h.join_stats())
                     .unwrap_or_else(|e| panic!("{}: {e}", b.name()));
                 let (vector, scalar) = (stats.index_lanes_vector, stats.index_lanes_scalar);
                 assert!(vector + scalar > 0, "{}: no indexed lanes", b.name());

@@ -7,7 +7,7 @@
 
 use polymage_apps::{all_benchmarks, Scale};
 use polymage_core::{compile, CompileOptions};
-use polymage_vm::{run_program_static, Engine, RunRequest};
+use polymage_vm::{Engine, RunRequest};
 
 fn bits(bufs: &[polymage_vm::Buffer]) -> Vec<Vec<u32>> {
     bufs.iter()
@@ -18,6 +18,7 @@ fn bits(bufs: &[polymage_vm::Buffer]) -> Vec<Vec<u32>> {
 #[test]
 fn fold_on_off_bit_identical_all_benchmarks() {
     let engine = Engine::with_threads(4);
+    let single = Engine::with_threads(1);
     for b in all_benchmarks(Scale::Tiny) {
         let inputs = b.make_inputs(42);
         for base in [
@@ -34,10 +35,13 @@ fn fold_on_off_bit_identical_all_benchmarks() {
                 b.name()
             );
             // Per thread count (reduction merge order is thread-count
-            // specific): the unfolded static executor is the oracle; the
-            // engine must match it exactly with folding on and off.
+            // specific): the unfolded program on a single worker is the
+            // oracle; the 4-worker engine must match it exactly with
+            // folding on and off.
             for nthreads in [1usize, 2, 4] {
-                let oracle = run_program_static(&c_off.program, &inputs, nthreads)
+                let oracle = single
+                    .submit(RunRequest::new(&c_off.program, &inputs).threads(nthreads))
+                    .and_then(|h| h.join())
                     .unwrap_or_else(|e| panic!("{}: oracle: {e}", b.name()));
                 for (label, prog) in [("fold on", &c_on.program), ("fold off", &c_off.program)] {
                     let got = engine

@@ -25,7 +25,7 @@ use polymage_apps::unsharp::Unsharp;
 use polymage_apps::{all_benchmarks, Benchmark, Scale};
 use polymage_core::interp::interpret;
 use polymage_core::{compile, plan, CompileOptions, Compiled, DEFAULT_TILE_SIZES};
-use polymage_vm::run_program;
+use polymage_vm::{Engine, RunRequest};
 
 const THREADS: [usize; 3] = [1, 2, 4];
 
@@ -52,12 +52,16 @@ fn compile_ok(b: &dyn Benchmark, opts: &CompileOptions) -> Compiled {
 }
 
 fn run(
+    engine: &Engine,
     b: &dyn Benchmark,
     c: &Compiled,
     inputs: &[polymage_vm::Buffer],
     threads: usize,
 ) -> Vec<polymage_vm::Buffer> {
-    run_program(&c.program, inputs, threads).unwrap_or_else(|e| panic!("{}: {e}", b.name()))
+    engine
+        .submit(RunRequest::new(&c.program, inputs).threads(threads))
+        .and_then(|h| h.join())
+        .unwrap_or_else(|e| panic!("{}: {e}", b.name()))
 }
 
 /// Each app at the smallest size it accepts: 32×32, and 64×64 for
@@ -106,6 +110,7 @@ fn fixed_shapes_never_change_output_bits() {
     // Per shape: did any benchmark's optimized schedule really differ from
     // the default's? Otherwise the comparison below would be vacuous.
     let mut differs = [false; 2];
+    let engine = Engine::with_threads(4);
     for b in all_benchmarks(Scale::Tiny) {
         let inputs = b.make_inputs(42);
         // The naive interpreter diverges structurally from Bilateral
@@ -127,15 +132,15 @@ fn fixed_shapes_never_change_output_bits() {
         ];
         for (label, opts) in schedules {
             let c_default = compile_ok(b.as_ref(), &fixed_default(&opts));
-            let out_default =
-                THREADS.map(|threads| bits(&run(b.as_ref(), &c_default, &inputs, threads)));
+            let out_default = THREADS
+                .map(|threads| bits(&run(&engine, b.as_ref(), &c_default, &inputs, threads)));
             for (si, shape) in shapes.iter().enumerate() {
                 let c_shape = compile_ok(b.as_ref(), &opts.clone().with_tiles(shape.clone()));
                 if label == "opt" && tile_sizes(&c_shape) != tile_sizes(&c_default) {
                     differs[si] = true;
                 }
                 for (ti, threads) in THREADS.into_iter().enumerate() {
-                    let out_shape = run(b.as_ref(), &c_shape, &inputs, threads);
+                    let out_shape = run(&engine, b.as_ref(), &c_shape, &inputs, threads);
                     assert_eq!(
                         out_default[ti],
                         bits(&out_shape),
@@ -182,10 +187,11 @@ fn model_shapes_never_change_output_bits() {
         "the model kept the fixed shape for every group — the comparison \
          below is vacuous"
     );
+    let engine = Engine::with_threads(4);
     for threads in THREADS {
         assert_eq!(
-            bits(&run(&b, &c_fixed, &inputs, threads)),
-            bits(&run(&b, &c_model, &inputs, threads)),
+            bits(&run(&engine, &b, &c_fixed, &inputs, threads)),
+            bits(&run(&engine, &b, &c_model, &inputs, threads)),
             "model tiles changed output bits (threads {threads})"
         );
     }

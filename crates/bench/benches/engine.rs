@@ -1,15 +1,14 @@
 //! Persistent-engine throughput: frames/sec on a reused [`Engine`]
 //! (pooled workers, recycled buffers, dynamic strip scheduling) vs
-//! spawning a fresh engine per frame (what the legacy `run_program`
-//! compatibility shim does). Harris and Unsharp at Small scale — the two
-//! single-group stencil apps where per-frame fixed costs are most
+//! spawning a fresh engine per frame. Harris and Unsharp at Small scale —
+//! the two single-group stencil apps where per-frame fixed costs are most
 //! visible. Numbers go into EXPERIMENTS.md.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use polymage_apps::{harris::HarrisCorner, unsharp::Unsharp, Benchmark, Scale};
 use polymage_core::{compile, CompileOptions};
 use polymage_diag::Diag;
-use polymage_vm::{run_program, Engine, RunRequest};
+use polymage_vm::{Engine, RunRequest};
 
 fn bench_engine_reuse(c: &mut Criterion) {
     // Tiny frames are fixed-cost dominated (spawn/alloc overhead visible);
@@ -38,7 +37,13 @@ fn bench_engine_reuse(c: &mut Criterion) {
             })
         });
         g.bench_function(BenchmarkId::from_parameter("fresh-spawn"), |bench| {
-            bench.iter(|| run_program(&compiled.program, &inputs, threads).unwrap())
+            bench.iter(|| {
+                Engine::with_threads(threads)
+                    .submit(RunRequest::new(&compiled.program, &inputs))
+                    .unwrap()
+                    .join()
+                    .unwrap()
+            })
         });
         g.finish();
     }

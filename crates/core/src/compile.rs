@@ -12,7 +12,6 @@
 
 use crate::report::CompileReport;
 use crate::{CompileError, CompileOptions};
-use polymage_diag::{Diag, Value};
 use polymage_ir::Pipeline;
 use polymage_vm::Program;
 
@@ -23,8 +22,7 @@ use polymage_vm::Program;
 /// copying; `&compiled.program` still coerces to `&Program` everywhere.
 #[derive(Debug, Clone)]
 pub struct Compiled {
-    /// Executable program for a [`polymage_vm::Engine`] (or the
-    /// [`polymage_vm::run_program`] shim).
+    /// Executable program for a [`polymage_vm::Engine`].
     pub program: std::sync::Arc<Program>,
     /// Structural report (grouping, storage, overlaps).
     pub report: CompileReport,
@@ -46,40 +44,8 @@ pub struct Compiled {
 /// out-of-bounds accesses, unsupported self-references) or mismatched
 /// parameter counts.
 pub fn compile(pipe: &Pipeline, opts: &CompileOptions) -> Result<Compiled, CompileError> {
-    compile_with(pipe, opts, &Diag::noop())
-}
-
-/// [`compile`] with diagnostics: a `compile` span wrapping the `plan` span
-/// (`phase.frontend`, `phase.grouping`, `phase.lower`) and the
-/// `instantiate` span (`phase.schedule`, `phase.storage`,
-/// `phase.kernel-opt`); every candidate merge becomes a `grouping.merge`
-/// event and each bound group a `group.scheduled` event.
-pub fn compile_with(
-    pipe: &Pipeline,
-    opts: &CompileOptions,
-    diag: &Diag,
-) -> Result<Compiled, CompileError> {
     if opts.params.len() != pipe.params().len() {
         return Err(CompileError::param_mismatch(pipe, opts.params.len()));
     }
-    let compile_span = diag.begin();
-    let plan = crate::plan::plan_with(pipe, opts, diag)?;
-    let compiled = crate::instantiate::instantiate_with(&plan, &opts.params, diag)?;
-    diag.end(
-        compile_span,
-        "compile",
-        if diag.enabled() {
-            vec![
-                ("pipeline", Value::from(plan.pipeline().name())),
-                ("groups", Value::UInt(compiled.report.groups.len() as u64)),
-                (
-                    "predicted_overlap",
-                    Value::Float(compiled.report.predicted_overlap()),
-                ),
-            ]
-        } else {
-            Vec::new()
-        },
-    );
-    Ok(compiled)
+    crate::instantiate(&crate::plan(pipe, opts)?, &opts.params)
 }

@@ -3,7 +3,7 @@
 //! Evaluates every stage point-by-point into full buffers, with no fusion,
 //! tiling, or vectorization — deliberately implemented independently of the
 //! compiler's lowering so tests can use it as a semantic oracle: for every
-//! pipeline, `compile(...)` + `run_program(...)` must agree with
+//! pipeline, `compile(...)` run on an `Engine` must agree with
 //! [`interpret`] (exactly for integer paths, to small ULP bounds for
 //! float-heavy ones, since evaluation order differs).
 //!
@@ -299,7 +299,7 @@ fn flat_index(rect: &Rect, pt: &[i64]) -> usize {
 /// Interprets a pipeline directly (the testing oracle).
 ///
 /// Returns the live-out buffers in declaration order, like
-/// [`polymage_vm::run_program`].
+/// [`polymage_vm::RunHandle::join`].
 ///
 /// ```
 /// use polymage_ir::*;

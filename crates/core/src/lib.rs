@@ -50,7 +50,7 @@ pub mod tilemodel;
 mod validate;
 
 pub use cemit::emit_c;
-pub use compile::{compile, compile_with, Compiled};
+pub use compile::{compile, Compiled};
 pub use cref::{emit_c_inputs, emit_c_reference};
 pub use error::CompileError;
 pub use grouping::{group_stages, group_stages_with, Group, GroupKindTag, Grouping, MergeDecision};

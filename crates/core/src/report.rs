@@ -121,7 +121,7 @@ impl CompileReport {
     /// Pairs each group report with its measured wall-clock duration from
     /// an execution's [`polymage_vm::RunStats`] (both are in execution
     /// order). Groups beyond the shorter list are dropped, so an empty
-    /// `group_times` (e.g. from the legacy static executor) yields an
+    /// `group_times` (a run submitted with per-group stats off) yields an
     /// empty profile.
     pub fn with_timings<'a>(
         &'a self,

@@ -1,10 +1,10 @@
 //! Long-lived compile-and-run sessions: a persistent [`Engine`] plus a
 //! two-level LRU compile cache (size-independent plans × bound instances).
 //!
-//! [`compile`](crate::compile) is cheap (microseconds) but not free, and
-//! [`polymage_vm::run_program`] spins up a fresh engine per call. Code
-//! that executes pipelines repeatedly — frame loops, autotuners,
-//! benchmarks — should hold a [`Session`]: compiled programs are cached by
+//! [`compile`](crate::compile) is cheap (microseconds) but not free, and a
+//! fresh [`Engine`] spawns its worker threads. Code that executes
+//! pipelines repeatedly — frame loops, autotuners, benchmarks — should
+//! hold a [`Session`]: compiled programs are cached by
 //! a *stable content hash* of the `(Pipeline, CompileOptions)` pair, and
 //! every run reuses the session's pooled workers and recycled buffers.
 //!

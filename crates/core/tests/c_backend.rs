@@ -8,7 +8,7 @@
 use polymage_core::{compile, emit_c_inputs, emit_c_reference, CompileOptions};
 use polymage_ir::*;
 use polymage_poly::Rect;
-use polymage_vm::{run_program, Buffer};
+use polymage_vm::{Buffer, Engine, RunRequest};
 use std::process::Command;
 
 fn have_cc() -> bool {
@@ -53,14 +53,23 @@ fn run_c(pipe: &Pipeline, params: &[i64], inputs: &[Buffer]) -> Vec<f32> {
         .collect()
 }
 
-fn check_roundtrip(pipe: &Pipeline, params: Vec<i64>, inputs: &[Buffer], tol: f32) {
+fn check_roundtrip(
+    engine: &Engine,
+    pipe: &Pipeline,
+    params: Vec<i64>,
+    inputs: &[Buffer],
+    tol: f32,
+) {
     if !have_cc() {
         eprintln!("no C compiler; skipping");
         return;
     }
     let cvals = run_c(pipe, &params, inputs);
     let compiled = compile(pipe, &CompileOptions::optimized(params)).unwrap();
-    let got = run_program(&compiled.program, inputs, 2).unwrap();
+    let got = engine
+        .submit(RunRequest::new(&compiled.program, inputs))
+        .and_then(|h| h.join())
+        .unwrap();
     let vmvals: Vec<f32> = got.iter().flat_map(|b| b.data.iter().copied()).collect();
     assert_eq!(cvals.len(), vmvals.len(), "output size mismatch");
     for (i, (c, v)) in cvals.iter().zip(&vmvals).enumerate() {
@@ -112,7 +121,13 @@ fn c_backend_matches_vm_on_stencil_pipeline() {
     let pipe = p.finish(&[sharp]).unwrap();
     let input = Buffer::zeros(Rect::new(vec![(0, 40), (0, 36)]))
         .fill_with(|pt| ((pt[0] * 13 + pt[1] * 7) % 32) as f32 / 8.0);
-    check_roundtrip(&pipe, vec![41, 37], &[input], 1e-5);
+    check_roundtrip(
+        &Engine::with_threads(2),
+        &pipe,
+        vec![41, 37],
+        &[input],
+        1e-5,
+    );
 }
 
 #[test]
@@ -143,7 +158,7 @@ fn c_backend_matches_vm_on_histogram_lut() {
     let pipe = p.finish(&[out]).unwrap();
     let input = Buffer::zeros(Rect::new(vec![(0, 39), (0, 39)]))
         .fill_with(|pt| ((pt[0] * 31 + pt[1] * 17) % 64) as f32);
-    check_roundtrip(&pipe, vec![], &[input], 0.0);
+    check_roundtrip(&Engine::with_threads(2), &pipe, vec![], &[input], 0.0);
 }
 
 #[test]
@@ -178,7 +193,7 @@ fn c_backend_matches_vm_on_sampling_and_parity() {
     .unwrap();
     let pipe = p.finish(&[up]).unwrap();
     let input = Buffer::zeros(Rect::new(vec![(0, 63)])).fill_with(|pt| (pt[0] % 9) as f32 - 4.0);
-    check_roundtrip(&pipe, vec![], &[input], 0.0);
+    check_roundtrip(&Engine::with_threads(2), &pipe, vec![], &[input], 0.0);
 }
 
 #[test]
@@ -204,7 +219,7 @@ fn c_backend_matches_vm_on_time_iteration() {
     .unwrap();
     let pipe = p.finish(&[f]).unwrap();
     let input = Buffer::zeros(Rect::new(vec![(0, 31)])).fill_with(|pt| (pt[0] * pt[0] % 11) as f32);
-    check_roundtrip(&pipe, vec![], &[input], 1e-6);
+    check_roundtrip(&Engine::with_threads(2), &pipe, vec![], &[input], 1e-6);
 }
 
 /// The paper's benchmark pipelines themselves round-trip through the C
@@ -223,8 +238,15 @@ fn c_backend_matches_vm_on_benchmarks() {
         Box::new(polymage_apps::camera::CameraPipe::new(Scale::Tiny)),
         Box::new(polymage_apps::bilateral::BilateralGrid::new(Scale::Tiny)),
     ];
+    let engine = Engine::with_threads(2);
     for app in apps {
         let inputs = app.make_inputs(5);
-        check_roundtrip(app.pipeline(), app.params(), &inputs, app.tolerance());
+        check_roundtrip(
+            &engine,
+            app.pipeline(),
+            app.params(),
+            &inputs,
+            app.tolerance(),
+        );
     }
 }

@@ -7,10 +7,11 @@ use polymage_core::interp::interpret;
 use polymage_core::{compile, CompileOptions};
 use polymage_ir::*;
 use polymage_poly::Rect;
-use polymage_vm::{run_program, Buffer, EvalMode};
+use polymage_vm::{Buffer, Engine, EvalMode, RunRequest};
 
 fn check_all_configs(pipe: &Pipeline, params: Vec<i64>, inputs: &[Buffer], tol: f32) {
     let expect = interpret(pipe, &params, inputs).expect("interpreter");
+    let engine = Engine::with_threads(3);
     let configs = [
         CompileOptions::optimized(params.clone()),
         CompileOptions::optimized(params.clone()).with_mode(EvalMode::Scalar),
@@ -35,7 +36,9 @@ fn check_all_configs(pipe: &Pipeline, params: Vec<i64>, inputs: &[Buffer], tol: 
         let compiled = compile(pipe, opts)
             .unwrap_or_else(|e| panic!("config {ci} failed to compile {}: {e}", pipe.name()));
         for threads in [1, 3] {
-            let got = run_program(&compiled.program, inputs, threads)
+            let got = engine
+                .submit(RunRequest::new(&compiled.program, inputs).threads(threads))
+                .and_then(|h| h.join())
                 .unwrap_or_else(|e| panic!("config {ci} run: {e}"));
             assert_eq!(got.len(), expect.len());
             for (o, (g, w)) in got.iter().zip(&expect).enumerate() {

@@ -9,7 +9,7 @@ use polymage_core::interp::interpret;
 use polymage_core::{compile, CompileOptions};
 use polymage_ir::*;
 use polymage_poly::Rect;
-use polymage_vm::{run_program, Buffer, EvalMode};
+use polymage_vm::{Buffer, Engine, EvalMode, RunRequest};
 use proptest::prelude::*;
 
 /// A two-stage pipeline: a 3×3 border-guarded stencil with the given
@@ -103,6 +103,7 @@ proptest! {
         let input = noise_image(Rect::new(vec![(0, rr + 1), (0, cc + 1)]), seed);
         let inputs = [input];
         let expect = interpret(&pipe, &params, &inputs).expect("interpreter");
+        let engine = Engine::with_threads(1);
         let schedules = [
             CompileOptions::base(params.clone()).with_mode(EvalMode::Scalar),
             CompileOptions::optimized(params.clone()).with_mode(EvalMode::Scalar),
@@ -112,8 +113,12 @@ proptest! {
             let off = on.clone().with_kernel_opt(false);
             let c_on = compile(&pipe, on).expect("compile on");
             let c_off = compile(&pipe, &off).expect("compile off");
-            let o_on = run_program(&c_on.program, &inputs, 1).expect("run on");
-            let o_off = run_program(&c_off.program, &inputs, 1).expect("run off");
+            let [o_on, o_off] = [&c_on, &c_off].map(|c| {
+                engine
+                    .submit(RunRequest::new(&c.program, &inputs))
+                    .and_then(|h| h.join())
+                    .expect("run")
+            });
             for (b_on, (b_off, b_ref)) in
                 o_on.iter().zip(o_off.iter().zip(&expect))
             {

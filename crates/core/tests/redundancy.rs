@@ -6,7 +6,7 @@
 use polymage_core::{compile, CompileOptions};
 use polymage_ir::*;
 use polymage_poly::{group_overlap, solve_alignment, Rect};
-use polymage_vm::{run_program_stats, Buffer};
+use polymage_vm::{Buffer, Engine, RunRequest};
 
 /// A chain of `depth` 3×3 box stencils over an `n × n` image.
 fn chain(depth: usize, n: i64) -> Pipeline {
@@ -43,6 +43,7 @@ fn measured_redundancy_matches_predicted_overlap() {
     let depth = 4;
     let n = 512i64;
     let pipe = chain(depth, n);
+    let engine = Engine::with_threads(2);
     for tiles in [vec![32i64, 64], vec![64, 128], vec![32, 256]] {
         let mut opts = CompileOptions::optimized(vec![]);
         opts.tiles = polymage_core::TileSpec::Fixed(tiles.clone());
@@ -59,7 +60,10 @@ fn measured_redundancy_matches_predicted_overlap() {
         // measured: every computed point vs the useful domain volumes
         let input = Buffer::zeros(Rect::new(vec![(0, n - 1), (0, n - 1)]))
             .fill_with(|p| ((p[0] + p[1]) % 7) as f32);
-        let (_, stats) = run_program_stats(&compiled.program, &[input], 2).unwrap();
+        let (_, stats) = engine
+            .submit(RunRequest::new(&compiled.program, &[input]))
+            .and_then(|h| h.join_stats())
+            .unwrap();
         let useful: i64 = pipe
             .func_ids()
             .map(|f| {
@@ -102,7 +106,10 @@ fn base_schedule_has_no_redundancy() {
     let pipe = chain(3, 256);
     let compiled = compile(&pipe, &CompileOptions::base(vec![])).unwrap();
     let input = Buffer::zeros(Rect::new(vec![(0, 255), (0, 255)])).fill_with(|p| (p[0] % 5) as f32);
-    let (_, stats) = run_program_stats(&compiled.program, &[input], 2).unwrap();
+    let (_, stats) = Engine::with_threads(2)
+        .submit(RunRequest::new(&compiled.program, &[input]))
+        .and_then(|h| h.join_stats())
+        .unwrap();
     let useful: u64 = pipe
         .func_ids()
         .map(|f| {

@@ -9,7 +9,7 @@ use polymage_core::interp::interpret;
 use polymage_core::{compile, CompileOptions};
 use polymage_ir::*;
 use polymage_poly::Rect;
-use polymage_vm::{run_program, Buffer, EvalMode};
+use polymage_vm::{Buffer, Engine, EvalMode, RunRequest};
 use proptest::prelude::*;
 
 /// A depth-`k` chain of 3-point vertical stencils over a border-guarded
@@ -88,6 +88,7 @@ proptest! {
         let input = noise_image(Rect::new(vec![(0, rr + 1), (0, cc + 1)]), seed);
         let inputs = [input];
         let expect = interpret(&pipe, &params, &inputs).expect("interpreter");
+        let engine = Engine::with_threads(3);
         let schedules = [
             CompileOptions::optimized(params.clone()).with_mode(EvalMode::Scalar),
             CompileOptions::optimized(params.clone()),
@@ -108,8 +109,12 @@ proptest! {
                 "folding raised the peak estimate"
             );
             for threads in [1usize, 3] {
-                let o_on = run_program(&c_on.program, &inputs, threads).expect("run on");
-                let o_off = run_program(&c_off.program, &inputs, threads).expect("run off");
+                let [o_on, o_off] = [&c_on, &c_off].map(|c| {
+                    engine
+                        .submit(RunRequest::new(&c.program, &inputs).threads(threads))
+                        .and_then(|h| h.join())
+                        .expect("run")
+                });
                 for (b_on, (b_off, b_ref)) in
                     o_on.iter().zip(o_off.iter().zip(&expect))
                 {

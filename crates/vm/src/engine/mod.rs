@@ -51,14 +51,14 @@
 //!
 //! # Determinism
 //!
-//! Results are bit-identical to the static executor
-//! ([`run_program_static`](crate::run_program_static)) for any thread
-//! count, any pool size, and any number of concurrent runs. Strips write
-//! disjoint slabs stitched by position (claim order cannot matter),
-//! scratch arenas are re-zeroed exactly like fresh allocations, and
-//! reduction partials use the requested thread count's chunk boundaries
-//! and are combined in ascending chunk order regardless of which worker
-//! computed them. Nothing a run computes ever reads another run's state.
+//! A run is bit-identical to a single-worker run with the same
+//! [`threads(n)`](RunRequest::threads), whatever the pool size, the claim
+//! order, or the number of concurrent runs. Strips write disjoint slabs
+//! stitched by position (claim order cannot matter), scratch arenas are
+//! re-zeroed exactly like fresh allocations, and reduction partials use
+//! the chunk boundaries of `n` (not of the pool) and are combined in
+//! ascending chunk order regardless of which worker computed them. Nothing
+//! a run computes ever reads another run's state.
 
 mod policy;
 mod run;
@@ -126,8 +126,8 @@ impl<'a> RunRequest<'a> {
     }
 
     /// Run as if the engine had `n` workers: reductions chunk for `n` and
-    /// at most `min(n, pool size)` pooled workers participate, keeping
-    /// results bit-identical to a dedicated `n`-thread engine.
+    /// at most `min(n, pool size)` pooled workers participate. The result
+    /// is bit-identical to a single-worker run with the same `n`.
     pub fn threads(mut self, n: usize) -> RunRequest<'a> {
         self.threads = Some(n.max(1));
         self

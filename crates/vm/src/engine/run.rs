@@ -114,8 +114,8 @@ pub(super) type Outcome = (Result<Vec<Buffer>, VmError>, RunStats);
 pub(super) struct RunContext {
     pub run_id: u64,
     pub prog: Arc<Program>,
-    /// Requested thread count: fixes reduction chunk boundaries so results
-    /// stay bit-identical to `run_program_static(.., req_threads)`.
+    /// Requested thread count: fixes reduction chunk boundaries, so the
+    /// result is bit-identical to a single-worker run with the same count.
     req_threads: usize,
     /// Per buffer: provably overwritten in full before being read, so its
     /// (lazy or eager) acquisition may skip the zero-fill.
@@ -331,7 +331,7 @@ fn advance_inner(shared: &Shared, run: &Arc<RunContext>, finalize: bool) {
                     // Single sweep straight into the output; no combine
                     // step (and no `0.0 + -0.0` rounding artifacts from
                     // merging partials).
-                    execute_reduction(prog, red, &mut st.fulls, 1)
+                    execute_reduction(prog, red, &mut st.fulls)
                 } else {
                     let identity = red.op.identity() as f32;
                     st.red_out = std::mem::take(&mut st.fulls[red.out.0]);
@@ -388,9 +388,9 @@ fn publish(shared: &Shared, run: &RunContext, task: Task, unit_tiles: Vec<u64>) 
 }
 
 /// Outer-dimension chunks of a parallel reduction, or none when a single
-/// sweep does. Same rule as the static executor (based on the *requested*
-/// thread count, not pool size), so partial boundaries — and therefore
-/// float combine order — match `run_program_static` for that count.
+/// sweep does. Based on the *requested* thread count, not the pool size,
+/// so partial boundaries — and therefore float combine order — are those
+/// of a single-worker run with the same count.
 fn reduction_chunks((rlo, rhi): (i64, i64), req_threads: usize) -> Vec<(i64, i64)> {
     let total = (rhi - rlo + 1).max(0);
     let nth = req_threads.min(total.max(1) as usize).max(1);
@@ -405,8 +405,8 @@ fn reduction_chunks((rlo, rhi): (i64, i64), req_threads: usize) -> Vec<(i64, i64
 }
 
 /// Combines a drained reduction's partials into its output, in ascending
-/// chunk order — the order the static executor joins its threads — for
-/// bit-identical float results.
+/// chunk order whichever worker finished first, for bit-identical float
+/// results.
 fn combine_partials(shared: &Shared, red: &crate::ReductionExec, st: &mut RunState) {
     if st.red_parts.iter().any(Option::is_none) {
         st.failed = Some(VmError::Internal("reduction chunk lost".into()));

@@ -10,17 +10,9 @@ use std::time::{Duration, Instant};
 use super::policy::{self, ClaimKind};
 use super::run::{advance, ReduceTask, RunContext, RunState, Task, TiledTask};
 use super::{lock, panic_error, wait_on, Shared};
-use crate::exec::{reduction_views, row_size, run_tile, sweep_reduction, LocalStats, Slab};
+use crate::exec::{reduction_views, row_size, run_tile, sweep_reduction, LocalStats, SlabPart};
 use crate::pool::BufferPool;
-use crate::{BufId, GroupKind, RegFile};
-
-/// One computed slab of a written full buffer (pool-backed).
-struct SlabPart {
-    stage: usize,
-    buf: BufId,
-    row_lo: i64,
-    data: Vec<f32>,
-}
+use crate::{GroupKind, RegFile};
 
 /// Per-worker, per-run execution state: the scratch arena for the run's
 /// current tiled group and a persistent register file. Keyed by `run_id`
@@ -274,36 +266,26 @@ fn run_strip(
         }
     }
     let mut stats = LocalStats::default();
-    {
-        let mut slabs: Vec<Slab<'_>> = parts
-            .iter_mut()
-            .map(|p| Slab {
-                stage: p.stage,
-                row_lo: p.row_lo,
-                data: p.data.as_mut_slice(),
-            })
-            .collect();
-        let tiles = &task.tiles_by_strip[strip];
-        for (n, &ti) in tiles.iter().enumerate() {
-            // Tile-boundary cancellation point: the finest-grained check.
-            // A cancelled strip merges what it computed (the run's result
-            // is discarded anyway) and reports the tiles it abandoned.
-            if run.cancel_reason().is_some() {
-                stats.cancelled_tiles += (tiles.len() - n) as u64;
-                break;
-            }
-            stats.tiles += 1;
-            run_tile(
-                prog,
-                tg,
-                &tg.tiles[ti],
-                &read_refs,
-                &mut slabs,
-                &mut ws.arena,
-                &mut ws.regs,
-                &mut stats,
-            );
+    let tiles = &task.tiles_by_strip[strip];
+    for (n, &ti) in tiles.iter().enumerate() {
+        // Tile-boundary cancellation point: the finest-grained check.
+        // A cancelled strip merges what it computed (the run's result is
+        // discarded anyway) and reports the tiles it abandoned.
+        if run.cancel_reason().is_some() {
+            stats.cancelled_tiles += (tiles.len() - n) as u64;
+            break;
         }
+        stats.tiles += 1;
+        run_tile(
+            prog,
+            tg,
+            &tg.tiles[ti],
+            &read_refs,
+            &mut parts,
+            &mut ws.arena,
+            &mut ws.regs,
+            &mut stats,
+        );
     }
     stats.eval = ws.regs.take_counters();
     (parts, stats)

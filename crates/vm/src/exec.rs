@@ -1,10 +1,11 @@
-//! The parallel executor: tiled groups, reductions, sequential scans.
+//! What the engine's workers execute: one overlapped tile, one sweep of a
+//! reduction domain, one sequential scan. Scheduling lives in `engine`.
 
 use crate::eval::{eval_kernel, BufView, ChunkCtx};
 use crate::index::{IndexPlan, RegTerm};
 use crate::{
-    BufDecl, BufId, Buffer, CaseExec, EvalMode, GroupKind, Program, ReductionExec, RegFile,
-    SeqExec, StageExec, TiledGroup, VmError, CHUNK,
+    BufDecl, BufId, Buffer, CaseExec, EvalMode, Program, ReductionExec, RegFile, SeqExec,
+    StageExec, TiledGroup, VmError, CHUNK,
 };
 use polymage_poly::Rect;
 
@@ -15,10 +16,8 @@ use polymage_poly::Rect;
 /// of stage domain volumes measures the *actual* redundancy, which tests
 /// check against the §3.4 analysis' prediction.
 ///
-/// `group_times` attributes wall-clock time to groups (in execution order);
-/// it is populated by [`crate::Engine`] runs and left empty by the legacy
-/// static executor — as are the per-worker and evaluator-cache fields
-/// below, which only engine runs collect.
+/// `group_times` attributes wall-clock time to groups (in execution order)
+/// unless the run was submitted with per-group stats off.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Overlapped tiles executed.
@@ -42,7 +41,7 @@ pub struct RunStats {
     /// `i`-th distinct pooled worker (in first-claim order) that executed
     /// work for this run, not a pool-wide worker id. At most `effective`
     /// distinct workers ever join one run, so trailing slots of lightly
-    /// parallel runs stay zero. The sum equals `tiles` for engine runs.
+    /// parallel runs stay zero. The sum equals `tiles`.
     pub worker_tiles: Vec<u64>,
     /// Busy wall-clock per participating worker (time spent inside strip
     /// and reduction-chunk execution), indexed like [`RunStats::worker_tiles`].
@@ -63,16 +62,14 @@ pub struct RunStats {
     /// `SimdLevel::Scalar` path, or an offset range the pipeline could not
     /// prove in bounds).
     pub index_lanes_scalar: u64,
-    /// Full buffers returned to the pool before run completion (engine
-    /// runs under a narrowed [`crate::StoragePlan`]; 0 on the static path
-    /// and for run-scoped plans).
+    /// Full buffers returned to the pool before run completion (runs under
+    /// a narrowed [`crate::StoragePlan`]; 0 for run-scoped plans).
     pub early_releases: u64,
-    /// Peak bytes of this run's full buffers resident at once (engine
-    /// runs; 0 on the static path).
+    /// Peak bytes of this run's full buffers resident at once.
     pub peak_full_bytes: u64,
-    /// Time between submission and the first worker picking the run up
-    /// (engine runs; zero on the static path). Under load this is the
-    /// scheduling delay the run's priority/deadline bought — or cost — it.
+    /// Time between submission and the first worker picking the run up.
+    /// Under load this is the scheduling delay the run's priority/deadline
+    /// bought — or cost — it.
     pub sched_wait: std::time::Duration,
     /// Tiles (or reduction chunks) the run skipped because it was
     /// cancelled: claims never granted after the cancel signal plus the
@@ -88,101 +85,6 @@ impl RunStats {
         let total = self.uniform_hits + self.uniform_misses;
         (total > 0).then(|| self.uniform_hits as f64 / total as f64)
     }
-}
-
-#[derive(Default)]
-struct StatCells {
-    tiles: std::sync::atomic::AtomicU64,
-    chunks: std::sync::atomic::AtomicU64,
-    points: std::sync::atomic::AtomicU64,
-}
-
-use std::sync::atomic::Ordering::Relaxed;
-
-/// Runs a compiled program on the given input images.
-///
-/// `nthreads` is the number of worker threads for tiled groups and
-/// reductions (the paper's core count). The returned buffers are the
-/// program's live-outs, in [`Program::outputs`] order.
-///
-/// This is a compatibility shim: it builds a one-shot [`crate::Engine`]
-/// with `nthreads` pooled workers and runs the program through it. Code
-/// that executes a program more than once should hold a long-lived
-/// [`crate::Engine`] (or a `polymage_core::Session`) instead, so worker
-/// threads, scratch arenas, and buffers are reused across runs.
-///
-/// # Errors
-///
-/// Returns [`VmError`] when the inputs do not match the program's images or
-/// an internal invariant is violated.
-pub fn run_program(
-    prog: &Program,
-    inputs: &[Buffer],
-    nthreads: usize,
-) -> Result<Vec<Buffer>, VmError> {
-    let engine = crate::Engine::with_threads(nthreads.max(1));
-    let prog = std::sync::Arc::new(prog.clone());
-    engine.submit(crate::RunRequest::new(&prog, inputs))?.join()
-}
-
-/// Like [`run_program`], additionally returning execution statistics.
-///
-/// # Errors
-///
-/// Same conditions as [`run_program`].
-pub fn run_program_stats(
-    prog: &Program,
-    inputs: &[Buffer],
-    nthreads: usize,
-) -> Result<(Vec<Buffer>, RunStats), VmError> {
-    let engine = crate::Engine::with_threads(nthreads.max(1));
-    let prog = std::sync::Arc::new(prog.clone());
-    engine
-        .submit(crate::RunRequest::new(&prog, inputs))?
-        .join_stats()
-}
-
-/// Runs a program with the legacy static executor: per-group scoped
-/// threads and a fixed `strip % nthreads` assignment.
-///
-/// Kept as the reference implementation — the pooled [`crate::Engine`] is
-/// required to be bit-identical to this path (the equivalence suite in
-/// `crates/apps` asserts it), and tests use it as the differential oracle.
-///
-/// # Errors
-///
-/// Same conditions as [`run_program`].
-pub fn run_program_static(
-    prog: &Program,
-    inputs: &[Buffer],
-    nthreads: usize,
-) -> Result<Vec<Buffer>, VmError> {
-    run_inner(prog, inputs, nthreads, None)
-}
-
-/// Like [`run_program_static`], additionally returning execution
-/// statistics (with empty `group_times`; the static path does not time
-/// groups).
-///
-/// # Errors
-///
-/// Same conditions as [`run_program`].
-pub fn run_program_static_stats(
-    prog: &Program,
-    inputs: &[Buffer],
-    nthreads: usize,
-) -> Result<(Vec<Buffer>, RunStats), VmError> {
-    let cells = StatCells::default();
-    let out = run_inner(prog, inputs, nthreads, Some(&cells))?;
-    Ok((
-        out,
-        RunStats {
-            tiles: cells.tiles.load(Relaxed),
-            chunks: cells.chunks.load(Relaxed),
-            points_computed: cells.points.load(Relaxed),
-            ..RunStats::default()
-        },
-    ))
 }
 
 /// Checks that `inputs` matches the program's declared images (count and
@@ -206,43 +108,6 @@ pub(crate) fn validate_inputs(prog: &Program, inputs: &[Buffer]) -> Result<(), V
         }
     }
     Ok(())
-}
-
-fn run_inner(
-    prog: &Program,
-    inputs: &[Buffer],
-    nthreads: usize,
-    stats: Option<&StatCells>,
-) -> Result<Vec<Buffer>, VmError> {
-    let nthreads = nthreads.max(1);
-    validate_inputs(prog, inputs)?;
-    // Allocate full buffers; scratch entries stay empty (they live in
-    // per-thread arenas).
-    let mut fulls: Vec<Vec<f32>> = prog
-        .buffers
-        .iter()
-        .map(|b| match b.kind {
-            crate::BufKind::Full => vec![0.0f32; b.len()],
-            crate::BufKind::Scratch => Vec::new(),
-        })
-        .collect();
-    for (&b, input) in prog.image_bufs.iter().zip(inputs) {
-        fulls[b.0].copy_from_slice(&input.data);
-    }
-
-    for group in &prog.groups {
-        match &group.kind {
-            GroupKind::Tiled(tg) => execute_tiled(prog, tg, &mut fulls, nthreads, stats)?,
-            GroupKind::Reduction(red) => execute_reduction(prog, red, &mut fulls, nthreads)?,
-            GroupKind::Sequential(seq) => execute_seq(prog, seq, &mut fulls)?,
-        }
-    }
-
-    Ok(prog
-        .outputs
-        .iter()
-        .map(|(_, b)| Buffer::from_vec(decl_rect(&prog.buffers[b.0]), fulls[b.0].clone()))
-        .collect())
 }
 
 pub(crate) fn decl_rect(decl: &BufDecl) -> Rect {
@@ -502,11 +367,14 @@ fn store_lanes(
     }
 }
 
-/// A slab of a full buffer owned by one strip: rows `[row_lo, row_hi]`.
-pub(crate) struct Slab<'a> {
+/// One strip's slab of a full buffer written by stage `stage` of a tiled
+/// group: whole rows of dimension 0 starting at `row_lo` (pool-backed; the
+/// engine stitches it into the buffer by position).
+pub(crate) struct SlabPart {
     pub(crate) stage: usize,
+    pub(crate) buf: BufId,
     pub(crate) row_lo: i64,
-    pub(crate) data: &'a mut [f32],
+    pub(crate) data: Vec<f32>,
 }
 
 /// The full buffers a tiled group writes, as `(stage index, buffer)` pairs.
@@ -575,135 +443,7 @@ pub(crate) fn row_size(decl: &BufDecl) -> i64 {
     }
 }
 
-fn execute_tiled(
-    prog: &Program,
-    tg: &TiledGroup,
-    fulls: &mut [Vec<f32>],
-    nthreads: usize,
-    stats: Option<&StatCells>,
-) -> Result<(), VmError> {
-    // Which full buffers this group writes, by stage.
-    let written = written_stages(tg)?;
-    let (strip_rows, tiles_by_strip) = strip_layout(tg);
-
-    // Split written buffers out of `fulls`; everything else is read-only.
-    let writes: std::collections::HashMap<usize, usize> =
-        written.iter().map(|&(k, b)| (b.0, k)).collect();
-    let mut read_refs: Vec<Option<&[f32]>> = vec![None; fulls.len()];
-    let mut writers: Vec<(usize, BufId, &mut Vec<f32>)> = Vec::new();
-    for (i, v) in fulls.iter_mut().enumerate() {
-        if let Some(&k) = writes.get(&i) {
-            writers.push((k, BufId(i), v));
-        } else {
-            read_refs[i] = Some(&v[..]);
-        }
-    }
-
-    // Partition each written buffer into per-strip slabs.
-    let mut slabs_per_strip: Vec<Vec<Slab<'_>>> = Vec::with_capacity(tg.nstrips);
-    for _ in 0..tg.nstrips {
-        slabs_per_strip.push(Vec::new());
-    }
-    for (k, b, buf) in writers {
-        let decl = &prog.buffers[b.0];
-        let rsz = row_size(decl);
-        let mut rest: &mut [f32] = buf.as_mut_slice();
-        let mut consumed = 0i64; // rows consumed so far (relative to origin)
-        for s in 0..tg.nstrips {
-            let Some((lo, hi)) = strip_rows[k][s] else {
-                continue;
-            };
-            let start_row = lo - decl.origin[0];
-            if start_row < consumed {
-                return Err(VmError::Internal(format!(
-                    "strip rows overlap for stage {k} (`{}`)",
-                    tg.stages[k].name
-                )));
-            }
-            let skip = ((start_row - consumed) * rsz) as usize;
-            let take = ((hi - lo + 1) * rsz) as usize;
-            let (_, r) = rest.split_at_mut(skip);
-            let (slab, r2) = r.split_at_mut(take);
-            rest = r2;
-            consumed = start_row + (hi - lo + 1);
-            slabs_per_strip[s].push(Slab {
-                stage: k,
-                row_lo: lo,
-                data: slab,
-            });
-        }
-    }
-
-    // Distribute strips round-robin over workers.
-    let mut tasks: Vec<Vec<(usize, Vec<Slab<'_>>)>> = Vec::with_capacity(nthreads);
-    for _ in 0..nthreads {
-        tasks.push(Vec::new());
-    }
-    for (s, slabs) in slabs_per_strip.into_iter().enumerate() {
-        tasks[s % nthreads].push((s, slabs));
-    }
-
-    let read_refs = &read_refs; // shared across workers
-    let tiles_by_strip = &tiles_by_strip;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for task in tasks {
-            if task.is_empty() {
-                continue;
-            }
-            handles.push(scope.spawn(move || {
-                worker_strips(prog, tg, read_refs, tiles_by_strip, task, stats);
-            }));
-        }
-        for h in handles {
-            h.join().expect("worker panicked");
-        }
-    });
-    Ok(())
-}
-
-/// Process-wide pool for the static path's per-thread scratch arenas, so
-/// repeated one-shot runs stop re-allocating what the engine already pools.
-pub(crate) fn static_arena_pool() -> &'static crate::SharedPool {
-    static POOL: std::sync::OnceLock<crate::SharedPool> = std::sync::OnceLock::new();
-    POOL.get_or_init(crate::SharedPool::new)
-}
-
-/// Processes a set of strips (with their slabs) on one worker thread.
-fn worker_strips(
-    prog: &Program,
-    tg: &TiledGroup,
-    read_refs: &[Option<&[f32]>],
-    tiles_by_strip: &[Vec<usize>],
-    mut task: Vec<(usize, Vec<Slab<'_>>)>,
-    stats: Option<&StatCells>,
-) {
-    // Per-thread packed scratch arena (one slot range per non-direct
-    // stage), pooled across runs. `acquire_zeroed` matches a fresh
-    // zero-filled allocation bit-for-bit.
-    let mut arena = static_arena_pool().acquire_zeroed(tg.slots.arena_len);
-    let mut regs = RegFile::new();
-    regs.set_simd(prog.simd);
-
-    let mut local = LocalStats::default();
-    for (strip, slabs) in task.iter_mut() {
-        for &ti in &tiles_by_strip[*strip] {
-            let tile = &tg.tiles[ti];
-            local.tiles += 1;
-            run_tile(
-                prog, tg, tile, read_refs, slabs, &mut arena, &mut regs, &mut local,
-            );
-        }
-    }
-    static_arena_pool().release(arena);
-    if let Some(cells) = stats {
-        cells.tiles.fetch_add(local.tiles, Relaxed);
-        cells.chunks.fetch_add(local.chunks, Relaxed);
-        cells.points.fetch_add(local.points, Relaxed);
-    }
-}
-
-/// Per-worker counters, flushed to the coordinator once per group.
+/// Per-worker counters, merged into the run's statistics once per unit.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct LocalStats {
     pub(crate) tiles: u64,
@@ -721,7 +461,7 @@ pub(crate) fn run_tile(
     tg: &TiledGroup,
     tile: &crate::TileWork,
     read_refs: &[Option<&[f32]>],
-    slabs: &mut [Slab<'_>],
+    slabs: &mut [SlabPart],
     arena: &mut [f32],
     regs: &mut RegFile,
     local: &mut LocalStats,
@@ -755,7 +495,7 @@ pub(crate) fn run_tile(
                 prog.mode,
                 &views,
                 regs,
-                slabs[si].data,
+                &mut slabs[si].data,
                 &origin,
                 &decl.strides(),
                 local,
@@ -809,7 +549,7 @@ pub(crate) fn run_tile(
                             target,
                             decl,
                             region,
-                            slabs[si].data,
+                            &mut slabs[si].data,
                             fdecl,
                             slabs[si].row_lo,
                             store,
@@ -922,13 +662,13 @@ fn copy_region(
     });
 }
 
+/// Sweeps a whole reduction domain straight into its output, in one
+/// chunk (multi-chunk reductions go through the engine's partials).
 pub(crate) fn execute_reduction(
     prog: &Program,
     red: &ReductionExec,
     fulls: &mut [Vec<f32>],
-    nthreads: usize,
 ) -> Result<(), VmError> {
-    let decl = &prog.buffers[red.out.0];
     let identity = red.op.identity() as f32;
 
     // Views: everything the kernel reads (never its own output).
@@ -944,50 +684,17 @@ pub(crate) fn execute_reduction(
     out_vec.fill(identity);
 
     let views = reduction_views(prog, red, &read_refs);
-
-    // Split the reduction domain's outer dimension across threads.
-    let (rlo, rhi) = red.red_dom.range(0);
-    let total = (rhi - rlo + 1).max(0);
-    let nth = nthreads.min(total.max(1) as usize).max(1);
-    if nth == 1 {
-        let mut regs = RegFile::new();
-        sweep_reduction(prog, red, &views, &red.red_dom, &mut out_vec, &mut regs);
-    } else {
-        let chunk = total.div_euclid(nth as i64) + 1;
-        let mut partials: Vec<Vec<f32>> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..nth {
-                let lo = rlo + t as i64 * chunk;
-                let hi = (lo + chunk - 1).min(rhi);
-                if lo > hi {
-                    continue;
-                }
-                let views = &views;
-                let sz = out_vec.len();
-                handles.push(scope.spawn(move || {
-                    let mut part = vec![identity; sz];
-                    let mut dom = red.red_dom.clone();
-                    *dom.range_mut(0) = (lo, hi);
-                    sweep_reduction(prog, red, views, &dom, &mut part, &mut RegFile::new());
-                    part
-                }));
-            }
-            for h in handles {
-                partials.push(h.join().expect("reduction worker panicked"));
-            }
-        });
-        for part in partials {
-            for (o, p) in out_vec.iter_mut().zip(part) {
-                *o = red.op.combine(*o as f64, p as f64) as f32;
-            }
-        }
-    }
-
+    sweep_reduction(
+        prog,
+        red,
+        &views,
+        &red.red_dom,
+        &mut out_vec,
+        &mut RegFile::new(),
+    );
     fix_untouched_identities(red.op, identity, &mut out_vec);
 
     fulls[red.out.0] = out_vec;
-    let _ = decl;
     Ok(())
 }
 

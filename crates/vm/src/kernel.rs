@@ -208,6 +208,8 @@ impl Op {
 
     /// Calls `f` on every source register, including data-dependent load
     /// index registers.
+    // Inlined: the evaluator calls it once per lane-varying op per chunk.
+    #[inline]
     pub fn for_each_src(&self, mut f: impl FnMut(RegId)) {
         match self {
             Op::ConstF { .. } | Op::CoordF { .. } => {}

@@ -48,9 +48,7 @@ pub use buffer::{BufDecl, BufId, BufKind, Buffer};
 pub use engine::{CancelToken, Engine, OverloadPolicy, Priority, RunHandle, RunRequest};
 pub use error::{CancelReason, VmError};
 pub use eval::{eval_kernel, BufView, ChunkCtx, EvalCounters, RegFile, CHUNK};
-pub use exec::{
-    run_program, run_program_static, run_program_static_stats, run_program_stats, RunStats,
-};
+pub use exec::RunStats;
 pub use index::MAX_TERMS as MAX_INDEX_TERMS;
 pub use kernel::{BinF, CmpF, IdxPlan, Kernel, Op, OptMeta, RegId, UnF};
 pub use loadclass::{LoadClass, LoadHistogram};

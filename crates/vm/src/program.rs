@@ -290,8 +290,8 @@ pub enum GroupKind {
 
 /// A fully compiled, concrete (parameter-substituted) pipeline program.
 ///
-/// Produced by `polymage-core`'s compiler; executed with
-/// [`crate::run_program`].
+/// Produced by `polymage-core`'s compiler; executed by submitting a
+/// [`crate::RunRequest`] to an [`crate::Engine`].
 #[derive(Debug, Clone)]
 pub struct Program {
     /// Pipeline name.

@@ -116,6 +116,14 @@ fn engine_survives_worker_panics() {
     let input =
         Buffer::zeros(Rect::new(vec![(0, 63)])).fill_with(|p| ((p[0] * 31 + 7) % 13) as f32);
     let inputs = std::slice::from_ref(&input);
+    // The oracle: `good` on an engine no panic ever touches.
+    let fresh = Engine::with_threads(2);
+    let oracle = |threads| {
+        fresh
+            .submit(RunRequest::new(&good, inputs).threads(threads))
+            .and_then(|h| h.join())
+            .unwrap()
+    };
 
     // The poisoned run fails with a clean error, not a hang or abort.
     let err = engine
@@ -132,15 +140,14 @@ fn engine_survives_worker_panics() {
     }
 
     // The same engine instance completes subsequent runs, bit-identical
-    // to the static oracle — pool not wedged, no poisoned-lock fallout.
+    // to a fresh engine's — pool not wedged, no poisoned-lock fallout.
     for threads in [1, 2] {
-        let oracle = run_program_static(&good, inputs, threads).unwrap();
         let got = engine
             .submit(RunRequest::new(&good, inputs).threads(threads))
             .unwrap()
             .join()
             .unwrap();
-        assert_eq!(bits(&oracle), bits(&got), "threads {threads}");
+        assert_eq!(bits(&oracle(threads)), bits(&got), "threads {threads}");
     }
 
     // Panics stay survivable, run after run.
@@ -150,13 +157,12 @@ fn engine_survives_worker_panics() {
         .join()
         .unwrap_err();
     assert!(matches!(err2, VmError::Internal(_)));
-    let oracle = run_program_static(&good, inputs, 2).unwrap();
     let got = engine
         .submit(RunRequest::new(&good, inputs))
         .unwrap()
         .join()
         .unwrap();
-    assert_eq!(bits(&oracle), bits(&got));
+    assert_eq!(bits(&oracle(2)), bits(&got));
 }
 
 #[test]
@@ -168,7 +174,10 @@ fn panicked_run_fails_while_concurrent_run_completes() {
     let bad = Arc::new(program(true));
     let input = Buffer::zeros(Rect::new(vec![(0, 63)])).fill_with(|p| (p[0] % 9) as f32);
     let inputs = std::slice::from_ref(&input);
-    let oracle = run_program_static(&good, inputs, 2).unwrap();
+    let oracle = Engine::with_threads(2)
+        .submit(RunRequest::new(&good, inputs))
+        .and_then(|h| h.join())
+        .unwrap();
 
     for _ in 0..8 {
         let h_bad = engine.submit(RunRequest::new(&bad, inputs)).unwrap();
@@ -193,7 +202,12 @@ fn join_never_strands_a_run() {
         let prog = Arc::new(program(false));
         let input = Buffer::zeros(Rect::new(vec![(0, 63)])).fill_with(|p| (p[0] % 7) as f32);
         let inputs = std::slice::from_ref(&input);
-        let want = bits(&run_program_static(&prog, inputs, 1).unwrap());
+        let want = bits(
+            &Engine::with_threads(1)
+                .submit(RunRequest::new(&prog, inputs))
+                .and_then(|h| h.join())
+                .unwrap(),
+        );
         for _ in 0..2_000 {
             let handle = engine.submit(RunRequest::new(&prog, inputs)).unwrap();
             while !handle.is_finished() {

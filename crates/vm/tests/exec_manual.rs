@@ -8,6 +8,7 @@
 use polymage_ir::Reduction;
 use polymage_poly::Rect;
 use polymage_vm::*;
+use std::sync::Arc;
 
 /// in(x) for x∈[0,63]; blur(x) = in(x−1)+in(x)+in(x+1) on [1,62];
 /// out(x) = blur(x−1)+blur(x+1) on [2,61]. Fused into one tiled group with
@@ -199,10 +200,14 @@ fn tiled_two_stage_matches_reference_all_modes_and_threads() {
     let input =
         Buffer::zeros(Rect::new(vec![(0, 63)])).fill_with(|p| ((p[0] * 7919 + 13) % 101) as f32);
     let expect = reference_two_stage(&input.data);
+    let engine = Engine::with_threads(7);
     for mode in [EvalMode::Vector, EvalMode::Scalar] {
+        let prog = Arc::new(two_stage_program(mode));
         for threads in [1, 2, 4, 7] {
-            let prog = two_stage_program(mode);
-            let outs = run_program(&prog, std::slice::from_ref(&input), threads).unwrap();
+            let outs = engine
+                .submit(RunRequest::new(&prog, std::slice::from_ref(&input)).threads(threads))
+                .and_then(|h| h.join())
+                .unwrap();
             assert_eq!(outs.len(), 1);
             assert_eq!(outs[0].rect, Rect::new(vec![(2, 61)]));
             for (i, (&got, &want)) in outs[0].data.iter().zip(&expect).enumerate() {
@@ -218,8 +223,12 @@ fn tiled_two_stage_matches_reference_all_modes_and_threads() {
 
 #[test]
 fn input_validation_errors() {
-    let prog = two_stage_program(EvalMode::Vector);
-    let err = run_program(&prog, &[], 1).unwrap_err();
+    let engine = Engine::with_threads(1);
+    let prog = Arc::new(two_stage_program(EvalMode::Vector));
+    let err = engine
+        .submit(RunRequest::new(&prog, &[]))
+        .and_then(|h| h.join())
+        .unwrap_err();
     assert!(matches!(
         err,
         VmError::InputCountMismatch {
@@ -228,7 +237,10 @@ fn input_validation_errors() {
         }
     ));
     let bad = Buffer::zeros(Rect::new(vec![(0, 10)]));
-    let err = run_program(&prog, &[bad], 1).unwrap_err();
+    let err = engine
+        .submit(RunRequest::new(&prog, &[bad]))
+        .and_then(|h| h.join())
+        .unwrap_err();
     assert!(matches!(err, VmError::InputShapeMismatch { index: 0, .. }));
 }
 
@@ -237,7 +249,7 @@ fn histogram_reduction_parallel_matches_serial() {
     // hist(b) over b∈[0,9]: count input values.
     let img = BufId(0);
     let hist = BufId(1);
-    let prog = |_threads_hint: usize| Program {
+    let prog = Arc::new(Program {
         name: "hist".into(),
         buffers: vec![
             BufDecl {
@@ -297,11 +309,18 @@ fn histogram_reduction_parallel_matches_serial() {
         mode: EvalMode::Vector,
         simd: polymage_vm::process_simd_level(),
         storage: StoragePlan::run_scoped(2),
-    };
+    });
     let input = Buffer::zeros(Rect::new(vec![(0, 31), (0, 31)]))
         .fill_with(|p| ((p[0] * 31 + p[1] * 17) % 10) as f32);
-    let serial = run_program(&prog(1), std::slice::from_ref(&input), 1).unwrap();
-    let par = run_program(&prog(4), std::slice::from_ref(&input), 4).unwrap();
+    let engine = Engine::with_threads(4);
+    let run = |threads| {
+        engine
+            .submit(RunRequest::new(&prog, std::slice::from_ref(&input)).threads(threads))
+            .and_then(|h| h.join())
+            .unwrap()
+    };
+    let serial = run(1);
+    let par = run(4);
     assert_eq!(serial[0].data, par[0].data);
     let total: f32 = serial[0].data.iter().sum();
     assert_eq!(total, 1024.0);
@@ -360,7 +379,7 @@ fn sequential_scan_prefix_sum() {
         meta: None,
         outs: vec![RegId(0)],
     };
-    let prog = Program {
+    let prog = Arc::new(Program {
         name: "scan".into(),
         buffers: vec![
             BufDecl {
@@ -407,9 +426,12 @@ fn sequential_scan_prefix_sum() {
         mode: EvalMode::Vector,
         simd: polymage_vm::process_simd_level(),
         storage: StoragePlan::run_scoped(2),
-    };
+    });
     let input = Buffer::zeros(Rect::new(vec![(0, 99)])).fill_with(|p| (p[0] % 7) as f32);
-    let outs = run_program(&prog, std::slice::from_ref(&input), 1).unwrap();
+    let outs = Engine::with_threads(1)
+        .submit(RunRequest::new(&prog, std::slice::from_ref(&input)))
+        .and_then(|h| h.join())
+        .unwrap();
     let mut acc = 0.0;
     for (x, &v) in outs[0].data.iter().enumerate() {
         acc += input.data[x];
@@ -487,7 +509,7 @@ fn saturating_stores() {
         1,
         &buffers,
     );
-    let prog = Program {
+    let prog = Arc::new(Program {
         name: "sat".into(),
         buffers,
         image_bufs: vec![img],
@@ -499,9 +521,12 @@ fn saturating_stores() {
         mode: EvalMode::Vector,
         simd: polymage_vm::process_simd_level(),
         storage: StoragePlan::run_scoped(2),
-    };
+    });
     let input = Buffer::zeros(Rect::new(vec![(0, 15)])).fill_with(|p| (p[0] * 20) as f32);
-    let outs = run_program(&prog, std::slice::from_ref(&input), 1).unwrap();
+    let outs = Engine::with_threads(1)
+        .submit(RunRequest::new(&prog, std::slice::from_ref(&input)))
+        .and_then(|h| h.join())
+        .unwrap();
     assert_eq!(outs[0].data[0], 0.0);
     assert_eq!(outs[0].data[4], 240.0);
     assert_eq!(outs[0].data[5], 255.0); // 300 saturates
@@ -511,10 +536,11 @@ fn saturating_stores() {
 #[test]
 fn min_max_reductions_and_untouched_cells() {
     // min/max over scattered targets; untouched cells read as 0.
-    for (op, expect_touched) in [(Reduction::Min, -9.0f32), (Reduction::Max, 9.0f32)] {
+    let engine = Engine::with_threads(3);
+    for (op, odd_extreme) in [(Reduction::Min, -9.0f32), (Reduction::Max, 9.0f32)] {
         let img = BufId(0);
         let out = BufId(1);
-        let prog = Program {
+        let prog = Arc::new(Program {
             name: "mm".into(),
             buffers: vec![
                 BufDecl {
@@ -577,12 +603,15 @@ fn min_max_reductions_and_untouched_cells() {
             mode: EvalMode::Vector,
             simd: polymage_vm::process_simd_level(),
             storage: StoragePlan::run_scoped(2),
-        };
+        });
         // values −9..10 alternating over even/odd positions
         let input = Buffer::zeros(Rect::new(vec![(0, 19)]))
             .fill_with(|p| (p[0] - 10) as f32 + if p[0] % 2 == 0 { 0.5 } else { 0.0 });
         for threads in [1, 3] {
-            let got = run_program(&prog, std::slice::from_ref(&input), threads).unwrap();
+            let got = engine
+                .submit(RunRequest::new(&prog, std::slice::from_ref(&input)).threads(threads))
+                .and_then(|h| h.join())
+                .unwrap();
             // cell 0: evens; cell 1: odds; cells 2/3 untouched → 0
             let evens: Vec<f32> = (0..20)
                 .filter(|i| i % 2 == 0)
@@ -609,31 +638,32 @@ fn min_max_reductions_and_untouched_cells() {
             );
             assert_eq!(got[0].data[2], 0.0, "untouched cell stays 0");
             assert_eq!(got[0].data[3], 0.0);
-            let _ = expect_touched;
+            // the odd cell's extreme, by hand: −10 + 1 and −10 + 19
+            assert_eq!(got[0].data[1], odd_extreme, "{op:?} threads {threads}");
         }
     }
 }
 
 #[test]
-fn engine_reuse_matches_static_executor_bit_exact() {
-    // One Engine, many runs, varied thread counts and inputs: every result
-    // must be bit-identical to the legacy static executor.
+fn engine_reuse_matches_single_worker_engine_bit_exact() {
+    // One 4-worker Engine, many runs, varied thread counts and inputs:
+    // every result must be bit-identical to a single-worker engine's run
+    // at the same requested thread count.
     let engine = Engine::with_threads(4);
+    let single = Engine::with_threads(1);
     for mode in [EvalMode::Vector, EvalMode::Scalar] {
-        let prog = std::sync::Arc::new(two_stage_program(mode));
+        let prog = Arc::new(two_stage_program(mode));
         for round in 0..3 {
             let input = Buffer::zeros(Rect::new(vec![(0, 63)]))
                 .fill_with(|p| ((p[0] * 7919 + 13 * (round + 1)) % 101) as f32);
             for threads in [1, 2, 4, 7] {
-                let legacy =
-                    run_program_static(&prog, std::slice::from_ref(&input), threads).unwrap();
-                let pooled = engine
-                    .submit(RunRequest::new(&prog, std::slice::from_ref(&input)).threads(threads))
-                    .unwrap()
-                    .join()
-                    .unwrap();
-                assert_eq!(legacy.len(), pooled.len());
-                for (l, p) in legacy.iter().zip(&pooled) {
+                let [oracle, pooled] = [&single, &engine].map(|e| {
+                    e.submit(RunRequest::new(&prog, std::slice::from_ref(&input)).threads(threads))
+                        .and_then(|h| h.join())
+                        .unwrap()
+                });
+                assert_eq!(oracle.len(), pooled.len());
+                for (l, p) in oracle.iter().zip(&pooled) {
                     assert_eq!(l.rect, p.rect);
                     let lb: Vec<u32> = l.data.iter().map(|v| v.to_bits()).collect();
                     let pb: Vec<u32> = p.data.iter().map(|v| v.to_bits()).collect();
@@ -646,7 +676,7 @@ fn engine_reuse_matches_static_executor_bit_exact() {
 
 #[test]
 fn engine_stats_report_group_times() {
-    let prog = std::sync::Arc::new(two_stage_program(EvalMode::Vector));
+    let prog = Arc::new(two_stage_program(EvalMode::Vector));
     let input = Buffer::zeros(Rect::new(vec![(0, 63)])).fill_with(|p| p[0] as f32);
     let engine = Engine::with_threads(2);
     let (outs, stats) = engine

@@ -739,11 +739,14 @@ fn scatter_program(op: polymage_ir::Reduction, n: i64, simd: SimdLevel) -> Progr
 
 /// Reduction scatter: many lanes hit one cell, and the cells combine in
 /// ascending lane order at every level — pinned bit for bit with a `Sum`
-/// whose value depends on the order — through both executors.
+/// whose value depends on the order. The pool size never changes a bit:
+/// 1- and 3-worker engines agree at each requested thread count, and one
+/// thread reproduces the hand-computed sweep.
 #[test]
 fn scatter_combines_in_ascending_lane_order() {
     use polymage_ir::Reduction;
     use polymage_poly::Rect;
+    let engines = [Engine::with_threads(1), Engine::with_threads(3)];
     // Magnitudes eight orders apart: any reordering of a cell's additions
     // changes the rounded sum.
     let vals_at =
@@ -772,13 +775,24 @@ fn scatter_combines_in_ascending_lane_order() {
             }
             let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
             for level in available_simd_levels() {
-                let prog = scatter_program(op, n as i64, level);
-                for out in [
-                    run_program_static(&prog, &inputs, 1).unwrap(),
-                    run_program(&prog, &inputs, 1).unwrap(),
-                ] {
-                    let got: Vec<u32> = out[0].data.iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(got, want, "{op:?} n {n} level {level}");
+                let prog = std::sync::Arc::new(scatter_program(op, n as i64, level));
+                for threads in [1, 3] {
+                    let [single, pooled] = [&engines[0], &engines[1]].map(|e| {
+                        let out = e
+                            .submit(RunRequest::new(&prog, &inputs).threads(threads))
+                            .and_then(|h| h.join())
+                            .unwrap();
+                        out[0]
+                            .data
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .collect::<Vec<u32>>()
+                    });
+                    let at = format!("{op:?} n {n} level {level} threads {threads}");
+                    assert_eq!(single, pooled, "{at}: pool size changed the bits");
+                    if threads == 1 {
+                        assert_eq!(single, want, "{at}");
+                    }
                 }
             }
         }
@@ -795,14 +809,14 @@ fn zero_extent_accumulator_is_a_no_op() {
         Buffer::zeros(rect.clone()).fill_with(|p| p[0] as f32),
         Buffer::zeros(rect).fill_with(|p| p[0] as f32),
     ];
+    let engine = Engine::with_threads(2);
     for level in available_simd_levels() {
         let mut prog = scatter_program(polymage_ir::Reduction::Sum, 10, level);
         prog.buffers[2].sizes = vec![0];
-        for out in [
-            run_program_static(&prog, &inputs, 2).unwrap(),
-            run_program(&prog, &inputs, 2).unwrap(),
-        ] {
-            assert!(out[0].data.is_empty());
-        }
+        let out = engine
+            .submit(RunRequest::new(&std::sync::Arc::new(prog), &inputs).threads(2))
+            .and_then(|h| h.join())
+            .unwrap();
+        assert!(out[0].data.is_empty());
     }
 }

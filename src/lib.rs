@@ -58,9 +58,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! One-shot execution is still available as
-//! [`vm::run_program`] — now a thin shim that builds a throwaway
-//! [`vm::Engine`] per call.
+//! Without a session, a [`core::compile`]d program runs by submitting a
+//! [`vm::RunRequest`] to a [`vm::Engine`] the caller holds.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

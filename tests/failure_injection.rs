@@ -6,7 +6,7 @@ use polymage::core::{compile, plan, CompileError, CompileOptions, Session};
 use polymage::graph::{GraphError, PipelineGraph};
 use polymage::ir::*;
 use polymage::poly::Rect;
-use polymage::vm::{run_program, Buffer, VmError};
+use polymage::vm::{Buffer, Engine, RunRequest, VmError};
 
 #[test]
 fn cyclic_specification_rejected() {
@@ -209,9 +209,12 @@ fn execution_input_mismatches_reported() {
         .unwrap();
     let pipe = p.finish(&[f]).unwrap();
     let compiled = compile(&pipe, &CompileOptions::optimized(vec![])).unwrap();
+    let engine = Engine::with_threads(1);
+    // Rejected by `submit` itself, before the run is admitted.
+    let submit = |inputs: &[Buffer]| engine.submit(RunRequest::new(&compiled.program, inputs));
     // no inputs
     assert!(matches!(
-        run_program(&compiled.program, &[], 1),
+        submit(&[]),
         Err(VmError::InputCountMismatch {
             expected: 1,
             got: 0
@@ -220,13 +223,13 @@ fn execution_input_mismatches_reported() {
     // wrong shape
     let bad = Buffer::zeros(Rect::new(vec![(0, 7)]));
     assert!(matches!(
-        run_program(&compiled.program, &[bad], 1),
+        submit(&[bad]),
         Err(VmError::InputShapeMismatch { index: 0, .. })
     ));
     // wrong rank
     let bad = Buffer::zeros(Rect::new(vec![(0, 15), (0, 15)]));
     assert!(matches!(
-        run_program(&compiled.program, &[bad], 1),
+        submit(&[bad]),
         Err(VmError::InputShapeMismatch { index: 0, .. })
     ));
 }

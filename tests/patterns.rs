@@ -7,12 +7,15 @@ use polymage::core::interp::interpret;
 use polymage::core::{compile, CompileOptions};
 use polymage::ir::*;
 use polymage::poly::Rect;
-use polymage::vm::{run_program, Buffer};
+use polymage::vm::{Buffer, Engine, RunRequest};
 
 fn run_both(pipe: &Pipeline, params: Vec<i64>, inputs: &[Buffer]) -> Vec<Buffer> {
     let expect = interpret(pipe, &params, inputs).expect("interpret");
     let compiled = compile(pipe, &CompileOptions::optimized(params)).expect("compile");
-    let got = run_program(&compiled.program, inputs, 2).expect("run");
+    let got = Engine::with_threads(2)
+        .submit(RunRequest::new(&compiled.program, inputs))
+        .and_then(|h| h.join())
+        .expect("run");
     for (g, w) in got.iter().zip(&expect) {
         assert_eq!(g.rect, w.rect);
         for (a, b) in g.data.iter().zip(&w.data) {

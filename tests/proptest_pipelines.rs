@@ -14,7 +14,7 @@ use polymage::core::interp::interpret;
 use polymage::core::{compile, CompileOptions};
 use polymage::ir::*;
 use polymage::poly::Rect;
-use polymage::vm::{run_program, Buffer, EvalMode};
+use polymage::vm::{Buffer, Engine, EvalMode, RunRequest};
 
 const N: i64 = 64; // base 1-D size / 2-D side
 
@@ -197,6 +197,7 @@ proptest! {
         // generator guarantees in-bounds accesses; verify that claim too
         prop_assert!(polymage::graph::check_bounds(&pipe, &[]).is_empty());
         let expect = interpret(&pipe, &[], std::slice::from_ref(&input)).unwrap();
+        let engine = Engine::with_threads(3);
         let configs = [
             CompileOptions::optimized(vec![]),
             CompileOptions::optimized(vec![]).with_mode(EvalMode::Scalar),
@@ -206,7 +207,12 @@ proptest! {
         for opts in configs {
             let compiled = compile(&pipe, &opts).unwrap();
             for threads in [1usize, 3] {
-                let got = run_program(&compiled.program, std::slice::from_ref(&input), threads)
+                let got = engine
+                    .submit(
+                        RunRequest::new(&compiled.program, std::slice::from_ref(&input))
+                            .threads(threads),
+                    )
+                    .and_then(|h| h.join())
                     .unwrap();
                 for (g, w) in got.iter().zip(&expect) {
                     prop_assert_eq!(&g.rect, &w.rect);
@@ -237,8 +243,13 @@ proptest! {
             .unwrap();
         let b = compile(&pipe, &CompileOptions::optimized(vec![]).with_tiles(vec![1 << t1]))
             .unwrap();
-        let ra = run_program(&a.program, std::slice::from_ref(&input), 2).unwrap();
-        let rb = run_program(&b.program, std::slice::from_ref(&input), 2).unwrap();
+        let engine = Engine::with_threads(2);
+        let [ra, rb] = [&a, &b].map(|c| {
+            engine
+                .submit(RunRequest::new(&c.program, std::slice::from_ref(&input)))
+                .and_then(|h| h.join())
+                .unwrap()
+        });
         for (x, y) in ra.iter().zip(&rb) {
             // identical schedules up to tiling must agree bit-for-bit:
             // per-point evaluation order inside a stage does not change
@@ -436,6 +447,7 @@ proptest! {
                 h as f32 / 3.0 - 3.0
             });
         let expect = interpret(&pipe, &[], std::slice::from_ref(&input)).unwrap();
+        let engine = Engine::with_threads(4);
         for opts in [
             CompileOptions::optimized(vec![]).with_tiles(vec![16, 16]),
             CompileOptions::optimized(vec![]).with_tiles(vec![8, 64]).with_threshold(2.0),
@@ -444,9 +456,13 @@ proptest! {
             let compiled = compile(&pipe, &opts).unwrap();
             polymage::core::assert_valid(&compiled.program);
             for threads in [1usize, 4] {
-                let got =
-                    run_program(&compiled.program, std::slice::from_ref(&input), threads)
-                        .unwrap();
+                let got = engine
+                    .submit(
+                        RunRequest::new(&compiled.program, std::slice::from_ref(&input))
+                            .threads(threads),
+                    )
+                    .and_then(|h| h.join())
+                    .unwrap();
                 for (g, w) in got.iter().zip(&expect) {
                     prop_assert_eq!(&g.rect, &w.rect);
                     for (a, b) in g.data.iter().zip(&w.data) {

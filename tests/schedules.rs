@@ -3,19 +3,23 @@
 
 use polymage::apps::{all_benchmarks, Benchmark, Scale};
 use polymage::core::{compile, CompileOptions};
-use polymage::vm::{run_program, EvalMode};
+use polymage::vm::{Engine, EvalMode, RunRequest};
 
 /// Compiling twice yields programs that execute bit-identically, and the
 /// same program run twice is bit-identical (no hidden nondeterminism).
 #[test]
 fn compilation_and_execution_are_deterministic() {
+    let engine = Engine::with_threads(2);
     for b in all_benchmarks(Scale::Tiny) {
         let inputs = b.make_inputs(1);
         let c1 = compile(b.pipeline(), &CompileOptions::optimized(b.params())).unwrap();
         let c2 = compile(b.pipeline(), &CompileOptions::optimized(b.params())).unwrap();
-        let r1 = run_program(&c1.program, &inputs, 2).unwrap();
-        let r2 = run_program(&c2.program, &inputs, 2).unwrap();
-        let r3 = run_program(&c1.program, &inputs, 2).unwrap();
+        let [r1, r2, r3] = [&c1, &c2, &c1].map(|c| {
+            engine
+                .submit(RunRequest::new(&c.program, &inputs))
+                .and_then(|h| h.join())
+                .unwrap()
+        });
         for ((a, b2), c) in r1.iter().zip(&r2).zip(&r3) {
             assert_eq!(a.data, b2.data, "{}: cross-compile determinism", b.name());
             assert_eq!(a.data, c.data, "{}: re-run determinism", b.name());
@@ -28,15 +32,22 @@ fn compilation_and_execution_are_deterministic() {
 /// those are compared with tolerance elsewhere).
 #[test]
 fn thread_count_invariance_outside_reductions() {
+    let engine = Engine::with_threads(8);
     for b in all_benchmarks(Scale::Tiny) {
         if b.name() == "Bilateral Grid" {
             continue; // reductions reassociate across threads
         }
         let inputs = b.make_inputs(9);
         let c = compile(b.pipeline(), &CompileOptions::optimized(b.params())).unwrap();
-        let r1 = run_program(&c.program, &inputs, 1).unwrap();
+        let run = |threads| {
+            engine
+                .submit(RunRequest::new(&c.program, &inputs).threads(threads))
+                .and_then(|h| h.join())
+                .unwrap()
+        };
+        let r1 = run(1);
         for threads in [2, 3, 5, 8] {
-            let rn = run_program(&c.program, &inputs, threads).unwrap();
+            let rn = run(threads);
             for (a, b2) in r1.iter().zip(&rn) {
                 assert_eq!(a.data, b2.data, "{} @ {threads} threads", b.name());
             }
@@ -48,6 +59,7 @@ fn thread_count_invariance_outside_reductions() {
 /// batching, not the per-lane operations.
 #[test]
 fn scalar_and_vector_modes_agree_exactly() {
+    let engine = Engine::with_threads(1);
     for b in all_benchmarks(Scale::Tiny) {
         let inputs = b.make_inputs(3);
         let v = compile(b.pipeline(), &CompileOptions::optimized(b.params())).unwrap();
@@ -56,8 +68,12 @@ fn scalar_and_vector_modes_agree_exactly() {
             &CompileOptions::optimized(b.params()).with_mode(EvalMode::Scalar),
         )
         .unwrap();
-        let rv = run_program(&v.program, &inputs, 1).unwrap();
-        let rs = run_program(&s.program, &inputs, 1).unwrap();
+        let [rv, rs] = [&v, &s].map(|c| {
+            engine
+                .submit(RunRequest::new(&c.program, &inputs))
+                .and_then(|h| h.join())
+                .unwrap()
+        });
         for (a, b2) in rv.iter().zip(&rs) {
             assert_eq!(a.data, b2.data, "{}", b.name());
         }
@@ -167,6 +183,7 @@ fn empty_deep_stages_are_skipped() {
     p.define(out, vec![Case::always(Expr::at(b, [x + 0]) + 1.0)])
         .unwrap();
     let pipe = p.finish(&[a, out]).unwrap();
+    let engine = Engine::with_threads(2);
     for n_val in [16i64, 32, 33, 64, 100] {
         let compiled = compile(&pipe, &CompileOptions::optimized(vec![n_val]))
             .unwrap_or_else(|e| panic!("N={n_val}: {e}"));
@@ -175,7 +192,10 @@ fn empty_deep_stages_are_skipped() {
         let expect =
             polymage::core::interp::interpret(&pipe, &[n_val], std::slice::from_ref(&input))
                 .unwrap();
-        let got = run_program(&compiled.program, &[input], 2).unwrap();
+        let got = engine
+            .submit(RunRequest::new(&compiled.program, &[input]))
+            .and_then(|h| h.join())
+            .unwrap();
         for (g, w) in got.iter().zip(&expect) {
             assert_eq!(g.rect, w.rect, "N={n_val}");
             assert_eq!(g.data, w.data, "N={n_val}");
