@@ -29,7 +29,7 @@ fn workload() -> Vec<(String, Arc<Program>, Vec<Buffer>)> {
         ] {
             let compiled =
                 compile(b.pipeline(), &opts).unwrap_or_else(|e| panic!("{}: {e}", b.name()));
-            let name = format!("{}/{}", b.name(), if opts.fuse { "opt" } else { "base" });
+            let name = format!("{}/{}", b.name(), opts.schedule.label());
             out.push((name, Arc::clone(&compiled.program), inputs.clone()));
         }
     }

@@ -41,9 +41,9 @@ fn shared_engine_matches_single_worker_engine_bit_exact_all_benchmarks() {
                     bits(&single),
                     bits(&pooled),
                     "{}: 4-worker engine differs from a single worker \
-                     (threads {nthreads}, fuse {})",
+                     (threads {nthreads}, schedule {})",
                     b.name(),
-                    opts.fuse
+                    opts.schedule.label()
                 );
             }
         }

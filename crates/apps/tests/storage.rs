@@ -52,9 +52,9 @@ fn fold_on_off_bit_identical_all_benchmarks() {
                         bits(&oracle),
                         bits(&got),
                         "{}: {label} differs from unfolded oracle \
-                         (threads {nthreads}, fuse {})",
+                         (threads {nthreads}, schedule {})",
                         b.name(),
-                        base.fuse
+                        base.schedule.label()
                     );
                 }
             }

@@ -1,4 +1,7 @@
-//! Ablation study for the design choices DESIGN.md calls out:
+//! Ablation study for the design choices DESIGN.md calls out. The first
+//! columns are the schedules of `polymage_core::Schedule` (`opt`, the
+//! paper's `base`, and one column per pass turned off); the rest change
+//! one other knob of `opt`:
 //!
 //! - **inlining** (§3 front-end): point-wise inlining on/off under the
 //!   optimized schedule;
@@ -21,7 +24,17 @@
 //!   shapes, which differ only for groups that overflow the L2 budget.
 
 use polymage_bench::{ms, time_program, HarnessArgs};
-use polymage_core::{CompileOptions, Session, SimdOpt, DEFAULT_TILE_SIZES};
+use polymage_core::{CompileOptions, Schedule, Session, SimdOpt, DEFAULT_TILE_SIZES};
+
+/// The columns after the schedules: one other knob of `opt` each.
+type Knob = (&'static str, fn(CompileOptions) -> CompileOptions);
+const KNOBS: [Knob; 5] = [
+    ("thresh≈0", |o| o.with_threshold(1e-9)),
+    ("no-kopt", |o| o.with_kernel_opt(false)),
+    ("simd-off", |o| o.with_simd(SimdOpt::Off)),
+    ("fold-off", |o| o.with_storage_fold(false)),
+    ("tile-fixed", |o| o.with_tiles(DEFAULT_TILE_SIZES.to_vec())),
+];
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -31,76 +44,28 @@ fn main() {
         "Ablations — scale {:?}, threads {threads}, runs {} (ms; lower is better)",
         args.scale, args.runs
     );
-    println!(
-        "{:<24} {:>9} {:>11} {:>11} {:>10} {:>10} {:>11} {:>9} {:>9} {:>9} {:>10}",
-        "Benchmark",
-        "opt",
-        "no-inline",
-        "no-scratch",
-        "fuse-only",
-        "tile-only",
-        "thresh≈0",
-        "no-kopt",
-        "simd-off",
-        "fold-off",
-        "tile-fixed"
-    );
+    let labels = Schedule::ALL.map(Schedule::label);
+    print!("{:<24}", "Benchmark");
+    for label in labels.iter().chain(KNOBS.iter().map(|(l, _)| l)) {
+        print!(" {label:>10}");
+    }
+    println!();
     for b in args.benchmarks() {
         let inputs = b.make_inputs(42);
-        let mut row: Vec<String> = Vec::new();
-        let variants: Vec<CompileOptions> = vec![
-            CompileOptions::optimized(b.params()),
-            {
-                let mut o = CompileOptions::optimized(b.params());
-                o.inline_pointwise = false;
-                o
-            },
-            {
-                let mut o = CompileOptions::optimized(b.params());
-                o.storage_opt = false;
-                o
-            },
-            {
-                let mut o = CompileOptions::optimized(b.params());
-                o.tile = false; // fusion with strip-parallelism only
-                o
-            },
-            {
-                let mut o = CompileOptions::optimized(b.params());
-                o.fuse = false; // tiling of singleton groups
-                o
-            },
-            CompileOptions::optimized(b.params()).with_threshold(1e-9),
-            CompileOptions::optimized(b.params()).with_kernel_opt(false),
-            CompileOptions::optimized(b.params()).with_simd(SimdOpt::Off),
-            CompileOptions::optimized(b.params()).with_storage_fold(false),
-            CompileOptions::optimized(b.params()).with_tiles(DEFAULT_TILE_SIZES.to_vec()),
-        ];
-        for opts in variants {
+        let opt = CompileOptions::optimized(b.params());
+        let schedules = Schedule::ALL.map(|schedule| CompileOptions {
+            schedule,
+            ..opt.clone()
+        });
+        let knobs = KNOBS.map(|(_, knob)| knob(opt.clone()));
+        print!("{:<24}", b.name());
+        for opts in schedules.iter().chain(&knobs) {
             let compiled = session
-                .compile(b.pipeline(), &opts)
+                .compile(b.pipeline(), opts)
                 .unwrap_or_else(|e| panic!("{}: {e}", b.name()));
-            row.push(ms(time_program(
-                session.engine(),
-                &compiled,
-                &inputs,
-                threads,
-                args.runs,
-            )));
+            let t = time_program(session.engine(), &compiled, &inputs, threads, args.runs);
+            print!(" {:>10}", ms(t));
         }
-        println!(
-            "{:<24} {:>9} {:>11} {:>11} {:>10} {:>10} {:>11} {:>9} {:>9} {:>9} {:>10}",
-            b.name(),
-            row[0],
-            row[1],
-            row[2],
-            row[3],
-            row[4],
-            row[5],
-            row[6],
-            row[7],
-            row[8],
-            row[9]
-        );
+        println!();
     }
 }

@@ -7,8 +7,9 @@
 //! the interesting axes are ±vec and base→opt (locality), which this
 //! harness still reproduces.
 
-use polymage_bench::{compile_config, time_program, Config, HarnessArgs};
-use polymage_core::Session;
+use polymage_bench::{compile_config, config_label, time_program, HarnessArgs};
+use polymage_core::{Schedule, Session};
+use polymage_vm::EvalMode;
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -21,21 +22,23 @@ fn main() {
     for b in args.benchmarks() {
         println!("\n--- {} ---", b.name());
         let inputs = b.make_inputs(42);
-        let base = compile_config(&session, b.as_ref(), Config::Base);
+        let base = compile_config(&session, b.as_ref(), Schedule::Base, EvalMode::Scalar);
         let t0 = time_program(engine, &base, &inputs, 1, args.runs).as_secs_f64();
         print!("{:<22}", "config \\ threads");
         for t in &args.threads {
             print!("{t:>9}");
         }
         println!();
-        for cfg in Config::ALL {
-            let compiled = compile_config(&session, b.as_ref(), cfg);
-            print!("{:<22}", cfg.label());
-            for &t in &args.threads {
-                let d = time_program(engine, &compiled, &inputs, t, args.runs).as_secs_f64();
-                print!("{:>8.2}x", t0 / d);
+        for schedule in [Schedule::Base, Schedule::Opt] {
+            for mode in [EvalMode::Scalar, EvalMode::Vector] {
+                let compiled = compile_config(&session, b.as_ref(), schedule, mode);
+                print!("{:<22}", config_label(schedule, mode));
+                for &t in &args.threads {
+                    let d = time_program(engine, &compiled, &inputs, t, args.runs).as_secs_f64();
+                    print!("{:>8.2}x", t0 / d);
+                }
+                println!();
             }
-            println!();
         }
     }
 }

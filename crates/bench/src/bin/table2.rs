@@ -9,8 +9,9 @@
 //! library-style reference (the OpenCV stand-in). See EXPERIMENTS.md for
 //! the mapping.
 
-use polymage_bench::{compile_config, ms, time_program, time_reference, Config, HarnessArgs};
-use polymage_core::{emit_c_reference, Session};
+use polymage_bench::{compile_config, ms, time_program, time_reference, HarnessArgs};
+use polymage_core::{emit_c_reference, Schedule, Session};
+use polymage_vm::EvalMode;
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -59,7 +60,7 @@ fn main() {
             eprintln!("{}: tuned tiles {tiles:?}", b.name());
             compiled
         } else {
-            compile_config(&session, b.as_ref(), Config::OptVec)
+            compile_config(&session, b.as_ref(), Schedule::Opt, EvalMode::Vector)
         };
         let times: Vec<String> = threads
             .iter()
@@ -73,7 +74,7 @@ fn main() {
             args.runs,
         );
 
-        let base = compile_config(&session, b.as_ref(), Config::Base);
+        let base = compile_config(&session, b.as_ref(), Schedule::Base, EvalMode::Scalar);
         let t_base = time_program(
             engine,
             &base,

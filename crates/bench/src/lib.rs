@@ -23,7 +23,7 @@
 pub mod sizes;
 
 use polymage_apps::{Benchmark, Scale};
-use polymage_core::{CompileOptions, Compiled, Session};
+use polymage_core::{CompileOptions, Compiled, Schedule, Session};
 use polymage_vm::{Buffer, Engine, EvalMode, RunRequest};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -54,51 +54,30 @@ pub fn time_program(
     start.elapsed() / runs.max(1) as u32
 }
 
-/// The four schedule configurations of Fig. 10.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Config {
-    /// Inlining + parallelism only (paper's "base", −vec).
-    Base,
-    /// Base with chunked (vectorized) evaluation.
-    BaseVec,
-    /// Full grouping/tiling/storage optimization, −vec.
-    Opt,
-    /// Fully optimized, +vec — the headline configuration.
-    OptVec,
+/// Display label of one Fig. 10 configuration (a schedule with or
+/// without vectorization), matching the paper: `PolyMage(base)`,
+/// `PolyMage(opt+vec)`, …
+pub fn config_label(schedule: Schedule, mode: EvalMode) -> String {
+    let vec = if mode == EvalMode::Vector { "+vec" } else { "" };
+    format!("PolyMage({}{vec})", schedule.label())
 }
 
-impl Config {
-    /// All four, in Fig. 10's order.
-    pub const ALL: [Config; 4] = [Config::Base, Config::BaseVec, Config::Opt, Config::OptVec];
-
-    /// Display label matching the paper.
-    pub fn label(self) -> &'static str {
-        match self {
-            Config::Base => "PolyMage(base)",
-            Config::BaseVec => "PolyMage(base+vec)",
-            Config::Opt => "PolyMage(opt)",
-            Config::OptVec => "PolyMage(opt+vec)",
-        }
-    }
-
-    /// Compiler options for this configuration.
-    pub fn options(self, params: Vec<i64>) -> CompileOptions {
-        match self {
-            Config::Base => CompileOptions::base(params).with_mode(EvalMode::Scalar),
-            Config::BaseVec => CompileOptions::base(params),
-            Config::Opt => CompileOptions::optimized(params).with_mode(EvalMode::Scalar),
-            Config::OptVec => CompileOptions::optimized(params),
-        }
-    }
-}
-
-/// Compiles a benchmark under a configuration through a [`Session`]
-/// (panicking on compile errors — benchmark specifications are
-/// known-valid). Repeated calls with the same configuration hit the
+/// Compiles a benchmark under a schedule and evaluation mode through a
+/// [`Session`] (panicking on compile errors — benchmark specifications
+/// are known-valid). Repeated calls with the same configuration hit the
 /// session's compile cache.
-pub fn compile_config(session: &Session, b: &dyn Benchmark, cfg: Config) -> Arc<Compiled> {
+pub fn compile_config(
+    session: &Session,
+    b: &dyn Benchmark,
+    schedule: Schedule,
+    mode: EvalMode,
+) -> Arc<Compiled> {
+    let opts = CompileOptions {
+        schedule,
+        ..CompileOptions::optimized(b.params()).with_mode(mode)
+    };
     session
-        .compile(b.pipeline(), &cfg.options(b.params()))
+        .compile(b.pipeline(), &opts)
         .unwrap_or_else(|e| panic!("{}: {e}", b.name()))
 }
 
@@ -212,7 +191,6 @@ pub fn tune_config(
             let compiled = session
                 .compile(b.pipeline(), &opts)
                 .unwrap_or_else(|e| panic!("{}: {e}", b.name()));
-            opts.skip_bounds_check = true;
             let t = time_program(session.engine(), &compiled, inputs, threads, runs.max(1));
             if best.as_ref().map(|(bt, _, _)| t < *bt).unwrap_or(true) {
                 best = Some((t, compiled, vec![t0, t1]));
@@ -233,15 +211,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn config_options() {
-        let o = Config::OptVec.options(vec![1, 2]);
-        assert!(o.fuse && o.tile);
-        assert_eq!(o.mode, EvalMode::Vector);
-        let o = Config::Base.options(vec![1, 2]);
-        assert!(!o.fuse && !o.tile);
-        assert_eq!(o.mode, EvalMode::Scalar);
-        assert_eq!(Config::ALL.len(), 4);
-        assert!(Config::OptVec.label().contains("opt+vec"));
+    fn config_labels_match_the_paper() {
+        assert_eq!(
+            config_label(Schedule::Base, EvalMode::Scalar),
+            "PolyMage(base)"
+        );
+        assert_eq!(
+            config_label(Schedule::Opt, EvalMode::Vector),
+            "PolyMage(opt+vec)"
+        );
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! paper compares against (OpenTuner): it samples arbitrary tile shapes
 //! and thresholds from a much larger space under the same budget.
 
-use crate::grouping::{effective_tiles_from, group_stages, GroupKindTag};
+use crate::grouping::{effective_tiles, group_stages, GroupKindTag};
 use crate::tilemodel::{predict_group_cost, CacheModel, GroupGeom};
-use crate::{CompileError, CompileOptions, RunError, Session, TileSpec};
+use crate::{CompileError, CompileOptions, RunError, Schedule, Session, TileSpec};
 use polymage_diag::Value;
 use polymage_graph::{inline_pointwise, PipelineGraph};
 use polymage_ir::Pipeline;
@@ -195,14 +195,12 @@ pub fn autotune_with_session(
 ) -> Result<TuneOutcome, RunError> {
     let mut records = Vec::new();
     let mut opts = base.clone();
-    opts.skip_bounds_check = false;
     for &t0 in tiles {
         for &t1 in tiles {
             for &th in thresholds {
                 opts.tiles = TileSpec::Fixed(vec![t0, t1]);
                 opts.overlap_threshold = th;
                 records.push(measure(session, pipe, &opts, inputs, threads, runs)?);
-                opts.skip_bounds_check = true; // checked once is enough
             }
         }
     }
@@ -221,7 +219,7 @@ pub fn autotune_with_session(
 /// conditions [`crate::plan`] reports.
 pub fn model_score(pipe: &Pipeline, opts: &CompileOptions) -> Result<f64, CompileError> {
     opts.validate()?;
-    let (pipe2, _) = if opts.inline_pointwise {
+    let (pipe2, _) = if opts.schedule.inlines() {
         inline_pointwise(pipe)?
     } else {
         (pipe.clone(), Default::default())
@@ -235,8 +233,7 @@ pub fn model_score(pipe: &Pipeline, opts: &CompileOptions) -> Result<f64, Compil
             continue;
         }
         if let Some(geom) = GroupGeom::build(&pipe2, &graph, g, opts) {
-            let tiles =
-                effective_tiles_from(geom.sink_extents(), opts.tiles.baseline_sizes(), opts.tile);
+            let tiles = effective_tiles(geom.sink_extents(), opts);
             total += predict_group_cost(&geom, &tiles, &model);
         }
     }
@@ -324,12 +321,10 @@ pub fn autotune_pruned_with_session(
 
     // Measure only the top-ranked candidates.
     let mut records = Vec::new();
-    opts.skip_bounds_check = false;
     for &(_, t0, t1, th) in ranked.iter().take(measured) {
         opts.tiles = TileSpec::Fixed(vec![t0, t1]);
         opts.overlap_threshold = th;
         records.push(measure(session, pipe, &opts, inputs, threads, runs)?);
-        opts.skip_bounds_check = true;
     }
     Ok(TuneOutcome {
         considered,
@@ -338,9 +333,11 @@ pub fn autotune_pruned_with_session(
 }
 
 /// Random search over an *unrestricted* schedule space: arbitrary tile
-/// shapes in `[4, 1024]`, arbitrary thresholds in `[0, 1]`, and randomly
-/// disabled fusion/tiling — the OpenTuner stand-in. Same measurement
-/// protocol as [`autotune`], with a configuration budget.
+/// shapes in `[4, 1024]`, arbitrary thresholds in `[0, 1]`, and a random
+/// [`Schedule`] out of `Opt` / `FuseOnly` / `TileOnly` / `Base` with
+/// weights 0.64 / 0.16 / 0.16 / 0.04 (fusion and tiling each kept with
+/// probability 0.8) — the OpenTuner stand-in. Same measurement protocol
+/// as [`autotune`], with a configuration budget.
 ///
 /// # Errors
 ///
@@ -359,14 +356,17 @@ pub fn random_search(
     let session = Session::with_threads(threads.max(1));
     let mut records = Vec::new();
     let mut opts = base.clone();
-    for i in 0..budget {
+    for _ in 0..budget {
         let pow0 = rng.gen_range(2..=10u32);
         let pow1 = rng.gen_range(2..=10u32);
         opts.tiles = TileSpec::Fixed(vec![1i64 << pow0, 1i64 << pow1]);
         opts.overlap_threshold = rng.gen_range(0.0..1.0);
-        opts.fuse = rng.gen_bool(0.8);
-        opts.tile = rng.gen_bool(0.8);
-        opts.skip_bounds_check = i > 0;
+        opts.schedule = match (rng.gen_bool(0.8), rng.gen_bool(0.8)) {
+            (true, true) => Schedule::Opt,
+            (true, false) => Schedule::FuseOnly,
+            (false, true) => Schedule::TileOnly,
+            (false, false) => Schedule::Base,
+        };
         records.push(measure(&session, pipe, &opts, inputs, threads, runs)?);
     }
     Ok(TuneOutcome::from_records(records))

@@ -95,26 +95,19 @@ impl Grouping {
 
 /// The per-group effective tile sizes: `Some(τ)` for tiled dims, `None` for
 /// untiled. A dimension is tiled when requested and at least twice the tile
-/// size. With `opts.tile == false`, only the outer strip dimension splits.
+/// size. Under a schedule that does not tile, only the outer strip
+/// dimension splits.
 ///
 /// Uses the baseline sizes of `opts.tiles` — under [`crate::TileSpec::Auto`]
 /// that is the fixed default shape, so grouping structure never depends on
 /// the cache model's per-group decisions (which run *after* grouping).
+/// Dimensions beyond the sizes given reuse the last one (paper
+/// convention): `[32, 256]` on a 3-D domain means `[32, 256, 256]` before
+/// the twice-the-extent rule filters each dimension.
 pub(crate) fn effective_tiles(extents: &[i64], opts: &CompileOptions) -> Vec<Option<i64>> {
-    effective_tiles_from(extents, opts.tiles.baseline_sizes(), opts.tile)
-}
-
-/// Target strip count for parallelism when a domain's outer dimension is
-/// not tiled.
-pub(crate) const PAR_STRIPS: i64 = 128;
-
-/// [`effective_tiles`] with the tile sizes passed explicitly. Dimensions
-/// beyond `sizes.len()` reuse the last specified size (paper convention):
-/// `[32, 256]` on a 3-D domain means `[32, 256, 256]` before the
-/// twice-the-extent rule filters each dimension.
-pub(crate) fn effective_tiles_from(extents: &[i64], sizes: &[i64], tile: bool) -> Vec<Option<i64>> {
+    let sizes = opts.tiles.baseline_sizes();
     let mut out = vec![None; extents.len()];
-    if tile {
+    if opts.schedule.tiles() {
         for (d, &ext) in extents.iter().enumerate() {
             let size = sizes.get(d).or(sizes.last());
             if let Some(&t) = size {
@@ -127,6 +120,10 @@ pub(crate) fn effective_tiles_from(extents: &[i64], sizes: &[i64], tile: bool) -
     strip_untiled_outer(extents, &mut out);
     out
 }
+
+/// Target strip count for parallelism when a domain's outer dimension is
+/// not tiled.
+pub(crate) const PAR_STRIPS: i64 = 128;
 
 /// Strips an untiled outer dimension into about [`PAR_STRIPS`] strips, so
 /// the group still runs in parallel.
@@ -175,7 +172,7 @@ pub fn group_stages_with(
         })
         .collect();
 
-    if opts.fuse {
+    if opts.schedule.fuses() {
         loop {
             let mut merged_any = false;
             // Candidates: Normal groups with exactly one child group, which
@@ -185,7 +182,7 @@ pub fn group_stages_with(
                 if g.kind != GroupKindTag::Normal {
                     continue;
                 }
-                match child_groups(pipe, graph, &groups, gi) {
+                match child_groups(graph, &groups, gi) {
                     children if children.len() == 1 => {
                         let c = *children.iter().next().unwrap();
                         if groups[c].kind == GroupKindTag::Normal {
@@ -202,7 +199,7 @@ pub fn group_stages_with(
                 std::cmp::Reverse(group_size(pipe, &groups[gi], opts.estimates()))
             });
             for gi in cands {
-                let child = *child_groups(pipe, graph, &groups, gi)
+                let child = *child_groups(graph, &groups, gi)
                     .iter()
                     .next()
                     .expect("candidate has a child");
@@ -243,7 +240,7 @@ pub fn group_stages_with(
     let mut indeg = vec![0usize; n];
     let mut children: Vec<BTreeSet<usize>> = Vec::with_capacity(n);
     for gi in 0..n {
-        let cs = child_groups(pipe, graph, &groups, gi);
+        let cs = child_groups(graph, &groups, gi);
         for &c in &cs {
             indeg[c] += 1;
         }
@@ -274,12 +271,7 @@ pub fn group_stages_with(
 }
 
 /// Indices of groups that consume values produced by group `gi`.
-fn child_groups(
-    pipe: &Pipeline,
-    graph: &PipelineGraph,
-    groups: &[Group],
-    gi: usize,
-) -> BTreeSet<usize> {
+fn child_groups(graph: &PipelineGraph, groups: &[Group], gi: usize) -> BTreeSet<usize> {
     let mut out = BTreeSet::new();
     for &f in &groups[gi].stages {
         for &c in graph.consumers(f) {
@@ -292,7 +284,6 @@ fn child_groups(
             }
         }
     }
-    let _ = pipe;
     out
 }
 
@@ -450,6 +441,7 @@ fn emit_merge_event(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Schedule;
     use polymage_ir::{stencil, Case, Expr, Interval, PAff, PipelineBuilder, ScalarType};
 
     fn opts() -> CompileOptions {
@@ -609,8 +601,10 @@ mod tests {
         .unwrap();
         let pipe = p.finish(&[b]).unwrap();
         let graph = PipelineGraph::build(&pipe).unwrap();
-        let mut o = opts();
-        o.fuse = false;
+        let o = CompileOptions {
+            schedule: Schedule::TileOnly,
+            ..opts()
+        };
         let g = group_stages(&pipe, &graph, &o);
         assert_eq!(g.groups.len(), 2);
     }
@@ -635,8 +629,10 @@ mod tests {
         assert_eq!(t[0], Some(1));
         assert_eq!(t[1], Some(256));
         // untiled mode: strips only
-        let mut ob = o.clone();
-        ob.tile = false;
+        let ob = CompileOptions {
+            schedule: Schedule::FuseOnly,
+            ..o.clone()
+        };
         let t = effective_tiles(&[2048, 2048], &ob);
         assert_eq!(t[0], Some(16)); // 2048 / 128 strips
         assert_eq!(t[1], None);

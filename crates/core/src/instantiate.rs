@@ -42,8 +42,7 @@ use std::collections::HashMap;
 ///
 /// [`CompileError::ParamMismatch`] when `params` does not match the
 /// pipeline's declared parameters, [`CompileError::Bounds`] /
-/// [`CompileError::EmptyDomain`] when the bound geometry is invalid
-/// (unless the plan was built with `skip_bounds_check`).
+/// [`CompileError::EmptyDomain`] when the bound geometry is invalid.
 pub fn instantiate(plan: &ParametricPlan, params: &[i64]) -> Result<Compiled, CompileError> {
     instantiate_with(plan, params, &Diag::noop())
 }
@@ -64,11 +63,9 @@ pub fn instantiate_with(
 
     // The static bounds check is a per-binding property; the plan never
     // ran it.
-    if !plan.opts.skip_bounds_check {
-        let violations = check_bounds(pipe, params);
-        if !violations.is_empty() {
-            return Err(CompileError::Bounds(violations));
-        }
+    let violations = check_bounds(pipe, params);
+    if !violations.is_empty() {
+        return Err(CompileError::Bounds(violations));
     }
 
     // Image buffers (ids fixed by the plan).

@@ -41,7 +41,7 @@ mod grouping;
 mod instantiate;
 pub mod interp;
 mod lower;
-pub mod options;
+mod options;
 mod plan;
 mod report;
 mod session;
@@ -53,9 +53,11 @@ pub use cemit::emit_c;
 pub use compile::{compile, Compiled};
 pub use cref::{emit_c_inputs, emit_c_reference};
 pub use error::CompileError;
-pub use grouping::{group_stages, group_stages_with, Group, GroupKindTag, Grouping, MergeDecision};
+pub use grouping::{group_stages, Group, GroupKindTag, Grouping};
 pub use instantiate::{instantiate, instantiate_with};
-pub use options::{CompileOptions, OptionsKey, StructuralKey, TileSpec, DEFAULT_TILE_SIZES};
+pub use options::{
+    CompileOptions, OptionsKey, Schedule, StructuralKey, TileSpec, DEFAULT_TILE_SIZES,
+};
 pub use plan::{plan, plan_with, ParametricPlan};
 pub use polymage_vm::{SimdLevel, SimdOpt};
 pub use report::{CompileReport, GroupReport, Provenance};

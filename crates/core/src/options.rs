@@ -49,11 +49,84 @@ impl TileSpec {
     }
 }
 
+/// The schedule configurations the paper evaluates: Fig. 10's `base` and
+/// `opt`, plus the four ablation columns of `bin/ablation` that each turn
+/// one pass of `opt` off (§3.6's "without storage reduction" among them).
+///
+/// Every schedule computes the same function (the interpreter is the
+/// reference for all of them); they differ only in the program produced,
+/// so the schedule participates in [`CompileOptions::cache_key`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Schedule {
+    /// Inlining, grouping (Algorithm 1), overlapped tiling and scratchpads:
+    /// the paper's fully optimized configuration.
+    Opt,
+    /// Inlining and parallelism only: every stage is its own group,
+    /// executed as parallel row strips (the paper's "base").
+    Base,
+    /// `Opt` without tiling: fused groups run as parallel row strips.
+    FuseOnly,
+    /// `Opt` without grouping: singleton groups, each overlap-tiled.
+    TileOnly,
+    /// `Opt` with every stage of a tiled group *also* written to a full
+    /// array, modeling the memory traffic of tiling without scratchpads.
+    NoScratch,
+    /// `Opt` without the point-wise inlining pass.
+    NoInline,
+}
+
+impl Schedule {
+    /// Every schedule, `Opt` first.
+    pub const ALL: [Schedule; 6] = [
+        Schedule::Opt,
+        Schedule::Base,
+        Schedule::FuseOnly,
+        Schedule::TileOnly,
+        Schedule::NoScratch,
+        Schedule::NoInline,
+    ];
+
+    /// Short display name (`opt`, `base`, `fuse-only`, …).
+    pub fn label(self) -> &'static str {
+        match self {
+            Schedule::Opt => "opt",
+            Schedule::Base => "base",
+            Schedule::FuseOnly => "fuse-only",
+            Schedule::TileOnly => "tile-only",
+            Schedule::NoScratch => "no-scratch",
+            Schedule::NoInline => "no-inline",
+        }
+    }
+
+    /// Runs the grouping heuristic (otherwise every stage keeps its own
+    /// group).
+    pub(crate) fn fuses(self) -> bool {
+        !matches!(self, Schedule::Base | Schedule::TileOnly)
+    }
+
+    /// Tiles group domains (otherwise only the outer dimension splits,
+    /// into parallel row strips).
+    pub(crate) fn tiles(self) -> bool {
+        !matches!(self, Schedule::Base | Schedule::FuseOnly)
+    }
+
+    /// Runs the point-wise inlining pass.
+    pub(crate) fn inlines(self) -> bool {
+        self != Schedule::NoInline
+    }
+
+    /// Keeps values consumed only inside their group in per-tile
+    /// scratchpads (§3.6).
+    pub(crate) fn scratchpads(self) -> bool {
+        self != Schedule::NoScratch
+    }
+}
+
 /// Options controlling compilation.
 ///
 /// The defaults correspond to the paper's fully optimized configuration
-/// ("PolyMage (opt+vec)"); the `fuse` / `tile` / `mode` knobs reproduce the
-/// ablation configurations of Fig. 10.
+/// ("PolyMage (opt+vec)"); the `schedule` / `mode` fields reproduce the
+/// configurations of Fig. 10 and the ablations.
 #[derive(Debug, Clone)]
 pub struct CompileOptions {
     /// Concrete values for the pipeline parameters (indexed by
@@ -82,30 +155,15 @@ pub struct CompileOptions {
     pub overlap_threshold: f64,
     /// Chunked (vectorized) or point-wise evaluation.
     pub mode: EvalMode,
-    /// Run the grouping heuristic. `false` keeps every stage in its own
-    /// group (the paper's "base" configuration).
-    pub fuse: bool,
-    /// Tile group domains. `false` executes groups as parallel row strips
-    /// without locality tiling (with `fuse: false` this is exactly the
-    /// paper's "base").
-    pub tile: bool,
-    /// Run the point-wise inlining pass (on in every paper configuration).
-    pub inline_pointwise: bool,
-    /// Storage optimization (§3.6): when disabled, every stage of a tiled
-    /// group is *also* written to a full array, modeling the memory traffic
-    /// of tiling without scratchpads — the ablation behind the paper's
-    /// "without storage reduction, the tiling transformations are not very
-    /// effective".
-    pub storage_opt: bool,
+    /// Which passes run: [`Schedule::Opt`] (the default) or `base` or one
+    /// of the ablations.
+    pub schedule: Schedule,
     /// Liveness-driven storage folding (§3.6, second half): reuse one
     /// arena slot for scratchpads of stages whose live ranges don't
     /// intersect, and release full buffers right after their last consumer
     /// group instead of at run end. Bit-exact; purely a memory-footprint /
     /// locality knob.
     pub storage_fold: bool,
-    /// Skip the static bounds check (useful in the autotuner's inner loop,
-    /// where the same pipeline was already checked).
-    pub skip_bounds_check: bool,
     /// Run the kernel optimizer (`polymage_vm::opt`): bit-exact constant
     /// folding, simplification, CSE, DCE, register compaction, uniformity
     /// analysis, and load specialization. `false` executes kernels exactly
@@ -132,23 +190,18 @@ impl CompileOptions {
             tiles: TileSpec::Auto,
             overlap_threshold: 0.4,
             mode: EvalMode::Vector,
-            fuse: true,
-            tile: true,
-            inline_pointwise: true,
-            storage_opt: true,
+            schedule: Schedule::Opt,
             storage_fold: true,
-            skip_bounds_check: false,
             kernel_opt: true,
             simd: SimdOpt::Auto,
         }
     }
 
-    /// Options for the paper's "base" configuration: inlining and
-    /// parallelism but no grouping, tiling, or storage optimization.
+    /// Options for the paper's "base" configuration ([`Schedule::Base`]):
+    /// inlining and parallelism but no grouping or tiling.
     pub fn base(params: Vec<i64>) -> Self {
         CompileOptions {
-            fuse: false,
-            tile: false,
+            schedule: Schedule::Base,
             ..CompileOptions::optimized(params)
         }
     }
@@ -230,11 +283,9 @@ impl CompileOptions {
     /// The hashable normal form of these options, used (together with the
     /// pipeline's content hash) to key compile caches.
     ///
-    /// Every knob that can change the produced program participates —
-    /// including `kernel_opt`, which rewrites kernels and attaches
-    /// uniformity metadata. `skip_bounds_check` is deliberately excluded:
-    /// it only affects whether invalid specifications are *rejected*,
-    /// never the program a successful compilation produces.
+    /// Every knob participates, since each can change the produced program
+    /// — including `kernel_opt`, which rewrites kernels and attaches
+    /// uniformity metadata.
     pub fn cache_key(&self) -> OptionsKey {
         OptionsKey {
             params: self.params.clone(),
@@ -274,10 +325,7 @@ impl CompileOptions {
             tiles,
             overlap_threshold_bits: self.overlap_threshold.to_bits(),
             mode: self.mode,
-            fuse: self.fuse,
-            tile: self.tile,
-            inline_pointwise: self.inline_pointwise,
-            storage_opt: self.storage_opt,
+            schedule: self.schedule,
             storage_fold: self.storage_fold,
             kernel_opt: self.kernel_opt,
             simd: polymage_vm::resolve_simd(self.simd),
@@ -309,9 +357,6 @@ pub mod env {
     use polymage_vm::SimdOpt;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Once, OnceLock};
-
-    /// Every `POLYMAGE_*` variable the toolchain understands.
-    pub const KNOWN_VARS: [&str; 1] = ["POLYMAGE_SIMD"];
 
     /// One rejected or unrecognized `POLYMAGE_*` variable.
     #[derive(Debug, Clone, PartialEq, Eq)]
@@ -501,10 +546,7 @@ pub struct StructuralKey {
     tiles: TileKey,
     overlap_threshold_bits: u64,
     mode: EvalMode,
-    fuse: bool,
-    tile: bool,
-    inline_pointwise: bool,
-    storage_opt: bool,
+    schedule: Schedule,
     storage_fold: bool,
     kernel_opt: bool,
     /// The *resolved* [`polymage_vm::SimdLevel`]: environment override and
@@ -550,10 +592,14 @@ mod tests {
             a.cache_key(),
             CompileOptions::optimized(vec![100, 201]).cache_key()
         );
-        // skip_bounds_check never changes the produced program.
-        let mut skipped = a.clone();
-        skipped.skip_bounds_check = true;
-        assert_eq!(a.cache_key(), skipped.cache_key());
+        // Every schedule is a distinct program.
+        for s in Schedule::ALL.into_iter().filter(|&s| s != a.schedule) {
+            let other = CompileOptions {
+                schedule: s,
+                ..a.clone()
+            };
+            assert_ne!(a.cache_key(), other.cache_key(), "{}", s.label());
+        }
         // kernel_opt rewrites kernels, so it must change the key.
         assert_ne!(a.cache_key(), a.clone().with_kernel_opt(false).cache_key());
         // storage_fold changes slot assignments and buffer lifetimes.
@@ -595,10 +641,11 @@ mod tests {
     #[test]
     fn presets() {
         let o = CompileOptions::optimized(vec![100]);
-        assert!(o.fuse && o.tile && o.kernel_opt);
+        assert!(o.schedule == Schedule::Opt && o.kernel_opt);
         assert_eq!(o.mode, EvalMode::Vector);
         let b = CompileOptions::base(vec![100]);
-        assert!(!b.fuse && !b.tile);
+        assert_eq!(b.schedule, Schedule::Base);
+        assert!(!b.schedule.fuses() && !b.schedule.tiles());
         let s = CompileOptions::optimized(vec![]).with_mode(EvalMode::Scalar);
         assert_eq!(s.mode, EvalMode::Scalar);
         let t = CompileOptions::optimized(vec![])

@@ -20,6 +20,7 @@
 
 use crate::grouping::{group_stages_with, Group, GroupKindTag, Grouping};
 use crate::lower::{KernelBuilder, LowerEnv};
+use crate::storage::StageStorage;
 use crate::{CompileError, CompileOptions};
 use polymage_diag::{Diag, Value};
 use polymage_graph::{inline_pointwise, PipelineGraph};
@@ -28,7 +29,7 @@ use polymage_poly::{extract_accesses, narrow_rect_by_cond, solve_alignment, Acce
 use polymage_vm::MAX_INDEX_TERMS;
 use polymage_vm::{fixed_dims, optimize_kernel, sync_mask};
 use polymage_vm::{BufId, CaseExec, IdxPlan, Kernel, KernelOptReport, Op, RegId, SimdLevel};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// A size-independent compilation plan: phase 1's output, phase 2's input.
 ///
@@ -331,7 +332,7 @@ pub fn plan_with(
     // *per binding* and lives in `instantiate`.
     let span = diag.begin();
     PipelineGraph::build(pipe)?;
-    let (pipe2, inline_report) = if opts.inline_pointwise {
+    let (pipe2, inline_report) = if opts.schedule.inlines() {
         inline_pointwise(pipe)?
     } else {
         (pipe.clone(), Default::default())
@@ -390,20 +391,6 @@ pub fn plan_with(
         vec![None; grouping.groups.len()]
     };
 
-    // Storage obligations: live-outs and cross-group values need full
-    // arrays (structural).
-    let mut needs_full: HashSet<FuncId> = pipe2.live_outs().iter().copied().collect();
-    for f in pipe2.func_ids() {
-        let gf = grouping.group_of(f);
-        if graph
-            .consumers(f)
-            .iter()
-            .any(|&c| grouping.group_of(c) != gf)
-        {
-            needs_full.insert(f);
-        }
-    }
-
     // Buffer ids are fully structural: images first, then per group (in
     // execution order) each stage's scratch and full slots in stage order.
     // `instantiate` re-declares them in exactly this order with concrete
@@ -419,7 +406,6 @@ pub fn plan_with(
         est: &estimates,
         image_bufs: &image_bufs,
         func_full: HashMap::new(),
-        needs_full,
         next_buf: image_bufs.len(),
     };
     let mut groups = Vec::with_capacity(grouping.groups.len());
@@ -499,7 +485,6 @@ struct PlanCtx<'a> {
     est: &'a [i64],
     image_bufs: &'a [BufId],
     func_full: HashMap<FuncId, BufId>,
-    needs_full: HashSet<FuncId>,
     next_buf: usize,
 }
 
@@ -545,25 +530,9 @@ fn plan_tiled(ctx: &mut PlanCtx<'_>, group: &Group) -> Result<GroupPlan, Compile
         solve_alignment(ctx.pipe, &stages, sink).expect("grouping only forms alignable groups");
 
     // Storage classification (structural).
-    struct Classified {
-        f: FuncId,
-        needs_full: bool,
-        direct: bool,
-        maps: Vec<DimMap>,
-    }
-    let classified: Vec<Classified> = stages
+    let storage: Vec<StageStorage> = stages
         .iter()
-        .map(|&f| {
-            let in_group_consumed = ctx.graph.consumers(f).iter().any(|c| stages.contains(c));
-            let needs_full = ctx.needs_full.contains(&f) || !ctx.opts.storage_opt;
-            let direct = needs_full && !in_group_consumed;
-            Classified {
-                f,
-                needs_full,
-                direct,
-                maps: alignment.map(f).to_vec(),
-            }
-        })
+        .map(|&f| StageStorage::of(ctx.pipe, ctx.graph, &stages, f, ctx.opts.schedule))
         .collect();
 
     // Sink normalization scales (structural).
@@ -594,18 +563,18 @@ fn plan_tiled(ctx: &mut PlanCtx<'_>, group: &Group) -> Result<GroupPlan, Compile
     // Buffer ids: per stage, scratch then full (matching `instantiate`'s
     // declaration order).
     let mut func_scratch: HashMap<FuncId, BufId> = HashMap::new();
-    let mut stage_bufs: Vec<(BufId, Option<BufId>)> = Vec::with_capacity(classified.len());
-    for c in &classified {
-        let scratch = if c.direct {
+    let mut stage_bufs: Vec<(BufId, Option<BufId>)> = Vec::with_capacity(stages.len());
+    for (&f, s) in stages.iter().zip(&storage) {
+        let scratch = if s.direct {
             BufId(0) // placeholder, unused by direct stages
         } else {
             let b = ctx.alloc_buf();
-            func_scratch.insert(c.f, b);
+            func_scratch.insert(f, b);
             b
         };
-        let full = if c.needs_full {
+        let full = if s.needs_full {
             let b = ctx.alloc_buf();
-            ctx.func_full.insert(c.f, b);
+            ctx.func_full.insert(f, b);
             Some(b)
         } else {
             None
@@ -615,17 +584,16 @@ fn plan_tiled(ctx: &mut PlanCtx<'_>, group: &Group) -> Result<GroupPlan, Compile
 
     // Kernel protos.
     let group_name = format!("{}+{}", ctx.pipe.func(sink).name, stages.len() - 1);
-    let mut stage_plans: Vec<StagePlanP> = Vec::with_capacity(classified.len());
-    for (k, c) in classified.iter().enumerate() {
-        let fd = ctx.pipe.func(c.f);
-        let (sat, round) = sat_round(fd.ty);
-        let dom_est = ctx.dom_at_estimates(c.f);
-        let cases = plan_cases(ctx, c.f, &dom_est, &func_scratch, &group_name)?;
+    let mut stage_plans: Vec<StagePlanP> = Vec::with_capacity(stages.len());
+    for (k, (&f, s)) in stages.iter().zip(&storage).enumerate() {
+        let (sat, round) = sat_round(ctx.pipe.func(f).ty);
+        let dom_est = ctx.dom_at_estimates(f);
+        let cases = plan_cases(ctx, f, &dom_est, &func_scratch, &group_name)?;
         stage_plans.push(StagePlanP {
-            f: c.f,
-            needs_full: c.needs_full,
-            direct: c.direct,
-            maps: c.maps.clone(),
+            f,
+            needs_full: s.needs_full,
+            direct: s.direct,
+            maps: alignment.map(f).to_vec(),
             scratch: stage_bufs[k].0,
             full: stage_bufs[k].1,
             sat,

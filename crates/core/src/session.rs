@@ -32,13 +32,13 @@
 //!   (deterministic structural hash — names, domains, expressions,
 //!   live-outs);
 //! - the options participate via [`CompileOptions::cache_key`], which
-//!   includes every knob that can change the produced program (params,
-//!   estimates, tile sizes, threshold bits, mode, fuse/tile/inline/storage
-//!   flags, strip count, and `kernel_opt` — the optimizer rewrites
-//!   kernels) and excludes `skip_bounds_check` (it only affects error
-//!   reporting, never the produced program);
+//!   includes every field (params, estimates, tile spec, threshold bits,
+//!   mode, schedule, `storage_fold`, `kernel_opt` and the resolved SIMD
+//!   level), since each can change the produced program;
 //! - errors are never cached — a failed compilation is retried on the
-//!   next call.
+//!   next call. The static bounds check runs on every bind, plan-cache
+//!   hits included, so a size that reads out of bounds is rejected even
+//!   when its plan is shared with valid sizes.
 
 use crate::options::{OptionsKey, StructuralKey};
 use crate::plan::{plan_with, ParametricPlan};

@@ -24,9 +24,44 @@
 //! Both transformations are value-invisible: tests compare folded and
 //! unfolded programs bit-for-bit.
 
+use crate::Schedule;
+use polymage_graph::PipelineGraph;
+use polymage_ir::{FuncId, Pipeline};
 use polymage_vm::{
     BufDecl, BufKind, GroupKind, Program, ScratchSlots, SlotRange, StoragePlan, TiledGroup,
 };
+
+/// Where one stage of a tiled group stores its values (§3.6, first half):
+/// the one classification the planner and the cache model share.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StageStorage {
+    /// Also stored to a full array: a live-out, read by another group, or
+    /// any stage under a schedule without scratchpads.
+    pub needs_full: bool,
+    /// Full-stored with no in-group reader: written straight to the full
+    /// array, with no scratchpad.
+    pub direct: bool,
+}
+
+impl StageStorage {
+    /// Classifies stage `f` of the group whose members are `stages`.
+    pub(crate) fn of(
+        pipe: &Pipeline,
+        graph: &PipelineGraph,
+        stages: &[FuncId],
+        f: FuncId,
+        schedule: Schedule,
+    ) -> StageStorage {
+        let consumers = graph.consumers(f);
+        let needs_full = pipe.live_outs().contains(&f)
+            || !consumers.iter().all(|c| stages.contains(c))
+            || !schedule.scratchpads();
+        StageStorage {
+            needs_full,
+            direct: needs_full && !consumers.iter().any(|c| stages.contains(c)),
+        }
+    }
+}
 
 /// Per-group outcome of scratch folding.
 #[derive(Debug, Clone, Copy, Default)]

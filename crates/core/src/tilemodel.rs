@@ -33,7 +33,8 @@
 //! separate are ever measured.
 
 use crate::autotune::TILE_CANDIDATES;
-use crate::grouping::{effective_tiles_from, Group, GroupKindTag, PAR_STRIPS};
+use crate::grouping::{effective_tiles, Group, GroupKindTag, PAR_STRIPS};
+use crate::storage::StageStorage;
 use crate::CompileOptions;
 use polymage_diag::{Counter, Diag, Value};
 use polymage_graph::PipelineGraph;
@@ -208,12 +209,8 @@ type ExtRead = (Source, Vec<Option<(usize, i64, i64)>>, Vec<i64>);
 #[derive(Debug, Clone)]
 struct StageGeom {
     dims: Vec<DimGeom>,
-    /// Whether the stage also stores to a full array (live-out or
-    /// cross-group consumed, or `storage_opt` off).
-    needs_full: bool,
-    /// Full-stored with no in-group consumer: writes stream directly,
-    /// no scratch slot exists.
-    direct: bool,
+    /// Scratchpad, full array, or both.
+    storage: StageStorage,
     /// Indices (into the group's stage list) of in-group producers this
     /// stage reads — drives the liveness folding simulation.
     reads: Vec<usize>,
@@ -309,10 +306,7 @@ impl GroupGeom {
                 })
                 .collect();
 
-            let in_group_consumed = graph.consumers(f).iter().any(|c| stages.contains(c));
-            let cross_group = graph.consumers(f).iter().any(|c| !stages.contains(c));
-            let needs_full = pipe.live_outs().contains(&f) || cross_group || !opts.storage_opt;
-            let direct = needs_full && !in_group_consumed;
+            let storage = StageStorage::of(pipe, graph, &stages, f, opts.schedule);
 
             let mut reads: Vec<usize> = Vec::new();
             let mut ext_reads: Vec<ExtRead> = Vec::new();
@@ -366,8 +360,7 @@ impl GroupGeom {
             }
             geoms.push(StageGeom {
                 dims,
-                needs_full,
-                direct,
+                storage,
                 reads,
                 ext_reads,
             });
@@ -486,7 +479,7 @@ impl GroupGeom {
         }
         let mut slots: Vec<(usize, usize)> = Vec::new(); // (size, busy_until)
         for (k, s) in self.stages.iter().enumerate() {
-            if s.direct {
+            if s.storage.direct {
                 continue;
             }
             let len = footprint(s);
@@ -515,7 +508,7 @@ impl GroupGeom {
 
         for s in &self.stages {
             // Streamed stores to full arrays touch the tile's own region.
-            if s.needs_full {
+            if s.storage.needs_full {
                 ws = ws.saturating_add(footprint(s));
             }
             // Out-of-group reads: the consumer's per-tile extent scaled
@@ -676,7 +669,7 @@ pub fn select_tiles(geom: &GroupGeom, opts: &CompileOptions, model: &CacheModel)
         }
     });
 
-    let baseline = effective_tiles_from(&geom.sink_extents, opts.tiles.baseline_sizes(), opts.tile);
+    let baseline = effective_tiles(&geom.sink_extents, opts);
     let base_ws = geom.working_set(&baseline, model);
     let base_ratio = geom.redundancy(&baseline);
     let base_feasible = base_ratio < opts.overlap_threshold
@@ -749,10 +742,8 @@ fn whole_group_bytes(
     let in_group = |f: &FuncId| group.stages.contains(f);
     let mut total = 0usize;
     for &f in &group.stages {
-        let consumers = graph.consumers(f);
-        let needs_full =
-            pipe.live_outs().contains(&f) || !consumers.iter().all(in_group) || !opts.storage_opt;
-        let copies = 1 + usize::from(needs_full && consumers.iter().any(in_group));
+        let s = StageStorage::of(pipe, graph, &group.stages, f, opts.schedule);
+        let copies = 1 + usize::from(s.needs_full && !s.direct);
         total = total.saturating_add(bytes_of(Source::Func(f)).saturating_mul(copies));
         let mut sources: Vec<Source> = Vec::new();
         visit_func_exprs(pipe.func(f), &mut |e| {
@@ -783,7 +774,7 @@ pub fn group_tiles(
     model: &CacheModel,
 ) -> Option<TileChoice> {
     if group.kind != GroupKindTag::Normal
-        || !opts.tile
+        || !opts.schedule.tiles()
         || whole_group_bytes(pipe, graph, group, opts) <= model.budget()
     {
         return None;

@@ -1,10 +1,10 @@
 //! The compiler's central correctness property: for every pipeline and
-//! every schedule configuration (fused/unfused, tiled/untiled, vector/
-//! scalar, any thread count), the compiled program computes the same
-//! function as the naive reference interpreter.
+//! every schedule configuration (every `Schedule`, vector/scalar, several
+//! tile shapes and thresholds, any thread count), the compiled program
+//! computes the same function as the naive reference interpreter.
 
 use polymage_core::interp::interpret;
-use polymage_core::{compile, CompileOptions};
+use polymage_core::{compile, CompileOptions, Schedule};
 use polymage_ir::*;
 use polymage_poly::Rect;
 use polymage_vm::{Buffer, Engine, EvalMode, RunRequest};
@@ -12,27 +12,19 @@ use polymage_vm::{Buffer, Engine, EvalMode, RunRequest};
 fn check_all_configs(pipe: &Pipeline, params: Vec<i64>, inputs: &[Buffer], tol: f32) {
     let expect = interpret(pipe, &params, inputs).expect("interpreter");
     let engine = Engine::with_threads(3);
-    let configs = [
-        CompileOptions::optimized(params.clone()),
+    let schedules = Schedule::ALL.map(|schedule| CompileOptions {
+        schedule,
+        ..CompileOptions::optimized(params.clone())
+    });
+    let others = [
         CompileOptions::optimized(params.clone()).with_mode(EvalMode::Scalar),
         CompileOptions::optimized(params.clone()).with_tiles(vec![8, 8]),
         CompileOptions::optimized(params.clone())
             .with_tiles(vec![16, 64])
             .with_threshold(0.2),
-        CompileOptions::base(params.clone()),
         CompileOptions::base(params.clone()).with_mode(EvalMode::Scalar),
-        {
-            let mut o = CompileOptions::optimized(params.clone());
-            o.inline_pointwise = false;
-            o
-        },
-        {
-            let mut o = CompileOptions::optimized(params.clone());
-            o.fuse = false; // tiling without fusion
-            o
-        },
     ];
-    for (ci, opts) in configs.iter().enumerate() {
+    for (ci, opts) in schedules.iter().chain(&others).enumerate() {
         let compiled = compile(pipe, opts)
             .unwrap_or_else(|e| panic!("config {ci} failed to compile {}: {e}", pipe.name()));
         for threads in [1, 3] {

@@ -4,7 +4,7 @@
 //! threshold, or parameter values is a distinct cache key.
 
 use polymage_core::autotune::autotune_with_session;
-use polymage_core::{CompileOptions, Session};
+use polymage_core::{CompileError, CompileOptions, Session};
 use polymage_diag::{Counter, Diag};
 use polymage_ir::*;
 use polymage_poly::Rect;
@@ -55,14 +55,6 @@ fn same_spec_hits_without_recompiling() {
     assert!(Arc::ptr_eq(&first, &third));
     assert_eq!(session.cache_stats().misses, 1);
     assert_eq!(session.cache_stats().hits, 2);
-
-    // skip_bounds_check never changes a successful compile's output, so
-    // it is deliberately not part of the key.
-    let mut skip = opts.clone();
-    skip.skip_bounds_check = true;
-    let fourth = session.compile(&pipe, &skip).unwrap();
-    assert!(Arc::ptr_eq(&first, &fourth));
-    assert_eq!(session.cache_stats().misses, 1);
 }
 
 #[test]
@@ -112,14 +104,38 @@ fn kernel_opt_is_part_of_the_key() {
     // be the pristine lowering.
     assert!(!first.report.kernels.is_empty());
     assert!(second.report.kernels.is_empty());
+}
 
-    // skip_bounds_check still hits on top of either entry.
-    let mut skip = off.clone();
-    skip.skip_bounds_check = true;
-    let third = session.compile(&pipe, &skip).unwrap();
-    assert!(Arc::ptr_eq(&second, &third));
-    assert_eq!(session.cache_stats().misses, 2);
-    assert_eq!(session.cache_stats().hits, 1);
+#[test]
+fn bounds_check_runs_on_every_bind_including_plan_hits() {
+    // f(x) = in(x) over [0, N-1], reading an image of constant extent 64:
+    // in bounds up to N = 64, out of bounds beyond.
+    let mut p = PipelineBuilder::new("copy");
+    let n = p.param("N");
+    let img = p.image("in", ScalarType::Float, vec![PAff::cst(64)]);
+    let x = p.var("x");
+    let f = p.func(
+        "f",
+        &[(x, Interval::new(PAff::cst(0), PAff::param(n) - 1))],
+        ScalarType::Float,
+    );
+    p.define(f, vec![Case::always(Expr::at(img, [x + 0]))])
+        .unwrap();
+    let pipe = p.finish(&[f]).unwrap();
+    // Pinned estimates: every size shares one plan.
+    let at = |n: i64| CompileOptions::optimized(vec![n]).with_estimates(vec![32]);
+    let session = Session::with_threads(1);
+
+    session.compile(&pipe, &at(48)).unwrap();
+    for _ in 0..2 {
+        // A plan-cache hit still checks the new binding, every time.
+        let err = session.compile(&pipe, &at(96)).unwrap_err();
+        assert!(matches!(err, CompileError::Bounds(_)), "{err}");
+    }
+    let stats = session.cache_stats();
+    assert_eq!(stats.plan_misses, 1);
+    assert_eq!(stats.plan_hits, 2);
+    assert_eq!(session.cache_len(), 1, "a failed bind is not cached");
 }
 
 #[test]

@@ -9,7 +9,7 @@
 
 use polymage_core::autotune::TILE_CANDIDATES;
 use polymage_core::tilemodel::{group_tiles, min_strip_tiles, select_tiles, CacheModel, GroupGeom};
-use polymage_core::{group_stages, CompileOptions, GroupKindTag};
+use polymage_core::{group_stages, CompileOptions, GroupKindTag, Schedule};
 use polymage_graph::PipelineGraph;
 use polymage_ir::*;
 use proptest::prelude::*;
@@ -99,8 +99,10 @@ fn model_acts_only_when_the_whole_group_overflows_the_budget() {
     assert!(!choice.fallback, "{choice:?}");
     assert!(choice.working_set <= model(64 << 10).budget(), "{choice:?}");
     // Tiling off: no decision whatever the budget.
-    let mut untiled = opts.clone();
-    untiled.tile = false;
+    let untiled = CompileOptions {
+        schedule: Schedule::FuseOnly,
+        ..opts.clone()
+    };
     assert_eq!(
         group_tiles(&pipe, &graph, group, &untiled, &model(64 << 10)),
         None
