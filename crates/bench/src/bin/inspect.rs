@@ -93,8 +93,8 @@ fn main() {
             r.load_histogram()
         );
         if args.filter.is_some() {
-            println!("--- emitted C (Fig. 7 style) ---");
-            println!("{}", emit_c(b.pipeline(), &compiled.program));
+            println!("--- emitted C (Fig. 7 style, runnable) ---");
+            println!("{}", emit_c(&compiled.program));
         }
     }
 }

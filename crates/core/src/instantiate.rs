@@ -707,12 +707,11 @@ fn bind_selfref(
     )
 }
 
-/// The bind-time counterpart of [`polymage_vm::optimize_program`]: walks
-/// the bound program with the plan's kernel protos in hand, reusing a
-/// proto verbatim when the case is parameter-insensitive and the bound
-/// rect pins the same fixed dimensions the proto was specialized for, and
-/// re-running the optimizer otherwise. Returns the per-kernel reports and
-/// the `(reused, respecialized)` split.
+/// Optimizes every kernel of the bound program: walks it with the plan's
+/// kernel protos in hand, reusing a proto verbatim when the case is
+/// parameter-insensitive and the bound rect pins the same fixed dimensions
+/// the proto was specialized for, and re-running the optimizer otherwise.
+/// Returns the per-kernel reports and the `(reused, respecialized)` split.
 fn finalize_kernels(
     plan: &ParametricPlan,
     program: &mut Program,

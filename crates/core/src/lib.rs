@@ -16,8 +16,9 @@
 //!    cross-group values; per-tile scratchpads with relative indexing for
 //!    everything else (§3.6);
 //! 5. lowering of stage expressions to chunked VM kernels (the stand-in for
-//!    §3.7's C++ code generation), plus a C emitter that renders the same
-//!    loop structure as the paper's Fig. 7 for inspection;
+//!    §3.7's C++ code generation), plus a C emitter ([`emit_c`]) that renders
+//!    the scheduled program as runnable C with the loop structure of the
+//!    paper's Fig. 7, bit-for-bit equal to the engine;
 //! 6. an [`autotune`] module exploring the paper's 7-tile-sizes ×
 //!    3-thresholds space (§3.8), and a random-schedule baseline tuner.
 //!
@@ -33,9 +34,8 @@
 #![forbid(unsafe_code)]
 
 pub mod autotune;
-mod cemit;
 mod compile;
-mod cref;
+mod emit;
 mod error;
 mod grouping;
 mod instantiate;
@@ -49,9 +49,8 @@ mod storage;
 pub mod tilemodel;
 mod validate;
 
-pub use cemit::emit_c;
 pub use compile::{compile, Compiled};
-pub use cref::{emit_c_inputs, emit_c_reference};
+pub use emit::emit_c;
 pub use error::CompileError;
 pub use grouping::{group_stages, Group, GroupKindTag, Grouping};
 pub use instantiate::{instantiate, instantiate_with};

@@ -28,7 +28,7 @@ use crate::Schedule;
 use polymage_graph::PipelineGraph;
 use polymage_ir::{FuncId, Pipeline};
 use polymage_vm::{
-    BufDecl, BufKind, GroupKind, Program, ScratchSlots, SlotRange, StoragePlan, TiledGroup,
+    BufDecl, BufId, BufKind, GroupKind, Program, ScratchSlots, SlotRange, StoragePlan, TiledGroup,
 };
 
 /// Where one stage of a tiled group stores its values (§3.6, first half):
@@ -128,89 +128,91 @@ pub(crate) fn optimize_storage(prog: &mut Program, enabled: bool) -> StorageOutc
     out
 }
 
-/// Last stage index (in group order) that reads each stage's scratchpad;
-/// a stage nobody reads dies at its own index.
-fn last_uses(tg: &TiledGroup) -> Vec<usize> {
-    let n = tg.stages.len();
-    let mut last: Vec<usize> = (0..n).collect();
-    for (j, s) in tg.stages.iter().enumerate() {
-        for &b in &s.reads {
-            if let Some(k) = tg.stages.iter().position(|p| !p.direct && p.scratch == b) {
-                last[k] = last[k].max(j);
-            }
-        }
-    }
-    last
-}
-
 /// Greedy interval coloring of a tiled group's scratchpads onto shared
-/// slots. Stage `k` is live over `[k, last_use(k)]`; a slot is free for
-/// `k` when its latest occupant's last use is strictly before `k`. Slot
-/// choice is deterministic: the smallest free slot that already fits,
-/// else the largest free slot (minimizing growth), else a new slot.
-fn fold_group(tg: &TiledGroup, buffers: &[BufDecl]) -> ScratchSlots {
-    let n = tg.stages.len();
-    let last_use = last_uses(tg);
-
-    struct SlotInfo {
-        size: usize,
-        /// Stage index of the latest occupant's last use.
-        busy_until: usize,
+/// slots — the one rule behind both this pass and the cache model's
+/// working-set estimate. `lens[k]` is stage `k`'s scratchpad length
+/// (`None` for a direct stage, which owns no slot) and `reads` yields, per
+/// stage, the in-group stages whose scratchpads it reads. Stage `k` is live
+/// over `[k, its last reader]`; a slot is free for `k` when its latest
+/// occupant's last reader runs strictly before `k`. Slot choice is
+/// deterministic: the smallest free slot that already fits, else the
+/// largest free slot (minimizing growth), else a new slot; ties go to the
+/// lowest slot. Returns each stage's slot and each slot's size.
+pub(crate) fn color_slots<R: IntoIterator<Item = usize>>(
+    lens: &[Option<usize>],
+    reads: impl IntoIterator<Item = R>,
+) -> (Vec<Option<usize>>, Vec<usize>) {
+    let n = lens.len();
+    let mut last_use: Vec<usize> = (0..n).collect();
+    for (j, producers) in reads.into_iter().enumerate() {
+        for k in producers {
+            last_use[k] = last_use[k].max(j);
+        }
     }
-    let mut slots: Vec<SlotInfo> = Vec::new();
+    let mut sizes: Vec<usize> = Vec::new();
+    // Per slot: stage index of its latest occupant's last use.
+    let mut busy_until: Vec<usize> = Vec::new();
     let mut assign: Vec<Option<usize>> = vec![None; n];
-    for (k, s) in tg.stages.iter().enumerate() {
-        if s.direct {
-            continue;
-        }
-        let len = buffers[s.scratch.0].len();
-        let mut best_fit: Option<(usize, usize)> = None; // (slot, size)
-        let mut largest: Option<(usize, usize)> = None;
-        for (i, sl) in slots.iter().enumerate() {
-            if sl.busy_until >= k {
-                continue; // occupant still live at stage k
-            }
-            if sl.size >= len && best_fit.is_none_or(|(_, sz)| sl.size < sz) {
-                best_fit = Some((i, sl.size));
-            }
-            if largest.is_none_or(|(_, sz)| sl.size > sz) {
-                largest = Some((i, sl.size));
-            }
-        }
+    for (k, len) in lens.iter().enumerate() {
+        let Some(len) = *len else { continue };
+        // `min_by_key` keeps the first of equal keys: the lowest slot.
+        let free = (0..sizes.len()).filter(|&i| busy_until[i] < k);
+        let best_fit = free
+            .clone()
+            .filter(|&i| sizes[i] >= len)
+            .min_by_key(|&i| sizes[i]);
+        let largest = free.min_by_key(|&i| std::cmp::Reverse(sizes[i]));
         let si = match best_fit.or(largest) {
-            Some((i, _)) => {
-                slots[i].size = slots[i].size.max(len);
-                slots[i].busy_until = last_use[k];
+            Some(i) => {
+                sizes[i] = sizes[i].max(len);
+                busy_until[i] = last_use[k];
                 i
             }
             None => {
-                slots.push(SlotInfo {
-                    size: len,
-                    busy_until: last_use[k],
-                });
-                slots.len() - 1
+                sizes.push(len);
+                busy_until.push(last_use[k]);
+                sizes.len() - 1
             }
         };
         assign[k] = Some(si);
     }
+    (assign, sizes)
+}
 
-    let mut offsets = Vec::with_capacity(slots.len());
+/// Folds a tiled group's scratchpads onto shared slots ([`color_slots`])
+/// and packs the slots, aligned, into one arena.
+fn fold_group(tg: &TiledGroup, buffers: &[BufDecl]) -> ScratchSlots {
+    let lens: Vec<Option<usize>> = tg
+        .stages
+        .iter()
+        .map(|s| (!s.direct).then(|| buffers[s.scratch.0].len()))
+        .collect();
+    let producer = |b: &BufId| tg.stages.iter().position(|p| !p.direct && p.scratch == *b);
+    let reads = tg
+        .stages
+        .iter()
+        .map(|s| s.reads.iter().filter_map(producer));
+    let (assign, sizes) = color_slots(&lens, reads);
+
+    let mut offsets = Vec::with_capacity(sizes.len());
     let mut off = 0usize;
-    for sl in &slots {
+    for &size in &sizes {
         offsets.push(off);
-        off += ScratchSlots::align(sl.size);
+        off += ScratchSlots::align(size);
     }
     ScratchSlots {
-        stage: (0..n)
-            .map(|k| {
-                assign[k].map(|si| SlotRange {
+        stage: assign
+            .iter()
+            .zip(&lens)
+            .map(|(a, len)| {
+                a.map(|si| SlotRange {
                     slot: si,
                     offset: offsets[si],
-                    len: buffers[tg.stages[k].scratch.0].len(),
+                    len: len.expect("a slotted stage has a scratchpad"),
                 })
             })
             .collect(),
-        nslots: slots.len(),
+        nslots: sizes.len(),
         arena_len: off,
     }
 }
@@ -305,7 +307,7 @@ pub(crate) fn peak_estimate(prog: &Program) -> usize {
 mod tests {
     use super::*;
     use polymage_poly::Rect;
-    use polymage_vm::{BufId, StageExec};
+    use polymage_vm::StageExec;
 
     /// A stage skeleton: only `direct`, `scratch`, and `reads` matter to
     /// the coloring.

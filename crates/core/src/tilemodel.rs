@@ -467,44 +467,16 @@ impl GroupGeom {
             elems as usize * 4
         };
 
-        // Scratch arena: greedy interval coloring over estimated
-        // footprints, mirroring `core::storage::fold_group` (a stage is
-        // live from its own index to its last in-group reader).
-        let n = self.stages.len();
-        let mut last_use: Vec<usize> = (0..n).collect();
-        for (j, s) in self.stages.iter().enumerate() {
-            for &p in &s.reads {
-                last_use[p] = last_use[p].max(j);
-            }
-        }
-        let mut slots: Vec<(usize, usize)> = Vec::new(); // (size, busy_until)
-        for (k, s) in self.stages.iter().enumerate() {
-            if s.storage.direct {
-                continue;
-            }
-            let len = footprint(s);
-            let mut best_fit: Option<usize> = None;
-            let mut largest: Option<usize> = None;
-            for (i, &(size, busy)) in slots.iter().enumerate() {
-                if busy >= k {
-                    continue;
-                }
-                if size >= len && best_fit.is_none_or(|b| size < slots[b].0) {
-                    best_fit = Some(i);
-                }
-                if largest.is_none_or(|l| size > slots[l].0) {
-                    largest = Some(i);
-                }
-            }
-            match best_fit.or(largest) {
-                Some(i) => {
-                    slots[i].0 = slots[i].0.max(len);
-                    slots[i].1 = last_use[k];
-                }
-                None => slots.push((len, last_use[k])),
-            }
-        }
-        let mut ws: usize = slots.iter().map(|&(size, _)| size).sum();
+        // Scratch arena: the storage pass's slot coloring over estimated
+        // footprints.
+        let lens: Vec<Option<usize>> = self
+            .stages
+            .iter()
+            .map(|s| (!s.storage.direct).then(|| footprint(s)))
+            .collect();
+        let reads = self.stages.iter().map(|s| s.reads.iter().copied());
+        let (_, slots) = crate::storage::color_slots(&lens, reads);
+        let mut ws: usize = slots.iter().sum();
 
         for s in &self.stages {
             // Streamed stores to full arrays touch the tile's own region.

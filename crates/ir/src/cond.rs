@@ -21,18 +21,6 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
-    /// The C source token for this operator.
-    pub fn c_token(self) -> &'static str {
-        match self {
-            CmpOp::Lt => "<",
-            CmpOp::Le => "<=",
-            CmpOp::Gt => ">",
-            CmpOp::Ge => ">=",
-            CmpOp::Eq => "==",
-            CmpOp::Ne => "!=",
-        }
-    }
-
     /// Evaluates the comparison on two scalars.
     pub fn apply(self, a: f64, b: f64) -> bool {
         match self {

@@ -52,9 +52,7 @@ pub use exec::RunStats;
 pub use index::MAX_TERMS as MAX_INDEX_TERMS;
 pub use kernel::{BinF, CmpF, IdxPlan, Kernel, Op, OptMeta, RegId, UnF};
 pub use loadclass::{LoadClass, LoadHistogram};
-pub use opt::{
-    collect_reads, fixed_dims, optimize_kernel, optimize_program, sync_mask, KernelOptReport,
-};
+pub use opt::{collect_reads, fixed_dims, optimize_kernel, sync_mask, KernelOptReport};
 pub use pool::{BufferPool, PoolStats, SharedPool};
 pub use program::{
     CaseExec, EvalMode, GroupExec, GroupKind, Program, ReductionExec, ScratchSlots, SeqExec,

@@ -38,7 +38,7 @@
 use crate::eval::{scalar_bin, scalar_cmp, scalar_round, scalar_un};
 use crate::kernel::OptMeta;
 use crate::loadclass::{classify, LoadHistogram};
-use crate::{BinF, GroupKind, IdxPlan, Kernel, Op, Program, RegId, UnF};
+use crate::{BinF, IdxPlan, Kernel, Op, RegId, UnF};
 
 /// Per-kernel optimization statistics, surfaced through
 /// `polymage_core::CompileReport` and `bin/inspect`.
@@ -93,48 +93,6 @@ impl std::fmt::Display for KernelOptReport {
             self.loads
         )
     }
-}
-
-/// Optimizes every kernel of a compiled program in place, returning one
-/// report per kernel. Store masks ([`crate::CaseExec::mask`]) and stage
-/// read sets are re-synchronized after register renumbering.
-pub fn optimize_program(prog: &mut Program) -> Vec<KernelOptReport> {
-    let mut reports = Vec::new();
-    for group in &mut prog.groups {
-        match &mut group.kind {
-            GroupKind::Tiled(tg) => {
-                for stage in &mut tg.stages {
-                    let ndims = stage.dom.ndim();
-                    for (ci, case) in stage.cases.iter_mut().enumerate() {
-                        let name = format!("{}/{}#{}", group.name, stage.name, ci);
-                        let fixed = fixed_dims(&case.rect.intersect(&stage.dom), &case.steps);
-                        reports.push(optimize_kernel(&mut case.kernel, ndims, &fixed, name));
-                        sync_mask(case);
-                    }
-                    stage.reads = collect_reads(stage.cases.iter().map(|c| &c.kernel), None);
-                }
-            }
-            GroupKind::Reduction(red) => {
-                let ndims = red.red_dom.ndim();
-                let name = format!("{}/{}", group.name, red.name);
-                let fixed = fixed_dims(&red.red_dom, &[]);
-                reports.push(optimize_kernel(&mut red.kernel, ndims, &fixed, name));
-                red.reads = collect_reads(std::iter::once(&red.kernel), None);
-            }
-            GroupKind::Sequential(seq) => {
-                let ndims = seq.dom.ndim();
-                for (ci, case) in seq.cases.iter_mut().enumerate() {
-                    let name = format!("{}/{}#{}", group.name, seq.name, ci);
-                    let fixed = fixed_dims(&case.rect.intersect(&seq.dom), &case.steps);
-                    reports.push(optimize_kernel(&mut case.kernel, ndims, &fixed, name));
-                    sync_mask(case);
-                }
-                let out = seq.out;
-                seq.reads = collect_reads(seq.cases.iter().map(|c| &c.kernel), Some(out));
-            }
-        }
-    }
-    reports
 }
 
 /// Virtual-coordinate values of dimensions the executed rect pins to a
