@@ -4,9 +4,9 @@
 //! [`compile`] is now a thin composition of [`crate::plan`] and
 //! [`crate::instantiate`] — the paper's full flow (Fig. 4) split at the
 //! size boundary: graph construction, point-wise inlining, grouping
-//! (Algorithm 1) and kernel pre-optimization happen in the plan; bounds
-//! checking, overlapped-tile construction, storage optimization and
-//! kernel finalization happen per binding. When the estimates default to
+//! (Algorithm 1) and the kernel prototypes happen in the plan; bounds
+//! checking, overlapped-tile construction, each kernel's final form and
+//! storage optimization happen per binding. When the estimates default to
 //! the bound values (the common case) the result is identical to the old
 //! monolithic driver.
 

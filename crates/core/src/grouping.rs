@@ -77,20 +77,6 @@ impl Grouping {
             .position(|g| g.stages.contains(&f))
             .expect("stage belongs to a group")
     }
-
-    /// Names of each group's stages (stable order) — used by tests that pin
-    /// down Fig. 8-style grouping structure.
-    pub fn stage_names(&self, pipe: &Pipeline) -> Vec<Vec<String>> {
-        self.groups
-            .iter()
-            .map(|g| {
-                g.stages
-                    .iter()
-                    .map(|&f| pipe.func(f).name.clone())
-                    .collect()
-            })
-            .collect()
-    }
 }
 
 /// The per-group effective tile sizes: `Some(τ)` for tiled dims, `None` for

@@ -1,32 +1,33 @@
 //! Phase 2 of parametric compilation: binding a [`ParametricPlan`] to
 //! concrete parameter values.
 //!
-//! [`instantiate`] is the cheap half of the split: it evaluates the plan's
-//! symbolic geometry (stage domains, image extents, reduction domains) at
-//! the bound values, enumerates the overlapped tiles, sizes buffers, and
-//! finalizes kernels — reusing the plan's pre-optimized kernels verbatim
-//! whenever they are provably byte-identical (the case is not
-//! parameter-sensitive and the bound rect pins the same dimensions the
-//! proto was specialized for). No graph analysis, grouping, alignment
-//! solving, or lowering from the expression IR happens here unless a
-//! kernel embeds parameter values.
+//! [`instantiate`] is the cheap half of the split. It walks the plan's
+//! groups once: per group it evaluates the symbolic geometry (stage
+//! domains, image extents, reduction domains) at the bound values,
+//! enumerates the overlapped tiles, sizes buffers, and gets each kernel in
+//! its final form from [`crate::plan::build_kernel`], which hands back the
+//! plan's prototype verbatim whenever that is provably byte-identical.
+//! The storage pass then runs on the finished groups. No graph analysis,
+//! grouping or alignment solving happens here, and a kernel is lowered
+//! again only when the binding changes it.
 //!
 //! The resulting [`Compiled`] is bit-identical to what [`crate::compile`]
 //! produces directly at the same values whenever the grouping heuristics
 //! agree between the plan's estimates and the bound sizes.
 
 use crate::grouping::{effective_tiles, strip_untiled_outer, GroupKindTag};
-use crate::lower::{KernelBuilder, LowerEnv};
+use crate::lower::LowerEnv;
+use crate::plan::{build_kernel, eval_dom, KernelBody, KernelProto};
 use crate::plan::{CasePlan, GroupPlan, ParametricPlan, ReductionPlan, SelfRefPlan, TiledPlan};
 use crate::report::{CompileReport, GroupReport, Provenance};
 use crate::{CompileError, Compiled};
 use polymage_diag::{Counter, Diag, Value};
 use polymage_graph::check_bounds;
-use polymage_ir::{FuncBody, FuncId, Pipeline, VarId};
+use polymage_ir::{FuncBody, FuncId, VarId};
 use polymage_poly::{narrow_rect_by_cond, required_region, DimMap, Rect};
 use polymage_vm::{
-    collect_reads, fixed_dims, optimize_kernel, sync_mask, BufDecl, BufId, BufKind, CaseExec,
-    GroupExec, GroupKind, Program, ReductionExec, SeqExec, StageExec, StoragePlan, TileWork,
+    collect_reads, BufDecl, BufId, BufKind, CaseExec, GroupExec, GroupKind, Kernel,
+    KernelOptReport, Program, ReductionExec, RegId, SeqExec, StageExec, StoragePlan, TileWork,
     TiledGroup,
 };
 use std::collections::HashMap;
@@ -41,15 +42,18 @@ use std::collections::HashMap;
 /// # Errors
 ///
 /// [`CompileError::ParamMismatch`] when `params` does not match the
-/// pipeline's declared parameters, [`CompileError::Bounds`] /
-/// [`CompileError::EmptyDomain`] when the bound geometry is invalid.
+/// pipeline's declared parameters, [`CompileError::InvalidOptions`] when
+/// the geometry at `params` overflows `i64` or cannot be addressed,
+/// [`CompileError::Bounds`] / [`CompileError::EmptyDomain`] when the bound
+/// geometry is invalid.
 pub fn instantiate(plan: &ParametricPlan, params: &[i64]) -> Result<Compiled, CompileError> {
     instantiate_with(plan, params, &Diag::noop())
 }
 
 /// [`instantiate`] with diagnostics: wraps the bind in an `instantiate`
-/// span containing the classic `phase.schedule` / `phase.storage` /
-/// `phase.kernel-opt` spans and per-group `group.scheduled` events.
+/// span containing the `phase.schedule` span (which also reports the
+/// kernel count, eliminated ops and the reused/respecialized split), the
+/// `phase.storage` span, and per-group `group.scheduled` events.
 pub fn instantiate_with(
     plan: &ParametricPlan,
     params: &[i64],
@@ -59,6 +63,7 @@ pub fn instantiate_with(
     if params.len() != pipe.params().len() {
         return Err(CompileError::param_mismatch(pipe, params.len()));
     }
+    crate::options::check_params(pipe, params, "params")?;
     let inst_span = diag.begin();
 
     // The static bounds check is a per-binding property; the plan never
@@ -69,7 +74,15 @@ pub fn instantiate_with(
     }
 
     // Image buffers (ids fixed by the plan).
-    let mut buffers: Vec<BufDecl> = Vec::with_capacity(plan.nbufs);
+    let mut b = Binder {
+        plan,
+        params,
+        diag,
+        buffers: Vec::with_capacity(plan.nbufs),
+        kernels: Vec::new(),
+        reused: 0,
+        respecialized: 0,
+    };
     for img in pipe.images() {
         let sizes: Vec<i64> = img.extents.iter().map(|e| e.eval(params).max(0)).collect();
         if sizes.contains(&0) {
@@ -77,7 +90,7 @@ pub fn instantiate_with(
                 name: img.name.clone(),
             });
         }
-        buffers.push(BufDecl {
+        b.buffers.push(BufDecl {
             name: img.name.clone(),
             kind: BufKind::Full,
             sizes: sizes.clone(),
@@ -86,35 +99,26 @@ pub fn instantiate_with(
     }
 
     // Per-group bind: evaluate geometry, enumerate tiles, size buffers,
-    // materialize raw kernels (cloned from the plan, or re-lowered at the
-    // bound values when parameter-sensitive).
+    // build every kernel in its final form.
     let sched_span = diag.begin();
     let mut groups: Vec<GroupExec> = Vec::with_capacity(plan.groups.len());
-    let mut case_maps: Vec<Vec<Vec<usize>>> = Vec::with_capacity(plan.groups.len());
     let mut group_reports: Vec<GroupReport> = Vec::with_capacity(plan.groups.len());
     for (gi, gp) in plan.groups.iter().enumerate() {
-        let bufs_before = buffers.len();
+        let bufs_before = b.buffers.len();
         let choice = plan.tile_choices.get(gi).and_then(|c| c.as_ref());
-        let (ge, cmap, bound_tiles) = match gp {
+        let (ge, bound_tiles) = match gp {
             GroupPlan::Tiled(tp) => {
-                let (ge, cmap, tiles) = bind_tiled(plan, tp, params, &mut buffers, choice, diag);
-                (ge, cmap, Some(tiles))
+                let (ge, tiles) = b.tiled(tp, choice)?;
+                (ge, Some(tiles))
             }
-            GroupPlan::Reduction(rp) => (
-                bind_reduction(plan, rp, params, &mut buffers),
-                Vec::new(),
-                None,
-            ),
-            GroupPlan::SelfRef(sp) => {
-                let (ge, cmap) = bind_selfref(plan, sp, params, &mut buffers);
-                (ge, cmap, None)
-            }
+            GroupPlan::Reduction(rp) => (b.reduction(rp)?, None),
+            GroupPlan::SelfRef(sp) => (b.selfref(sp)?, None),
         };
         let (mut scratch_bytes, mut full_bytes) = (0usize, 0usize);
-        for b in &buffers[bufs_before..] {
-            match b.kind {
-                BufKind::Scratch => scratch_bytes += b.len() * 4,
-                BufKind::Full => full_bytes += b.len() * 4,
+        for buf in &b.buffers[bufs_before..] {
+            match buf.kind {
+                BufKind::Scratch => scratch_bytes += buf.len() * 4,
+                BufKind::Full => full_bytes += buf.len() * 4,
             }
         }
         let g = &plan.grouping.groups[gi];
@@ -141,14 +145,27 @@ pub fn instantiate_with(
         }
         group_reports.push(gr);
         groups.push(ge);
-        case_maps.push(cmap);
     }
-    debug_assert_eq!(buffers.len(), plan.nbufs, "bind declared plan's buffers");
+    debug_assert_eq!(b.buffers.len(), plan.nbufs, "bind declared plan's buffers");
+    let Binder {
+        buffers,
+        kernels,
+        reused,
+        respecialized,
+        ..
+    } = b;
     diag.end(
         sched_span,
         "phase.schedule",
         if diag.enabled() {
-            vec![("groups", Value::UInt(group_reports.len() as u64))]
+            let ops: usize = kernels.iter().map(|k| k.eliminated_ops()).sum();
+            vec![
+                ("groups", Value::UInt(group_reports.len() as u64)),
+                ("kernels", Value::UInt(kernels.len() as u64)),
+                ("ops_eliminated", Value::UInt(ops as u64)),
+                ("reused", Value::UInt(reused as u64)),
+                ("respecialized", Value::UInt(respecialized as u64)),
+            ]
         } else {
             Vec::new()
         },
@@ -166,8 +183,7 @@ pub fn instantiate_with(
         storage: StoragePlan::run_scoped(nbufs),
     };
 
-    // Storage optimization (§3.6) — runs on the raw-kernel reads, exactly
-    // as in the monolithic driver.
+    // Storage optimization (§3.6) on the final kernels' reads.
     let span = diag.begin();
     let storage = crate::storage::optimize_storage(&mut program, plan.opts.storage_fold);
     for (gr, gs) in group_reports.iter_mut().zip(&storage.groups) {
@@ -186,30 +202,6 @@ pub fn instantiate_with(
                     "peak_full_bytes",
                     Value::UInt(storage.peak_full_bytes as u64),
                 ),
-            ]
-        } else {
-            Vec::new()
-        },
-    );
-
-    // Kernel finalization: reuse the plan's pre-optimized kernels when
-    // byte-identity is guaranteed; re-optimize otherwise.
-    let span = diag.begin();
-    let (kernels, reused, respecialized) = if plan.opts.kernel_opt {
-        finalize_kernels(plan, &mut program, &case_maps)
-    } else {
-        (Vec::new(), 0, 0)
-    };
-    diag.end(
-        span,
-        "phase.kernel-opt",
-        if diag.enabled() {
-            let ops: usize = kernels.iter().map(|k| k.eliminated_ops()).sum();
-            vec![
-                ("kernels", Value::UInt(kernels.len() as u64)),
-                ("ops_eliminated", Value::UInt(ops as u64)),
-                ("reused", Value::UInt(reused as u64)),
-                ("respecialized", Value::UInt(respecialized as u64)),
             ]
         } else {
             Vec::new()
@@ -250,202 +242,17 @@ pub fn instantiate_with(
     })
 }
 
-fn concrete_dom(pipe: &Pipeline, f: FuncId, params: &[i64]) -> Rect {
-    Rect::new(
-        pipe.func(f)
-            .var_dom
-            .dom
-            .iter()
-            .map(|iv| iv.eval(params))
-            .collect(),
-    )
-}
-
-/// Binds one tiled group: tile enumeration and backward region
-/// propagation at the bound sizes, buffer sizing, raw-kernel
-/// materialization. Returns the group and, per stage, the plan case index
-/// behind each bound (non-empty) case.
-fn bind_tiled(
-    plan: &ParametricPlan,
-    tp: &TiledPlan,
-    params: &[i64],
-    buffers: &mut Vec<BufDecl>,
-    choice: Option<&crate::TileChoice>,
-    diag: &Diag,
-) -> (GroupExec, Vec<Vec<usize>>, Vec<Option<i64>>) {
-    let pipe = &plan.pipe;
-    let doms: Vec<Rect> = tp
-        .stages
-        .iter()
-        .map(|sp| concrete_dom(pipe, sp.f, params))
-        .collect();
-    let sink_idx = tp
-        .stages
-        .iter()
-        .position(|sp| sp.f == tp.sink)
-        .expect("sink is a member of its group");
-    let sink_dom = &doms[sink_idx];
-    let sink_extents: Vec<i64> = (0..sink_dom.ndim()).map(|d| sink_dom.extent(d)).collect();
-    let tiles_cfg = bound_tiles_for(&sink_extents, plan, choice, diag);
-    let tile_counts: Vec<i64> = (0..sink_dom.ndim())
-        .map(|d| match tiles_cfg[d] {
-            Some(t) => (sink_dom.extent(d) + t - 1) / t,
-            None => 1,
-        })
-        .collect();
-    let nstrips = tile_counts.first().copied().unwrap_or(1).max(1) as usize;
-
-    // --- tile enumeration + backward propagation ---
-    let mut tiles: Vec<TileWork> = Vec::new();
-    let mut max_ext: Vec<Vec<i64>> = doms.iter().map(|d| vec![0i64; d.ndim()]).collect();
-    let stage_vars: Vec<&[VarId]> = tp
-        .stages
-        .iter()
-        .map(|sp| pipe.func(sp.f).var_dom.vars.as_slice())
-        .collect();
-
-    // At least one tile always runs: a sink whose domain is empty at these
-    // parameter values (deep pyramid levels at small sizes) must not
-    // prevent full-stored member stages from materializing — their regions
-    // then come entirely from the owned-coverage extension.
-    let total_tiles: i64 = tile_counts.iter().product::<i64>().max(1);
-    for lin in 0..total_tiles {
-        // decompose the linear index into per-dim tile coordinates
-        let mut tidx = vec![0i64; sink_dom.ndim()];
-        let mut rem = lin;
-        for d in (0..sink_dom.ndim()).rev() {
-            tidx[d] = rem % tile_counts[d];
-            rem /= tile_counts[d];
-        }
-        // sink tile rectangle
-        let tile_rect = Rect::new(
-            (0..sink_dom.ndim())
-                .map(|d| {
-                    let (lo, hi) = sink_dom.range(d);
-                    match tiles_cfg[d] {
-                        Some(t) => (lo + tidx[d] * t, (lo + (tidx[d] + 1) * t - 1).min(hi)),
-                        None => (lo, hi),
-                    }
-                })
-                .collect(),
-        );
-        let strip = tidx[0] as usize;
-        let mut regions: Vec<Rect> = doms
-            .iter()
-            .map(|d| Rect::new(vec![(0, -1); d.ndim()]))
-            .collect();
-        // sink gets the tile itself
-        regions[sink_idx] = tile_rect.clone();
-        // reverse topological propagation
-        for ci in (0..tp.stages.len()).rev() {
-            if regions[ci].is_empty() {
-                continue;
-            }
-            for (pi, accs) in &tp.accesses_to[ci] {
-                let req = required_region(accs, stage_vars[ci], &regions[ci], &doms[*pi], params);
-                regions[*pi] = if regions[*pi].is_empty() {
-                    req
-                } else {
-                    regions[*pi].hull(&req)
-                };
-            }
-        }
-        // owned ranges + stores for full stages; region extension for
-        // coverage.
-        let mut stores: Vec<Option<Rect>> = vec![None; tp.stages.len()];
-        for (k, sp) in tp.stages.iter().enumerate() {
-            if !sp.needs_full {
-                continue;
-            }
-            let owned = owned_rect(
-                &doms[k],
-                &sp.maps,
-                sink_dom,
-                &tiles_cfg,
-                &tidx,
-                &tile_counts,
-                &tp.sink_scales,
-            );
-            let owned = owned.intersect(&doms[k]);
-            regions[k] = if regions[k].is_empty() {
-                owned.clone()
-            } else {
-                regions[k].hull(&owned)
-            };
-            let store = regions[k].intersect(&owned);
-            stores[k] = Some(store);
-        }
-        for (k, r) in regions.iter().enumerate() {
-            if !r.is_empty() {
-                for (d, m) in max_ext[k].iter_mut().enumerate() {
-                    *m = (*m).max(r.extent(d));
-                }
-            }
-        }
-        tiles.push(TileWork {
-            strip,
-            regions,
-            stores,
-        });
-    }
-    // order tiles by strip so the executor's grouping is contiguous
-    tiles.sort_by_key(|t| t.strip);
-
-    // --- buffer sizing (ids preassigned by the plan) ---
-    for (k, sp) in tp.stages.iter().enumerate() {
-        let name = pipe.func(sp.f).name.clone();
-        if !sp.direct {
-            debug_assert_eq!(sp.scratch, BufId(buffers.len()), "plan buffer order");
-            buffers.push(BufDecl {
-                name: format!("{name}.scratch"),
-                kind: BufKind::Scratch,
-                sizes: max_ext[k].iter().map(|&e| e.max(1)).collect(),
-                origin: vec![0; doms[k].ndim()],
-            });
-        }
-        if let Some(full) = sp.full {
-            debug_assert_eq!(full, BufId(buffers.len()), "plan buffer order");
-            buffers.push(BufDecl {
-                name,
-                kind: BufKind::Full,
-                // exact extents: an empty domain yields an empty buffer
-                sizes: (0..doms[k].ndim())
-                    .map(|d| doms[k].extent(d).max(0))
-                    .collect(),
-                origin: doms[k].ranges().iter().map(|&(lo, _)| lo).collect(),
-            });
-        }
-    }
-
-    // --- raw kernel materialization ---
-    let mut stage_execs: Vec<StageExec> = Vec::with_capacity(tp.stages.len());
-    let mut cmap: Vec<Vec<usize>> = Vec::with_capacity(tp.stages.len());
-    for (k, sp) in tp.stages.iter().enumerate() {
-        let fd = pipe.func(sp.f);
-        let (cases, map) = bind_cases(plan, &sp.cases, &doms[k], sp.f, &tp.func_scratch, params);
-        let reads = collect_reads(cases.iter().map(|c| &c.kernel), None);
-        stage_execs.push(StageExec {
-            name: fd.name.clone(),
-            scratch: sp.scratch,
-            full: sp.full,
-            direct: sp.direct,
-            sat: sp.sat,
-            round: sp.round,
-            cases,
-            dom: doms[k].clone(),
-            reads,
-        });
-        cmap.push(map);
-    }
-
-    (
-        GroupExec {
-            name: tp.name.clone(),
-            kind: GroupKind::Tiled(TiledGroup::new(stage_execs, tiles, nstrips, buffers)),
-        },
-        cmap,
-        tiles_cfg,
-    )
+/// One binding in progress: the buffers declared so far and the kernels
+/// built so far (optimizer reports in program order, and the
+/// reused/respecialized split under `kernel_opt`).
+struct Binder<'a> {
+    plan: &'a ParametricPlan,
+    params: &'a [i64],
+    diag: &'a Diag,
+    buffers: Vec<BufDecl>,
+    kernels: Vec<KernelOptReport>,
+    reused: usize,
+    respecialized: usize,
 }
 
 /// The effective tile sizes for a bound tiled group: the plan's
@@ -544,153 +351,264 @@ fn owned_rect(
     Rect::new(dims)
 }
 
-/// Binds a stage's [`CasePlan`]s to concrete [`CaseExec`]s: re-narrows
-/// each guard at the bound values, drops cases empty at this binding, and
-/// materializes raw kernels — cloned from the plan when
-/// parameter-insensitive (provably byte-identical), re-lowered from the
-/// stored (stride-substituted) expression otherwise. The second return
-/// maps each bound case back to its plan case.
-fn bind_cases(
-    plan: &ParametricPlan,
-    cases: &[CasePlan],
-    dom: &Rect,
-    f: FuncId,
-    func_scratch: &HashMap<FuncId, BufId>,
-    params: &[i64],
-) -> (Vec<CaseExec>, Vec<usize>) {
-    let pipe = &plan.pipe;
-    let vars: Vec<VarId> = pipe.func(f).var_dom.vars.clone();
-    let mut out = Vec::with_capacity(cases.len());
-    let mut map = Vec::with_capacity(cases.len());
-    for (pi, cp) in cases.iter().enumerate() {
-        let rect = match &cp.cond {
-            None => dom.clone(),
-            Some(c) => {
-                let nr = narrow_rect_by_cond(c, &vars, dom, params);
-                // Strides and exactness are structural — the plan's record
-                // must agree at every binding.
-                debug_assert_eq!(nr.steps, cp.steps, "narrowing strides are structural");
-                debug_assert_eq!(
-                    nr.exact,
-                    cp.residual.is_none(),
-                    "narrowing exactness is structural"
+impl<'a> Binder<'a> {
+    /// Binds one tiled group: tile enumeration and backward region
+    /// propagation at the bound sizes, buffer sizing, kernels. Returns the
+    /// group and its tile sizes.
+    fn tiled(
+        &mut self,
+        tp: &TiledPlan,
+        choice: Option<&crate::TileChoice>,
+    ) -> Result<(GroupExec, Vec<Option<i64>>), CompileError> {
+        let (plan, params) = (self.plan, self.params);
+        let pipe = &plan.pipe;
+        let doms: Vec<Rect> = tp
+            .stages
+            .iter()
+            .map(|sp| eval_dom(pipe, sp.f, params))
+            .collect();
+        let sink_idx = tp
+            .stages
+            .iter()
+            .position(|sp| sp.f == tp.sink)
+            .expect("sink is a member of its group");
+        let sink_dom = &doms[sink_idx];
+        let sink_extents: Vec<i64> = (0..sink_dom.ndim()).map(|d| sink_dom.extent(d)).collect();
+        let tiles_cfg = bound_tiles_for(&sink_extents, plan, choice, self.diag);
+        let tile_counts: Vec<i64> = (0..sink_dom.ndim())
+            .map(|d| match tiles_cfg[d] {
+                Some(t) => (sink_dom.extent(d) + t - 1) / t,
+                None => 1,
+            })
+            .collect();
+        let nstrips = tile_counts.first().copied().unwrap_or(1).max(1) as usize;
+
+        // --- tile enumeration + backward propagation ---
+        let mut tiles: Vec<TileWork> = Vec::new();
+        let mut max_ext: Vec<Vec<i64>> = doms.iter().map(|d| vec![0i64; d.ndim()]).collect();
+        let stage_vars: Vec<&[VarId]> = tp
+            .stages
+            .iter()
+            .map(|sp| pipe.func(sp.f).var_dom.vars.as_slice())
+            .collect();
+
+        // At least one tile always runs: a sink whose domain is empty at these
+        // parameter values (deep pyramid levels at small sizes) must not
+        // prevent full-stored member stages from materializing — their regions
+        // then come entirely from the owned-coverage extension.
+        let total_tiles: i64 = tile_counts.iter().product::<i64>().max(1);
+        for lin in 0..total_tiles {
+            // decompose the linear index into per-dim tile coordinates
+            let mut tidx = vec![0i64; sink_dom.ndim()];
+            let mut rem = lin;
+            for d in (0..sink_dom.ndim()).rev() {
+                tidx[d] = rem % tile_counts[d];
+                rem /= tile_counts[d];
+            }
+            // sink tile rectangle
+            let tile_rect = Rect::new(
+                (0..sink_dom.ndim())
+                    .map(|d| {
+                        let (lo, hi) = sink_dom.range(d);
+                        match tiles_cfg[d] {
+                            Some(t) => (lo + tidx[d] * t, (lo + (tidx[d] + 1) * t - 1).min(hi)),
+                            None => (lo, hi),
+                        }
+                    })
+                    .collect(),
+            );
+            let strip = tidx[0] as usize;
+            let mut regions: Vec<Rect> = doms
+                .iter()
+                .map(|d| Rect::new(vec![(0, -1); d.ndim()]))
+                .collect();
+            // sink gets the tile itself
+            regions[sink_idx] = tile_rect.clone();
+            // reverse topological propagation
+            for ci in (0..tp.stages.len()).rev() {
+                if regions[ci].is_empty() {
+                    continue;
+                }
+                for (pi, accs) in &tp.accesses_to[ci] {
+                    let req =
+                        required_region(accs, stage_vars[ci], &regions[ci], &doms[*pi], params);
+                    regions[*pi] = if regions[*pi].is_empty() {
+                        req
+                    } else {
+                        regions[*pi].hull(&req)
+                    };
+                }
+            }
+            // owned ranges + stores for full stages; region extension for
+            // coverage.
+            let mut stores: Vec<Option<Rect>> = vec![None; tp.stages.len()];
+            for (k, sp) in tp.stages.iter().enumerate() {
+                if !sp.needs_full {
+                    continue;
+                }
+                let owned = owned_rect(
+                    &doms[k],
+                    &sp.maps,
+                    sink_dom,
+                    &tiles_cfg,
+                    &tidx,
+                    &tile_counts,
+                    &tp.sink_scales,
                 );
-                nr.rect
+                let owned = owned.intersect(&doms[k]);
+                regions[k] = if regions[k].is_empty() {
+                    owned.clone()
+                } else {
+                    regions[k].hull(&owned)
+                };
+                let store = regions[k].intersect(&owned);
+                stores[k] = Some(store);
             }
-        };
-        if rect.is_empty() {
-            continue;
+            for (k, r) in regions.iter().enumerate() {
+                if !r.is_empty() {
+                    for (d, m) in max_ext[k].iter_mut().enumerate() {
+                        *m = (*m).max(r.extent(d));
+                    }
+                }
+            }
+            tiles.push(TileWork {
+                strip,
+                regions,
+                stores,
+            });
         }
-        let (kernel, mask) = if cp.param_sensitive {
-            // The plan's kernel embeds the estimate values; re-lower at
-            // the bound ones.
-            let env = LowerEnv {
-                pipe,
-                params,
-                image_bufs: &plan.image_bufs,
-                func_scratch,
-                func_full: &plan.func_full,
-                vars: &vars,
+        // order tiles by strip so the executor's grouping is contiguous
+        tiles.sort_by_key(|t| t.strip);
+
+        // --- buffers (ids preassigned by the plan) and kernels ---
+        let mut stage_execs: Vec<StageExec> = Vec::with_capacity(tp.stages.len());
+        for (k, (sp, dom)) in tp.stages.iter().zip(doms).enumerate() {
+            let name = pipe.func(sp.f).name.clone();
+            if !sp.direct {
+                debug_assert_eq!(sp.scratch, BufId(self.buffers.len()), "plan buffer order");
+                self.buffers.push(BufDecl {
+                    name: format!("{name}.scratch"),
+                    kind: BufKind::Scratch,
+                    sizes: max_ext[k].iter().map(|&e| e.max(1)).collect(),
+                    origin: vec![0; dom.ndim()],
+                });
+            }
+            if let Some(full) = sp.full {
+                self.full_buffer(full, &name, &dom);
+            }
+            let cases = self.cases(&sp.cases, &dom, sp.f, &tp.func_scratch, &tp.name)?;
+            let reads = collect_reads(cases.iter().map(|c| &c.kernel), None);
+            stage_execs.push(StageExec {
+                name,
+                scratch: sp.scratch,
+                full: sp.full,
+                direct: sp.direct,
+                sat: sp.sat,
+                round: sp.round,
+                cases,
+                dom,
+                reads,
+            });
+        }
+
+        let tg = TiledGroup::new(stage_execs, tiles, nstrips, &self.buffers);
+        Ok((
+            GroupExec {
+                name: tp.name.clone(),
+                kind: GroupKind::Tiled(tg),
+            },
+            tiles_cfg,
+        ))
+    }
+
+    /// Binds a stage's [`CasePlan`]s to concrete [`CaseExec`]s: re-narrows
+    /// each guard at the bound values, drops cases empty at this binding,
+    /// and builds each remaining case's kernel with [`build_kernel`].
+    fn cases(
+        &mut self,
+        cases: &[CasePlan],
+        dom: &Rect,
+        f: FuncId,
+        func_scratch: &HashMap<FuncId, BufId>,
+        group_name: &str,
+    ) -> Result<Vec<CaseExec>, CompileError> {
+        let fd = self.plan.pipe.func(f);
+        let env = self.env(func_scratch, &fd.var_dom.vars);
+        let mut out = Vec::with_capacity(cases.len());
+        for cp in cases {
+            let rect = match &cp.cond {
+                None => dom.clone(),
+                Some(c) => {
+                    let nr = narrow_rect_by_cond(c, env.vars, dom, self.params);
+                    // Strides and exactness are structural — the plan's
+                    // record must agree at every binding.
+                    debug_assert_eq!(nr.steps, cp.steps, "narrowing strides are structural");
+                    debug_assert_eq!(
+                        nr.exact,
+                        cp.residual.is_none(),
+                        "narrowing exactness is structural"
+                    );
+                    nr.rect
+                }
             };
-            let mut b = KernelBuilder::new(&env);
-            let val = b.value(&cp.expr);
-            let mask = cp.residual.as_ref().map(|c| b.cond(c));
-            let mut outs = vec![val];
-            if let Some(m) = mask {
-                outs.push(m);
+            if rect.is_empty() {
+                continue;
             }
-            let (kernel, _reads) = b.finish(outs);
-            (kernel, mask)
-        } else {
-            (cp.kernel.clone(), cp.mask)
-        };
-        out.push(CaseExec {
-            rect,
-            steps: cp.steps.clone(),
-            kernel,
-            mask,
-        });
-        map.push(pi);
-    }
-    (out, map)
-}
-
-fn bind_reduction(
-    plan: &ParametricPlan,
-    rp: &ReductionPlan,
-    params: &[i64],
-    buffers: &mut Vec<BufDecl>,
-) -> GroupExec {
-    let pipe = &plan.pipe;
-    let fd = pipe.func(rp.f);
-    let dom = concrete_dom(pipe, rp.f, params);
-    debug_assert_eq!(rp.out, BufId(buffers.len()), "plan buffer order");
-    buffers.push(BufDecl {
-        name: fd.name.clone(),
-        kind: BufKind::Full,
-        sizes: (0..dom.ndim()).map(|d| dom.extent(d).max(0)).collect(),
-        origin: dom.ranges().iter().map(|&(lo, _)| lo).collect(),
-    });
-    let acc = match &fd.body {
-        FuncBody::Reduce(a) => a.clone(),
-        _ => unreachable!("reduction group"),
-    };
-    let red_dom = Rect::new(acc.red_dom.iter().map(|iv| iv.eval(params)).collect());
-    let kernel = if rp.param_sensitive {
-        let empty_scratch = HashMap::new();
-        let env = LowerEnv {
-            pipe,
-            params,
-            image_bufs: &plan.image_bufs,
-            func_scratch: &empty_scratch,
-            func_full: &plan.func_full,
-            vars: &acc.red_vars,
-        };
-        let mut b = KernelBuilder::new(&env);
-        let val = b.value(&acc.value);
-        let mut outs = vec![val];
-        for t in &acc.target {
-            outs.push(b.index(t));
+            let (kernel, mask) = self.kernel(
+                &env,
+                KernelBody::Case(f, &cp.expr, cp.residual.as_ref()),
+                (&rect.intersect(dom), &cp.steps),
+                &cp.proto,
+                format!("{}/{}#{}", group_name, fd.name, out.len()),
+            )?;
+            out.push(CaseExec {
+                rect,
+                steps: cp.steps.clone(),
+                kernel,
+                mask,
+            });
         }
-        b.finish(outs).0
-    } else {
-        rp.kernel.clone()
-    };
-    let reads = collect_reads(std::iter::once(&kernel), None);
-    GroupExec {
-        name: rp.group_name.clone(),
-        kind: GroupKind::Reduction(ReductionExec {
-            name: fd.name.clone(),
-            out: rp.out,
-            red_dom,
-            kernel,
-            op: acc.op,
-            reads,
-        }),
+        Ok(out)
     }
-}
 
-fn bind_selfref(
-    plan: &ParametricPlan,
-    sp: &SelfRefPlan,
-    params: &[i64],
-    buffers: &mut Vec<BufDecl>,
-) -> (GroupExec, Vec<Vec<usize>>) {
-    let pipe = &plan.pipe;
-    let fd = pipe.func(sp.f);
-    let dom = concrete_dom(pipe, sp.f, params);
-    debug_assert_eq!(sp.out, BufId(buffers.len()), "plan buffer order");
-    buffers.push(BufDecl {
-        name: fd.name.clone(),
-        kind: BufKind::Full,
-        sizes: (0..dom.ndim()).map(|d| dom.extent(d).max(0)).collect(),
-        origin: dom.ranges().iter().map(|&(lo, _)| lo).collect(),
-    });
-    let empty_scratch = HashMap::new();
-    let (cases, map) = bind_cases(plan, &sp.cases, &dom, sp.f, &empty_scratch, params);
-    let reads = collect_reads(cases.iter().map(|c| &c.kernel), None);
-    (
-        GroupExec {
+    fn reduction(&mut self, rp: &ReductionPlan) -> Result<GroupExec, CompileError> {
+        let (plan, params) = (self.plan, self.params);
+        let fd = plan.pipe.func(rp.f);
+        let FuncBody::Reduce(acc) = &fd.body else {
+            unreachable!("reduction group")
+        };
+        self.full_buffer(rp.out, &fd.name, &eval_dom(&plan.pipe, rp.f, params));
+        let red_dom = Rect::new(acc.red_dom.iter().map(|iv| iv.eval(params)).collect());
+        let no_scratch = HashMap::new();
+        let env = self.env(&no_scratch, &acc.red_vars);
+        let (kernel, _) = self.kernel(
+            &env,
+            KernelBody::Reduce(rp.f),
+            (&red_dom, &[]),
+            &rp.proto,
+            format!("{}/{}", rp.group_name, fd.name),
+        )?;
+        let reads = collect_reads(std::iter::once(&kernel), None);
+        Ok(GroupExec {
+            name: rp.group_name.clone(),
+            kind: GroupKind::Reduction(ReductionExec {
+                name: fd.name.clone(),
+                out: rp.out,
+                red_dom,
+                kernel,
+                op: acc.op,
+                reads,
+            }),
+        })
+    }
+
+    fn selfref(&mut self, sp: &SelfRefPlan) -> Result<GroupExec, CompileError> {
+        let fd = self.plan.pipe.func(sp.f);
+        let dom = eval_dom(&self.plan.pipe, sp.f, self.params);
+        self.full_buffer(sp.out, &fd.name, &dom);
+        let cases = self.cases(&sp.cases, &dom, sp.f, &HashMap::new(), &sp.group_name)?;
+        let reads = collect_reads(cases.iter().map(|c| &c.kernel), Some(sp.out));
+        Ok(GroupExec {
             name: sp.group_name.clone(),
             kind: GroupKind::Sequential(SeqExec {
                 name: fd.name.clone(),
@@ -702,110 +620,58 @@ fn bind_selfref(
                 chunked: sp.chunked,
                 reads,
             }),
-        },
-        vec![map],
-    )
-}
+        })
+    }
 
-/// Optimizes every kernel of the bound program: walks it with the plan's
-/// kernel protos in hand, reusing a proto verbatim when the case is
-/// parameter-insensitive and the bound rect pins the same fixed dimensions
-/// the proto was specialized for, and re-running the optimizer otherwise.
-/// Returns the per-kernel reports and the `(reused, respecialized)` split.
-fn finalize_kernels(
-    plan: &ParametricPlan,
-    program: &mut Program,
-    case_maps: &[Vec<Vec<usize>>],
-) -> (Vec<polymage_vm::KernelOptReport>, usize, usize) {
-    let mut reports = Vec::new();
-    let (mut reused, mut respecialized) = (0usize, 0usize);
-    for (gi, group) in program.groups.iter_mut().enumerate() {
-        match (&mut group.kind, &plan.groups[gi]) {
-            (GroupKind::Tiled(tg), GroupPlan::Tiled(tp)) => {
-                for (si, stage) in tg.stages.iter_mut().enumerate() {
-                    let ndims = stage.dom.ndim();
-                    for (ci, case) in stage.cases.iter_mut().enumerate() {
-                        let cp = &tp.stages[si].cases[case_maps[gi][si][ci]];
-                        let name = format!("{}/{}#{}", group.name, stage.name, ci);
-                        let fixed = fixed_dims(&case.rect.intersect(&stage.dom), &case.steps);
-                        reports.push(finalize_case(
-                            case,
-                            cp,
-                            ndims,
-                            fixed,
-                            name,
-                            &mut reused,
-                            &mut respecialized,
-                        ));
-                    }
-                    stage.reads = collect_reads(stage.cases.iter().map(|c| &c.kernel), None);
-                }
-            }
-            (GroupKind::Reduction(red), GroupPlan::Reduction(rp)) => {
-                let ndims = red.red_dom.ndim();
-                let name = format!("{}/{}", group.name, red.name);
-                let fixed = fixed_dims(&red.red_dom, &[]);
-                let proto = rp.opt.as_ref().expect("plan built with kernel_opt");
-                let report = if !rp.param_sensitive && proto.fixed == fixed {
-                    reused += 1;
-                    red.kernel = proto.kernel.clone();
-                    let mut r = proto.report.clone();
-                    r.name = name;
-                    r
-                } else {
-                    respecialized += 1;
-                    optimize_kernel(&mut red.kernel, ndims, &fixed, name)
-                };
-                reports.push(report);
-                red.reads = collect_reads(std::iter::once(&red.kernel), None);
-            }
-            (GroupKind::Sequential(seq), GroupPlan::SelfRef(sp)) => {
-                let ndims = seq.dom.ndim();
-                for (ci, case) in seq.cases.iter_mut().enumerate() {
-                    let cp = &sp.cases[case_maps[gi][0][ci]];
-                    let name = format!("{}/{}#{}", group.name, seq.name, ci);
-                    let fixed = fixed_dims(&case.rect.intersect(&seq.dom), &case.steps);
-                    reports.push(finalize_case(
-                        case,
-                        cp,
-                        ndims,
-                        fixed,
-                        name,
-                        &mut reused,
-                        &mut respecialized,
-                    ));
-                }
-                let out = seq.out;
-                seq.reads = collect_reads(seq.cases.iter().map(|c| &c.kernel), Some(out));
-            }
-            _ => unreachable!("plan and program group kinds are parallel"),
+    /// Declares the full buffer `id` of a stage over its bound domain
+    /// (exact extents: an empty domain yields an empty buffer).
+    fn full_buffer(&mut self, id: BufId, name: &str, dom: &Rect) {
+        debug_assert_eq!(id, BufId(self.buffers.len()), "plan buffer order");
+        self.buffers.push(BufDecl {
+            name: name.to_string(),
+            kind: BufKind::Full,
+            sizes: (0..dom.ndim()).map(|d| dom.extent(d).max(0)).collect(),
+            origin: dom.ranges().iter().map(|&(lo, _)| lo).collect(),
+        });
+    }
+
+    /// The lowering environment at the bound params.
+    fn env<'e>(&self, func_scratch: &'e HashMap<FuncId, BufId>, vars: &'e [VarId]) -> LowerEnv<'e>
+    where
+        'a: 'e,
+    {
+        let plan = self.plan;
+        LowerEnv {
+            pipe: &plan.pipe,
+            params: self.params,
+            image_bufs: &plan.image_bufs,
+            func_scratch,
+            func_full: &plan.func_full,
+            vars,
         }
     }
-    (reports, reused, respecialized)
-}
 
-fn finalize_case(
-    case: &mut CaseExec,
-    cp: &CasePlan,
-    ndims: usize,
-    fixed: Vec<Option<i64>>,
-    name: String,
-    reused: &mut usize,
-    respecialized: &mut usize,
-) -> polymage_vm::KernelOptReport {
-    let proto = cp.opt.as_ref().expect("plan built with kernel_opt");
-    if !cp.param_sensitive && proto.fixed == fixed {
-        *reused += 1;
-        case.kernel = proto.kernel.clone();
-        case.mask = proto.mask;
-        let mut r = proto.report.clone();
-        r.name = name;
-        r
-    } else {
-        *respecialized += 1;
-        let report = optimize_kernel(&mut case.kernel, ndims, &fixed, name);
-        sync_mask(case);
-        report
+    /// Builds one bound kernel from its plan prototype and records its
+    /// optimizer report.
+    fn kernel(
+        &mut self,
+        env: &LowerEnv<'_>,
+        body: KernelBody<'_>,
+        geom: (&Rect, &[(i64, i64)]),
+        proto: &KernelProto,
+        name: String,
+    ) -> Result<(Kernel, Option<RegId>), CompileError> {
+        let kernel_opt = self.plan.opts.kernel_opt;
+        let (k, reused) = build_kernel(env, body, geom, Some(proto), kernel_opt, name)?;
+        if let Some(r) = k.report {
+            self.kernels.push(r);
+            if reused {
+                self.reused += 1;
+            } else {
+                self.respecialized += 1;
+            }
+        }
+        Ok((k.kernel, k.mask))
     }
 }
 

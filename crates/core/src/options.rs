@@ -1,6 +1,7 @@
 //! Compiler options: the schedule-relevant knobs of the paper.
 
 use crate::CompileError;
+use polymage_ir::{FuncBody, Interval, Pipeline};
 use polymage_vm::{EvalMode, SimdOpt};
 
 /// Accepted range of a tile size: positive, and small enough that `2 * t`
@@ -331,6 +332,52 @@ impl CompileOptions {
             simd: polymage_vm::resolve_simd(self.simd),
         }
     }
+}
+
+/// The most `f32` points all images and stage domains may hold together:
+/// any more cannot be addressed in bytes.
+const MAX_POINTS: i64 = isize::MAX as i64 / 4;
+
+/// Rejects parameter values (bound or estimated, named by `field`) at which
+/// the pipeline's geometry leaves `i64`, as [`CompileError::InvalidOptions`].
+/// Every image extent and stage and reduction domain is evaluated with
+/// checked arithmetic, and their volumes together must stay within
+/// [`MAX_POINTS`]; past this check the scheduler's unchecked domain
+/// arithmetic cannot overflow.
+pub(crate) fn check_params(
+    pipe: &Pipeline,
+    values: &[i64],
+    field: &'static str,
+) -> Result<(), CompileError> {
+    fn volume(mut extents: impl Iterator<Item = Option<i64>>) -> Option<i64> {
+        extents.try_fold(1i64, |v, e| v.checked_mul(e?.max(0)))
+    }
+    let domain = |dom: &[Interval]| volume(dom.iter().map(|iv| iv.checked_extent(values)));
+    let mut total = 0i64;
+    let mut add = |name: &str, volume: Option<i64>| -> Result<(), CompileError> {
+        total = volume
+            .and_then(|v| total.checked_add(v))
+            .filter(|&t| t <= MAX_POINTS)
+            .ok_or_else(|| CompileError::InvalidOptions {
+                field,
+                reason: format!("at {values:?} the domain of `{name}` is too large to address"),
+            })?;
+        Ok(())
+    };
+    for img in pipe.images() {
+        add(
+            &img.name,
+            volume(img.extents.iter().map(|e| e.checked_eval(values))),
+        )?;
+    }
+    for f in pipe.func_ids() {
+        let fd = pipe.func(f);
+        add(&fd.name, domain(&fd.var_dom.dom))?;
+        if let FuncBody::Reduce(acc) = &fd.body {
+            add(&fd.name, domain(&acc.red_dom))?;
+        }
+    }
+    Ok(())
 }
 
 pub mod env {

@@ -4,8 +4,8 @@
 //! *structure* — front-end (cycle check, point-wise inlining), grouping
 //! (Algorithm 1, steered by [`CompileOptions::estimates`]), alignment and
 //! scaling, storage classification, schedule-space construction, kernel
-//! lowering and SSA pre-optimization, SIMD level resolution — and captures
-//! the result in a [`ParametricPlan`] whose geometry stays *symbolic*:
+//! prototypes, SIMD level resolution — and captures the result in a
+//! [`ParametricPlan`] whose geometry stays *symbolic*:
 //! stage domains and image extents remain the `PAff`/`Interval` forms of
 //! the specification, evaluated only when [`crate::instantiate`] binds
 //! concrete parameter values (the paper keeps emitted loop bounds
@@ -13,10 +13,17 @@
 //!
 //! What is deliberately *not* here (because it genuinely depends on the
 //! bound sizes): tile enumeration and backward region propagation, buffer
-//! extents and scratch sizing, the storage-folding slot coloring, and the
-//! single-point-dimension kernel specialization — all of which
-//! [`crate::instantiate`] derives per binding, reusing the plan's
-//! pre-optimized kernels whenever they are provably byte-identical.
+//! extents and scratch sizing, and the storage-folding slot coloring — all
+//! of which [`crate::instantiate`] derives per binding.
+//!
+//! Every kernel, at plan time and at bind time, comes from one function,
+//! [`build_kernel`]: the only place a case or reduction body is lowered
+//! and the only caller of `optimize_kernel`. The plan calls it at the
+//! estimates and stores the result on each case and reduction as a
+//! [`KernelProto`]; `instantiate` calls it at the bound params, and it
+//! hands the prototype back verbatim when that is provably byte-identical
+//! (the kernel embeds no parameter value and the bound rect pins the same
+//! dimensions the prototype was specialized for).
 
 use crate::grouping::{group_stages_with, Group, GroupKindTag, Grouping};
 use crate::lower::{KernelBuilder, LowerEnv};
@@ -28,7 +35,7 @@ use polymage_ir::{Cond, Expr, FuncBody, FuncId, Pipeline, ScalarType, Source, Va
 use polymage_poly::{extract_accesses, narrow_rect_by_cond, solve_alignment, Access, DimMap, Rect};
 use polymage_vm::MAX_INDEX_TERMS;
 use polymage_vm::{fixed_dims, optimize_kernel, sync_mask};
-use polymage_vm::{BufId, CaseExec, IdxPlan, Kernel, KernelOptReport, Op, RegId, SimdLevel};
+use polymage_vm::{BufId, IdxPlan, Kernel, KernelOptReport, Op, RegId, SimdLevel};
 use std::collections::HashMap;
 
 /// A size-independent compilation plan: phase 1's output, phase 2's input.
@@ -222,7 +229,8 @@ pub(crate) struct StagePlanP {
     pub(crate) cases: Vec<CasePlan>,
 }
 
-/// One lowered case: the structural narrowing outcome plus kernel protos.
+/// One lowered case: the structural narrowing outcome plus its kernel
+/// prototype.
 ///
 /// `steps` and residual-mask presence depend only on the guard's
 /// *structure* (parity strides and exactness never read parameter values —
@@ -238,31 +246,103 @@ pub(crate) struct CasePlan {
     /// not captured exactly — structural).
     pub(crate) residual: Option<Cond>,
     /// The case expression after strided substitution (re-lowered per
-    /// binding when `param_sensitive`).
+    /// binding unless the prototype is reused).
     pub(crate) expr: Expr,
-    /// Whether the lowered kernel embeds concrete parameter values
-    /// (`Expr::Param` constants, parametric load offsets). Insensitive
-    /// kernels are byte-identical across bindings and reused verbatim.
-    pub(crate) param_sensitive: bool,
-    /// Raw structural kernel, lowered at the estimates.
-    pub(crate) kernel: Kernel,
-    /// Store-mask register of the raw kernel (`Some` iff `residual`).
-    pub(crate) mask: Option<RegId>,
-    /// Pre-optimized kernel (present iff `kernel_opt`).
-    pub(crate) opt: Option<OptProto>,
+    /// The case's kernel at the estimates.
+    pub(crate) proto: KernelProto,
 }
 
-/// A kernel pre-optimized at plan time, with the geometry signature it was
-/// specialized for. Reused verbatim at bind when the case is
-/// parameter-insensitive and the bound rect's single-point-dimension
-/// signature matches; otherwise `instantiate` re-runs the optimizer.
+/// A kernel as [`build_kernel`] returns it and the plan stores it:
+/// optimized under `kernel_opt`, raw otherwise, with the fixed-dimension
+/// signature it was built for.
 #[derive(Debug, Clone)]
-pub(crate) struct OptProto {
+pub(crate) struct KernelProto {
     pub(crate) kernel: Kernel,
+    /// Store-mask register (only cases with a residual guard have one).
     pub(crate) mask: Option<RegId>,
-    /// `fixed_dims` signature the optimization assumed.
+    /// Whether the kernel embeds concrete parameter values (`Expr::Param`
+    /// constants, parametric load offsets).
+    pub(crate) param_sensitive: bool,
+    /// The `fixed_dims` signature the optimizer specialized the kernel for
+    /// (empty without `kernel_opt`: a raw kernel assumes nothing).
     pub(crate) fixed: Vec<Option<i64>>,
-    pub(crate) report: KernelOptReport,
+    /// The optimizer's report (present iff `kernel_opt`).
+    pub(crate) report: Option<KernelOptReport>,
+}
+
+/// What [`build_kernel`] lowers.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum KernelBody<'a> {
+    /// A case of stage `f`: its expression (after strided substitution)
+    /// and residual guard, lowered to the outputs `[value, mask?]`.
+    Case(FuncId, &'a Expr, Option<&'a Cond>),
+    /// The reduction stage `f`, lowered to `[value, target indices…]`.
+    Reduce(FuncId),
+}
+
+/// Produces one kernel: the only place a case or reduction body is lowered
+/// and the only caller of `optimize_kernel`.
+///
+/// `geom` is the rect the kernel runs over (already intersected with the
+/// domain) and its strides; it fixes the single-point-dimension signature
+/// the optimizer specializes for. With `proto` given (a bind), the
+/// prototype comes back verbatim — renamed, and flagged `true` — when it
+/// embeds no parameter value and was built for the same signature; then it
+/// is byte-identical to what lowering at `env.params` would produce.
+/// Otherwise the body is lowered at `env.params` and, under `kernel_opt`,
+/// optimized.
+pub(crate) fn build_kernel(
+    env: &LowerEnv<'_>,
+    body: KernelBody<'_>,
+    (rect, steps): (&Rect, &[(i64, i64)]),
+    proto: Option<&KernelProto>,
+    kernel_opt: bool,
+    name: String,
+) -> Result<(KernelProto, bool), CompileError> {
+    let fixed = if kernel_opt {
+        fixed_dims(rect, steps)
+    } else {
+        Vec::new()
+    };
+    if let Some(p) = proto.filter(|p| !p.param_sensitive && p.fixed == fixed) {
+        let mut k = p.clone();
+        if let Some(r) = &mut k.report {
+            r.name = name;
+        }
+        return Ok((k, true));
+    }
+    let mut b = KernelBuilder::new(env);
+    let (f, outs, mut mask) = match body {
+        KernelBody::Case(f, expr, residual) => {
+            let val = b.value(expr);
+            let mask = residual.map(|c| b.cond(c));
+            (f, std::iter::once(val).chain(mask).collect(), mask)
+        }
+        KernelBody::Reduce(f) => {
+            let FuncBody::Reduce(acc) = &env.pipe.func(f).body else {
+                unreachable!("reduction stage")
+            };
+            let mut outs = vec![b.value(&acc.value)];
+            outs.extend(acc.target.iter().map(|t| b.index(t)));
+            (f, outs, None)
+        }
+    };
+    let param_sensitive = b.param_sensitive();
+    let (mut kernel, _reads) = b.finish(outs);
+    check_index_terms(&kernel, &env.pipe.func(f).name)?;
+    let report = kernel_opt.then(|| {
+        let report = optimize_kernel(&mut kernel, rect.ndim(), &fixed, name);
+        sync_mask(&kernel, &mut mask);
+        report
+    });
+    let k = KernelProto {
+        kernel,
+        mask,
+        param_sensitive,
+        fixed,
+        report,
+    };
+    Ok((k, false))
 }
 
 /// Structural plan for a reduction group.
@@ -271,9 +351,8 @@ pub(crate) struct ReductionPlan {
     pub(crate) group_name: String,
     pub(crate) f: FuncId,
     pub(crate) out: BufId,
-    pub(crate) param_sensitive: bool,
-    pub(crate) kernel: Kernel,
-    pub(crate) opt: Option<OptProto>,
+    /// The reduction's kernel at the estimates.
+    pub(crate) proto: KernelProto,
 }
 
 /// Structural plan for a self-referential (scan) group.
@@ -296,15 +375,16 @@ pub(crate) fn sat_round(ty: ScalarType) -> (Option<(f32, f32)>, bool) {
 /// Builds a size-independent [`ParametricPlan`] (phase 1).
 ///
 /// Runs the front-end, grouping (at [`CompileOptions::estimates`]),
-/// alignment/scaling, storage classification, kernel lowering and SSA
-/// pre-optimization. The bound `opts.params` are *not* consumed — pass
-/// them to [`crate::instantiate`].
+/// alignment/scaling, storage classification, and builds each case's and
+/// reduction's kernel prototype. The bound `opts.params` are *not*
+/// consumed — pass them to [`crate::instantiate`].
 ///
 /// # Errors
 ///
 /// Same structural conditions as [`crate::compile`] (cycles, unsupported
 /// self-references, estimate-count mismatch), and
-/// [`CompileError::InvalidOptions`] for unusable option values. Bounds
+/// [`CompileError::InvalidOptions`] for unusable option values, including
+/// estimates at which the geometry overflows `i64`. Bounds
 /// violations and empty domains are only detectable per binding and
 /// surface from [`crate::instantiate`].
 pub fn plan(pipe: &Pipeline, opts: &CompileOptions) -> Result<ParametricPlan, CompileError> {
@@ -313,7 +393,7 @@ pub fn plan(pipe: &Pipeline, opts: &CompileOptions) -> Result<ParametricPlan, Co
 
 /// [`plan`] with diagnostics: emits the `phase.frontend` / `phase.grouping`
 /// spans of the classic compiler plus a `phase.lower` span for structural
-/// scheduling and kernel pre-optimization, all inside a `plan` span.
+/// scheduling and the kernel prototypes, all inside a `plan` span.
 pub fn plan_with(
     pipe: &Pipeline,
     opts: &CompileOptions,
@@ -323,6 +403,12 @@ pub fn plan_with(
     if opts.estimates().len() != pipe.params().len() {
         return Err(CompileError::param_mismatch(pipe, opts.estimates().len()));
     }
+    let field = if opts.param_estimates.is_some() {
+        "param_estimates"
+    } else {
+        "params"
+    };
+    crate::options::check_params(pipe, opts.estimates(), field)?;
     crate::options::env::report(diag);
     let plan_span = diag.begin();
 
@@ -494,18 +580,18 @@ impl PlanCtx<'_> {
         self.next_buf += 1;
         b
     }
+}
 
-    fn dom_at_estimates(&self, f: FuncId) -> Rect {
-        Rect::new(
-            self.pipe
-                .func(f)
-                .var_dom
-                .dom
-                .iter()
-                .map(|iv| iv.eval(self.est))
-                .collect(),
-        )
-    }
+/// Stage `f`'s domain at the given parameter values.
+pub(crate) fn eval_dom(pipe: &Pipeline, f: FuncId, values: &[i64]) -> Rect {
+    Rect::new(
+        pipe.func(f)
+            .var_dom
+            .dom
+            .iter()
+            .map(|iv| iv.eval(values))
+            .collect(),
+    )
 }
 
 fn plan_group(ctx: &mut PlanCtx<'_>, group: &Group) -> Result<GroupPlan, CompileError> {
@@ -587,7 +673,7 @@ fn plan_tiled(ctx: &mut PlanCtx<'_>, group: &Group) -> Result<GroupPlan, Compile
     let mut stage_plans: Vec<StagePlanP> = Vec::with_capacity(stages.len());
     for (k, (&f, s)) in stages.iter().zip(&storage).enumerate() {
         let (sat, round) = sat_round(ctx.pipe.func(f).ty);
-        let dom_est = ctx.dom_at_estimates(f);
+        let dom_est = eval_dom(ctx.pipe, f, ctx.est);
         let cases = plan_cases(ctx, f, &dom_est, &func_scratch, &group_name)?;
         stage_plans.push(StagePlanP {
             f,
@@ -674,48 +760,20 @@ fn plan_cases(
         } else {
             (case.expr.clone(), residual)
         };
-        let mut b = KernelBuilder::new(&env);
-        let val = b.value(&expr);
-        let mask: Option<RegId> = residual.as_ref().map(|c| b.cond(c));
-        let param_sensitive = b.param_sensitive();
-        let mut outs = vec![val];
-        if let Some(m) = mask {
-            outs.push(m);
-        }
-        let (kernel, _reads) = b.finish(outs);
-        check_index_terms(&kernel, &fd.name)?;
-
-        // Pre-optimize at the estimate geometry; `instantiate` reuses the
-        // result when the binding's fixed-dimension signature matches.
-        let opt = if ctx.opts.kernel_opt {
-            let mut tmp = CaseExec {
-                rect: rect_est.clone(),
-                steps: steps.clone(),
-                kernel: kernel.clone(),
-                mask,
-            };
-            let fixed = fixed_dims(&tmp.rect.intersect(dom_est), &tmp.steps);
-            let name = format!("{}/{}#{}", group_name, fd.name, ci);
-            let report = optimize_kernel(&mut tmp.kernel, dom_est.ndim(), &fixed, name);
-            sync_mask(&mut tmp);
-            Some(OptProto {
-                kernel: tmp.kernel,
-                mask: tmp.mask,
-                fixed,
-                report,
-            })
-        } else {
-            None
-        };
+        let (proto, _) = build_kernel(
+            &env,
+            KernelBody::Case(f, &expr, residual.as_ref()),
+            (&rect_est.intersect(dom_est), &steps),
+            None,
+            ctx.opts.kernel_opt,
+            format!("{}/{}#{}", group_name, fd.name, ci),
+        )?;
         out.push(CasePlan {
             cond: case.cond.clone(),
             steps,
             residual,
             expr,
-            param_sensitive,
-            kernel,
-            mask,
-            opt,
+            proto,
         });
     }
     Ok(out)
@@ -723,9 +781,8 @@ fn plan_cases(
 
 fn plan_reduction(ctx: &mut PlanCtx<'_>, f: FuncId) -> Result<GroupPlan, CompileError> {
     let fd = ctx.pipe.func(f);
-    let acc = match &fd.body {
-        FuncBody::Reduce(a) => a.clone(),
-        _ => unreachable!("reduction group"),
+    let FuncBody::Reduce(acc) = &fd.body else {
+        unreachable!("reduction group")
     };
     let out = ctx.alloc_buf();
     ctx.func_full.insert(f, out);
@@ -739,15 +796,16 @@ fn plan_reduction(ctx: &mut PlanCtx<'_>, f: FuncId) -> Result<GroupPlan, Compile
         func_full: &ctx.func_full,
         vars: &acc.red_vars,
     };
-    let mut b = KernelBuilder::new(&env);
-    let val = b.value(&acc.value);
-    let mut outs = vec![val];
-    for t in &acc.target {
-        outs.push(b.index(t));
-    }
-    let param_sensitive = b.param_sensitive();
-    let (kernel, _reads) = b.finish(outs);
-    check_index_terms(&kernel, &fd.name)?;
+    let group_name = format!("{}(reduce)", fd.name);
+    let red_dom_est = Rect::new(acc.red_dom.iter().map(|iv| iv.eval(ctx.est)).collect());
+    let (proto, _) = build_kernel(
+        &env,
+        KernelBody::Reduce(f),
+        (&red_dom_est, &[]),
+        None,
+        ctx.opts.kernel_opt,
+        format!("{}/{}", group_name, fd.name),
+    )?;
     // Every target dimension is a data-dependent index of the scatter.
     if acc.target.len() > MAX_INDEX_TERMS {
         return Err(CompileError::UnsupportedAccess {
@@ -758,30 +816,11 @@ fn plan_reduction(ctx: &mut PlanCtx<'_>, f: FuncId) -> Result<GroupPlan, Compile
             ),
         });
     }
-    let group_name = format!("{}(reduce)", fd.name);
-
-    let opt = if ctx.opts.kernel_opt {
-        let red_dom_est = Rect::new(acc.red_dom.iter().map(|iv| iv.eval(ctx.est)).collect());
-        let fixed = fixed_dims(&red_dom_est, &[]);
-        let mut k = kernel.clone();
-        let name = format!("{}/{}", group_name, fd.name);
-        let report = optimize_kernel(&mut k, red_dom_est.ndim(), &fixed, name);
-        Some(OptProto {
-            kernel: k,
-            mask: None,
-            fixed,
-            report,
-        })
-    } else {
-        None
-    };
     Ok(GroupPlan::Reduction(ReductionPlan {
         group_name,
         f,
         out,
-        param_sensitive,
-        kernel,
-        opt,
+        proto,
     }))
 }
 
@@ -883,10 +922,10 @@ fn plan_selfref(ctx: &mut PlanCtx<'_>, f: FuncId) -> Result<GroupPlan, CompileEr
     ctx.func_full.insert(f, out);
 
     let (sat, round) = sat_round(fd.ty);
-    let dom_est = ctx.dom_at_estimates(f);
+    let dom_est = eval_dom(ctx.pipe, f, ctx.est);
     let group_name = format!("{}(scan)", fd.name);
     let empty_scratch = HashMap::new();
-    let cases = plan_cases_inner(ctx, f, &dom_est, &empty_scratch, &group_name)?;
+    let cases = plan_cases(ctx, f, &dom_est, &empty_scratch, &group_name)?;
     Ok(GroupPlan::SelfRef(SelfRefPlan {
         group_name,
         f,
@@ -896,16 +935,4 @@ fn plan_selfref(ctx: &mut PlanCtx<'_>, f: FuncId) -> Result<GroupPlan, CompileEr
         round,
         cases,
     }))
-}
-
-/// `plan_cases` callable after `ctx.func_full` was already extended for
-/// the current group (scan stages read their own output buffer).
-fn plan_cases_inner(
-    ctx: &PlanCtx<'_>,
-    f: FuncId,
-    dom_est: &Rect,
-    func_scratch: &HashMap<FuncId, BufId>,
-    group_name: &str,
-) -> Result<Vec<CasePlan>, CompileError> {
-    plan_cases(ctx, f, dom_est, func_scratch, group_name)
 }

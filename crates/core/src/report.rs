@@ -53,13 +53,13 @@ pub struct GroupReport {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Provenance {
     /// Parameter estimates the plan's heuristics (grouping, tile choice,
-    /// kernel pre-optimization) used.
+    /// kernel prototypes) used.
     pub estimates: Vec<i64>,
     /// Concrete parameter values this instance was bound to.
     pub params: Vec<i64>,
-    /// Kernels taken verbatim from the plan's pre-optimized protos.
+    /// Optimized kernels taken verbatim from the plan's prototypes.
     pub kernels_reused: usize,
-    /// Kernels re-optimized at bind time (parameter-sensitive, or the
+    /// Optimized kernels rebuilt at bind time (parameter-sensitive, or the
     /// bound geometry's fixed-dimension signature diverged).
     pub kernels_respecialized: usize,
 }

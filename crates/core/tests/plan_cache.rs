@@ -1,12 +1,17 @@
 //! Two-level session cache behavior: with pinned parameter estimates one
 //! [`ParametricPlan`] serves every size (plan hits + instance misses),
-//! racing binds at a fresh size never duplicate plan compilation, and the
+//! racing binds at a fresh size never duplicate plan compilation, the
 //! diagnostics counters `session.plan_*` / `session.instance_*` mirror
-//! [`CacheStats`].
+//! [`CacheStats`], and a bind reuses exactly the plan kernels the reuse
+//! rule allows.
 
-use polymage_core::{compile, plan, CompileError, CompileOptions, Session};
+use polymage_apps::{all_benchmarks, Scale};
+use polymage_core::interp::interpret;
+use polymage_core::{compile, instantiate, plan, CompileError, CompileOptions, Compiled, Session};
 use polymage_diag::{Counter, Diag};
 use polymage_ir::*;
+use polymage_poly::Rect;
+use polymage_vm::{Buffer, Engine, RunRequest};
 use std::sync::Arc;
 
 /// blur(x) = (in(x−1) + in(x) + in(x+1)) / 3 over the interior of `N`.
@@ -177,4 +182,86 @@ fn invalid_options_rejected() {
         check(session.compile(&pipe, &opts).unwrap_err());
     }
     assert_eq!((session.plan_cache_len(), session.cache_len()), (0, 0));
+}
+
+/// `(reused, respecialized)` kernel counts of a bind.
+fn reuse(c: &Compiled) -> (usize, usize) {
+    let p = &c.report.provenance;
+    (p.kernels_reused, p.kernels_respecialized)
+}
+
+/// scale(x) = in(x) · N: the kernel embeds the bound value of `N`.
+fn scale_by_param() -> Pipeline {
+    let mut p = PipelineBuilder::new("scale_by_param");
+    let n = p.param("N");
+    let img = p.image("in", ScalarType::Float, vec![PAff::param(n)]);
+    let x = p.var("x");
+    let dom = Interval::new(PAff::cst(0), PAff::param(n) - 1);
+    let f = p.func("scale", &[(x, dom)], ScalarType::Float);
+    p.define(
+        f,
+        vec![Case::always(Expr::at(img, [x + 0]) * Expr::Param(n))],
+    )
+    .unwrap();
+    p.finish(&[f]).unwrap()
+}
+
+/// The reuse rule, pinned: a bind hands back the plan's kernel unless the
+/// kernel embeds a parameter value or the bound rect pins other
+/// dimensions. Six apps reuse every kernel; Harris has one kernel that
+/// reads a parameter. Without `kernel_opt` nothing is counted. A kernel
+/// that reads a parameter is rebuilt at every size, with the bound value.
+#[test]
+fn binds_reuse_exactly_the_kernels_the_rule_allows() {
+    let want = [
+        ("Unsharp Mask", (3, 0)),
+        ("Bilateral Grid", (11, 0)),
+        ("Harris Corner", (8, 1)),
+        ("Camera Pipeline", (30, 0)),
+        ("Pyramid Blending", (43, 0)),
+        ("Multiscale Interpolate", (41, 0)),
+        ("Local Laplacian", (36, 0)),
+    ];
+    let tiny = all_benchmarks(Scale::Tiny);
+    let small = all_benchmarks(Scale::Small);
+    for ((t, s), (name, counts)) in tiny.iter().zip(&small).zip(want) {
+        assert_eq!(t.name(), name);
+        for b in [t, s] {
+            let p = plan(b.pipeline(), &CompileOptions::optimized(b.params())).unwrap();
+            let at_estimates = instantiate(&p, &b.params()).unwrap();
+            assert_eq!(reuse(&at_estimates), counts, "{name} at {:?}", b.params());
+        }
+        // Planned at Tiny, bound at Small.
+        let p = plan(t.pipeline(), &CompileOptions::optimized(t.params())).unwrap();
+        let off = instantiate(&p, &s.params()).unwrap();
+        assert_eq!(reuse(&off), counts, "{name} off the estimates");
+        let mut raw = CompileOptions::optimized(t.params());
+        raw.kernel_opt = false;
+        let p = plan(t.pipeline(), &raw).unwrap();
+        assert_eq!(reuse(&instantiate(&p, &s.params()).unwrap()), (0, 0));
+    }
+
+    // A parameter-insensitive kernel is reused off the estimates.
+    let p = plan(&blur1d(), &opts_at(64)).unwrap();
+    assert_eq!(reuse(&instantiate(&p, &[200]).unwrap()), (1, 0));
+
+    let pipe = scale_by_param();
+    let p = plan(&pipe, &opts_at(64)).unwrap();
+    let engine = Engine::with_threads(1);
+    for n in [96, 200] {
+        let bound = instantiate(&p, &[n]).unwrap();
+        assert_eq!(reuse(&bound), (0, 1), "N = {n}");
+        let inputs = [Buffer::zeros(Rect::new(vec![(0, n - 1)])).fill_with(|x| x[0] as f32 * 0.37)];
+        let got = engine
+            .submit(RunRequest::new(&bound.program, &inputs))
+            .and_then(|h| h.join())
+            .unwrap();
+        let want = interpret(&pipe, &[n], &inputs).unwrap();
+        let bits = |b: &[Buffer]| -> Vec<Vec<u32>> {
+            b.iter()
+                .map(|b| b.data.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(&got), bits(&want), "N = {n}");
+    }
 }

@@ -47,16 +47,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// The value as an `f64`, when numeric.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Int(v) => Some(*v as f64),
-            Value::UInt(v) => Some(*v as f64),
-            Value::Float(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// The value as a `u64`, when it is an unsigned integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {

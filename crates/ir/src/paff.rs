@@ -127,13 +127,20 @@ impl PAff {
     ///
     /// # Panics
     ///
-    /// Panics if a mentioned parameter is out of range of `params`.
+    /// Panics if a mentioned parameter is out of range of `params`, or if
+    /// the value does not fit `i64` (see [`PAff::checked_eval`]).
     pub fn eval(&self, params: &[i64]) -> i64 {
+        self.checked_eval(params)
+            .expect("parameter-affine value overflows i64")
+    }
+
+    /// Like [`PAff::eval`], but `None` when the value does not fit `i64`.
+    pub fn checked_eval(&self, params: &[i64]) -> Option<i64> {
         let mut n = self.num_c;
         for &(p, a) in &self.terms {
-            n += a * params[p.index()];
+            n = n.checked_add(a.checked_mul(params[p.index()])?)?;
         }
-        n.div_euclid(self.den)
+        Some(n.div_euclid(self.den))
     }
 
     /// Like [`PAff::eval`], but also reports whether the division was exact.
@@ -292,6 +299,13 @@ impl Interval {
     /// Evaluates the bounds with concrete parameter values.
     pub fn eval(&self, params: &[i64]) -> (i64, i64) {
         (self.lo.eval(params), self.hi.eval(params))
+    }
+
+    /// The number of points `hi − lo + 1` (negative when empty), or `None`
+    /// when a bound or the count does not fit `i64`.
+    pub fn checked_extent(&self, params: &[i64]) -> Option<i64> {
+        let (lo, hi) = (self.lo.checked_eval(params)?, self.hi.checked_eval(params)?);
+        hi.checked_sub(lo)?.checked_add(1)
     }
 }
 

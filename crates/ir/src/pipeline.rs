@@ -279,14 +279,6 @@ impl Pipeline {
         }
     }
 
-    /// Number of dimensions of a source's underlying grid.
-    pub fn source_dims(&self, s: Source) -> usize {
-        match s {
-            Source::Func(f) => self.funcs[f.index()].dims(),
-            Source::Image(i) => self.images[i.index()].extents.len(),
-        }
-    }
-
     /// A deterministic structural hash of the whole specification.
     ///
     /// Two pipelines built through identical builder calls hash equal, and

@@ -61,15 +61,6 @@ impl Ratio {
         self.den
     }
 
-    /// The reciprocal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is zero.
-    pub fn recip(self) -> Ratio {
-        Ratio::new(self.den, self.num)
-    }
-
     /// Whether the value is an integer.
     pub fn is_integer(self) -> bool {
         self.den == 1

@@ -103,10 +103,10 @@ impl std::fmt::Display for KernelOptReport {
 /// Points off a stride's phase lattice yield an empty virtual rect — the
 /// case never runs — so the folded value is irrelevant there.
 ///
-/// Public because `polymage-core`'s `instantiate` drives the optimizer
-/// per-case: it compares the fixed-dimension signature of a freshly bound
-/// rect against the one a plan's pre-optimized kernel was specialized for,
-/// reusing the kernel verbatim when they match.
+/// Public because `polymage-core` drives the optimizer per kernel: it
+/// compares the fixed-dimension signature of a freshly bound rect against
+/// the one a plan's kernel prototype was specialized for, reusing the
+/// kernel verbatim when they match.
 pub fn fixed_dims(rect: &polymage_poly::Rect, steps: &[(i64, i64)]) -> Vec<Option<i64>> {
     rect.ranges()
         .iter()
@@ -125,16 +125,16 @@ pub fn fixed_dims(rect: &polymage_poly::Rect, steps: &[(i64, i64)]) -> Vec<Optio
 /// Re-points a case's store mask after register renumbering, and drops it
 /// entirely when the optimizer proved it a nonzero constant (every lane
 /// stored — the unmasked path is bit-identical and takes the contiguous
-/// store loop). Public for `polymage-core`'s per-case instantiation path.
-pub fn sync_mask(case: &mut crate::CaseExec) {
-    if case.mask.is_none() {
+/// store loop). Public for `polymage-core`'s kernel construction.
+pub fn sync_mask(kernel: &Kernel, mask: &mut Option<RegId>) {
+    if mask.is_none() {
         return;
     }
-    let m = case.kernel.outs[1];
-    case.mask = Some(m);
-    if let Some(Op::ConstF { val, .. }) = case.kernel.ops.iter().find(|op| op.dst() == m) {
+    let m = kernel.outs[1];
+    *mask = Some(m);
+    if let Some(Op::ConstF { val, .. }) = kernel.ops.iter().find(|op| op.dst() == m) {
         if *val != 0.0 {
-            case.mask = None;
+            *mask = None;
         }
     }
 }

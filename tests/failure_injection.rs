@@ -2,7 +2,8 @@
 //! right errors, at the right phase — builder, graph construction, static
 //! bounds checking, compilation, or execution — never by computing garbage.
 
-use polymage::core::{compile, plan, CompileError, CompileOptions, Session};
+use polymage::apps::{all_benchmarks, Scale};
+use polymage::core::{compile, instantiate, plan, CompileError, CompileOptions, Session};
 use polymage::graph::{GraphError, PipelineGraph};
 use polymage::ir::*;
 use polymage::poly::Rect;
@@ -141,6 +142,58 @@ fn zero_sized_image_rejected() {
         compile(&pipe, &CompileOptions::optimized(vec![0])),
         Err(CompileError::EmptyDomain { .. })
     ));
+}
+
+/// Parameter values whose geometry overflows `i64` or cannot be addressed
+/// are a typed error from `compile` and from `instantiate` of a valid plan,
+/// never a panic (they used to overflow in grouping or in `PAff::eval`).
+/// Negative sizes still report an empty domain.
+#[test]
+fn extreme_params_rejected() {
+    for b in all_benchmarks(Scale::Tiny) {
+        let valid = plan(b.pipeline(), &CompileOptions::optimized(b.params())).unwrap();
+        let nparams = b.params().len();
+        for v in [i64::MAX, i64::MAX / 2, 1 << 40] {
+            let params = vec![v; nparams];
+            for (entry, got) in [
+                (
+                    "compile",
+                    compile(b.pipeline(), &CompileOptions::optimized(params.clone())),
+                ),
+                ("instantiate", instantiate(&valid, &params)),
+            ] {
+                assert!(
+                    matches!(
+                        got,
+                        Err(CompileError::InvalidOptions {
+                            field: "params",
+                            ..
+                        })
+                    ),
+                    "{}: {entry} at {v}: {:?}",
+                    b.name(),
+                    got.err()
+                );
+            }
+        }
+        // Every app's input image is empty at −7 (Harris pads its input, so
+        // at 0 it is not; `zero_sized_image_rejected` covers zero).
+        let empty = vec![-7; nparams];
+        for (entry, got) in [
+            (
+                "compile",
+                compile(b.pipeline(), &CompileOptions::optimized(empty.clone())),
+            ),
+            ("instantiate", instantiate(&valid, &empty)),
+        ] {
+            assert!(
+                matches!(got, Err(CompileError::EmptyDomain { .. })),
+                "{}: {entry} at -7: {:?}",
+                b.name(),
+                got.err()
+            );
+        }
+    }
 }
 
 /// The executor addresses at most `MAX_INDEX_TERMS` (4) data-dependent
