@@ -75,7 +75,7 @@ fn harris_valid_across_sizes() {
 }
 
 /// The compiled benchmarks also agree with the naive interpreter (a second
-/// oracle, independent of the hand-written references).
+/// oracle, independent of the hand-written references), bit for bit.
 #[test]
 fn camera_matches_interpreter_at_tiny() {
     use polymage_apps::camera::CameraPipe;
@@ -94,7 +94,7 @@ fn camera_matches_interpreter_at_tiny() {
     for (g, w) in got.iter().zip(&expect) {
         assert_eq!(g.rect, w.rect);
         for (a, b) in g.data.iter().zip(&w.data) {
-            assert!((a - b).abs() <= 1.01, "{a} vs {b}");
+            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
         }
     }
 }

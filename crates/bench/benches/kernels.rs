@@ -15,9 +15,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use polymage_apps::{all_benchmarks, Scale};
 use polymage_core::{compile, CompileOptions, SimdOpt};
+use polymage_ir::{BinOp, CmpOp};
 use polymage_vm::{
-    available_simd_levels, eval_kernel, BinF, BufId, BufView, ChunkCtx, CmpF, Engine, IdxPlan,
-    Kernel, Op, RegFile, RegId, RunRequest, CHUNK,
+    available_simd_levels, eval_kernel, BufId, BufView, ChunkCtx, Engine, IdxPlan, Kernel, Op,
+    RegFile, RegId, RunRequest, CHUNK,
 };
 
 fn bench_kernel_opt(c: &mut Criterion) {
@@ -71,7 +72,7 @@ fn bench_kernel_opt(c: &mut Criterion) {
 }
 
 /// A stencil-flavored arithmetic chain: three taps, weights, and a
-/// normalization divide — all lane-varying `BinF` traffic.
+/// normalization divide — all lane-varying `BinOp` traffic.
 fn arith_kernel() -> Kernel {
     let tap = |dst: u16, o: i64| Op::Load {
         dst: RegId(dst),
@@ -93,37 +94,37 @@ fn arith_kernel() -> Kernel {
                 val: 0.25,
             },
             Op::BinF {
-                op: BinF::Add,
+                op: BinOp::Add,
                 dst: RegId(4),
                 a: RegId(0),
                 b: RegId(1),
             },
             Op::BinF {
-                op: BinF::Add,
+                op: BinOp::Add,
                 dst: RegId(5),
                 a: RegId(4),
                 b: RegId(2),
             },
             Op::BinF {
-                op: BinF::Mul,
+                op: BinOp::Mul,
                 dst: RegId(6),
                 a: RegId(5),
                 b: RegId(3),
             },
             Op::BinF {
-                op: BinF::Max,
+                op: BinOp::Max,
                 dst: RegId(7),
                 a: RegId(6),
                 b: RegId(0),
             },
             Op::BinF {
-                op: BinF::Min,
+                op: BinOp::Min,
                 dst: RegId(8),
                 a: RegId(7),
                 b: RegId(1),
             },
             Op::BinF {
-                op: BinF::Div,
+                op: BinOp::Div,
                 dst: RegId(9),
                 a: RegId(8),
                 b: RegId(3),
@@ -157,13 +158,13 @@ fn mask_kernel() -> Kernel {
                 val: 8.0,
             },
             Op::CmpMask {
-                op: CmpF::Lt,
+                op: CmpOp::Lt,
                 dst: RegId(3),
                 a: RegId(0),
                 b: RegId(2),
             },
             Op::CmpMask {
-                op: CmpF::Ge,
+                op: CmpOp::Ge,
                 dst: RegId(4),
                 a: RegId(1),
                 b: RegId(2),

@@ -19,11 +19,11 @@
 //! strip loop and `GCC ivdep` on the inner loops mark Fig. 7's parallel
 //! and vector loops, and a build without `-fopenmp` ignores the former.
 
-use polymage_ir::Reduction;
+use polymage_ir::{BinOp, CmpOp, Reduction, UnOp};
 use polymage_poly::Rect;
 use polymage_vm::{
-    BinF, BufId, BufKind, CaseExec, CmpF, GroupKind, IdxPlan, Kernel, Op, Program, ReductionExec,
-    SeqExec, TiledGroup, UnF,
+    BufId, BufKind, CaseExec, GroupKind, IdxPlan, Kernel, Op, Program, ReductionExec, SeqExec,
+    TiledGroup,
 };
 use std::fmt::Write as _;
 
@@ -42,7 +42,7 @@ float pm_logf(float) __asm__("logf");
 float pm_sinf(float) __asm__("sinf");
 float pm_cosf(float) __asm__("cosf");
 float pm_powf(float, float) __asm__("powf");
-/* The VM's scalar semantics (polymage-vm eval.rs, exec.rs, index.rs). */
+/* The op table of polymage-ir (ops.rs), spelled independently in C. */
 static float F(unsigned u) { float f; memcpy(&f, &u, sizeof f); return f; }
 static I imin(I a, I b) { return a < b ? a : b; }
 static I imax(I a, I b) { return a > b ? a : b; }
@@ -178,38 +178,38 @@ fn op_stmt(op: &Op, view: &dyn Fn(BufId) -> View) -> String {
         Op::BinF { op, a, b, .. } => {
             let (a, b) = (r(a), r(b));
             match op {
-                BinF::Add => format!("{a} + {b}"),
-                BinF::Sub => format!("{a} - {b}"),
-                BinF::Mul => format!("{a} * {b}"),
-                BinF::Div => format!("{a} / {b}"),
-                BinF::Min => format!("vmin({a}, {b})"),
-                BinF::Max => format!("vmax({a}, {b})"),
-                BinF::Mod => format!("vmod({a}, {b})"),
-                BinF::Pow => format!("pm_powf({a}, {b})"),
+                BinOp::Add => format!("{a} + {b}"),
+                BinOp::Sub => format!("{a} - {b}"),
+                BinOp::Mul => format!("{a} * {b}"),
+                BinOp::Div => format!("{a} / {b}"),
+                BinOp::Min => format!("vmin({a}, {b})"),
+                BinOp::Max => format!("vmax({a}, {b})"),
+                BinOp::Mod => format!("vmod({a}, {b})"),
+                BinOp::Pow => format!("pm_powf({a}, {b})"),
             }
         }
         Op::UnF { op, a, .. } => {
             let f = match op {
-                UnF::Neg => "-",
-                UnF::Abs => "fabsf",
-                UnF::Sqrt => "sqrtf",
-                UnF::Exp => "pm_expf",
-                UnF::Log => "pm_logf",
-                UnF::Sin => "pm_sinf",
-                UnF::Cos => "pm_cosf",
-                UnF::Floor => "floorf",
-                UnF::Ceil => "ceilf",
+                UnOp::Neg => "-",
+                UnOp::Abs => "fabsf",
+                UnOp::Sqrt => "sqrtf",
+                UnOp::Exp => "pm_expf",
+                UnOp::Log => "pm_logf",
+                UnOp::Sin => "pm_sinf",
+                UnOp::Cos => "pm_cosf",
+                UnOp::Floor => "floorf",
+                UnOp::Ceil => "ceilf",
             };
             format!("{f}({})", r(a))
         }
         Op::CmpMask { op, a, b, .. } => {
             let t = match op {
-                CmpF::Lt => "<",
-                CmpF::Le => "<=",
-                CmpF::Gt => ">",
-                CmpF::Ge => ">=",
-                CmpF::Eq => "==",
-                CmpF::Ne => "!=",
+                CmpOp::Lt => "<",
+                CmpOp::Le => "<=",
+                CmpOp::Gt => ">",
+                CmpOp::Ge => ">=",
+                CmpOp::Eq => "==",
+                CmpOp::Ne => "!=",
             };
             format!("(float)({} {t} {})", r(a), r(b))
         }
@@ -634,7 +634,7 @@ impl Emitter<'_> {
     fn reduction(&mut self, name: &str, red: &ReductionExec) {
         let prog = self.prog;
         let out = &prog.buffers[red.out.0];
-        let (len, id, dom) = (out.len(), fbits(red.op.identity() as f32), &red.red_dom);
+        let (len, id, dom) = (out.len(), fbits(red.op.identity()), &red.red_dom);
         let what = format!("reduction `{}` over {dom}, one row-major sweep", red.name);
         put!(self, 1, "{{ /* ===== group {name}: {what} ===== */");
         put!(self, 2, "float *o = b{};", red.out.0);

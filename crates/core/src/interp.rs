@@ -1,24 +1,35 @@
 //! A naive reference interpreter for pipeline specifications.
 //!
 //! Evaluates every stage point-by-point into full buffers, with no fusion,
-//! tiling, or vectorization — deliberately implemented independently of the
-//! compiler's lowering so tests can use it as a semantic oracle: for every
-//! pipeline, `compile(...)` run on an `Engine` must agree with
-//! [`interpret`] (exactly for integer paths, to small ULP bounds for
-//! float-heavy ones, since evaluation order differs).
+//! tiling, or vectorization, so tests can use it as a semantic oracle: for
+//! every pipeline, `compile(...)` run on an `Engine` must agree with
+//! [`interpret`] **bit for bit**, under every schedule and SIMD level.
+//!
+//! What an operator means is shared, not reimplemented: values go through
+//! the op table of `polymage_ir` (`BinOp::eval`, `UnOp::eval`,
+//! `CmpOp::eval`, `Reduction::combine`, the store and index conversions),
+//! the same definitions the engine evaluates. Everything else stays
+//! independent of the compiler: indexing, case regions, the absence of
+//! tiling, and storage (one full buffer per stage).
 //!
 //! Semantics mirrored from the engine:
-//! - all arithmetic in `f32`; integer index expressions use floor division;
+//! - all arithmetic in `f32`; data-free index expressions are evaluated
+//!   exactly in `i64` with floor division; an index argument that reads
+//!   data is evaluated in `f32` (`/` floors, casts round) and converted
+//!   once, by the table's index conversion;
 //! - values outside every case's guard are 0 ("undefined");
 //! - cases are applied in order (each writes where its guard holds);
-//! - dynamic indices round to nearest and clamp into the producer's domain;
+//! - dynamic indices clamp into the producer's domain;
 //! - stores saturate/round per declared scalar type;
 //! - reductions sweep their domain row-major; self-referential stages scan
 //!   row-major.
 
 use crate::CompileError;
 use polymage_graph::PipelineGraph;
-use polymage_ir::{BinOp, Cond, Expr, FuncBody, FuncId, Pipeline, ScalarType, Source, UnOp, VarId};
+use polymage_ir::{
+    index_convert, round_ties_away, store_convert, visit_exprs, BinOp, Cond, Expr, FuncBody,
+    FuncId, Pipeline, Source, UnOp, VarId,
+};
 use polymage_poly::{narrow_rect_by_cond, Rect};
 use polymage_vm::Buffer;
 use std::collections::HashMap;
@@ -69,33 +80,9 @@ impl Interp<'_> {
                 let d = vars.iter().position(|u| u == v).expect("bound variable");
                 pt[d] as f32
             }
-            Expr::Unary(op, a) => {
-                let x = self.eval_value(a, vars, pt);
-                match op {
-                    UnOp::Neg => -x,
-                    UnOp::Abs => x.abs(),
-                    UnOp::Sqrt => x.sqrt(),
-                    UnOp::Exp => x.exp(),
-                    UnOp::Log => x.ln(),
-                    UnOp::Sin => x.sin(),
-                    UnOp::Cos => x.cos(),
-                    UnOp::Floor => x.floor(),
-                    UnOp::Ceil => x.ceil(),
-                }
-            }
+            Expr::Unary(op, a) => op.eval(self.eval_value(a, vars, pt)),
             Expr::Binary(op, a, b) => {
-                let x = self.eval_value(a, vars, pt);
-                let y = self.eval_value(b, vars, pt);
-                match op {
-                    BinOp::Add => x + y,
-                    BinOp::Sub => x - y,
-                    BinOp::Mul => x * y,
-                    BinOp::Div => x / y,
-                    BinOp::Min => x.min(y),
-                    BinOp::Max => x.max(y),
-                    BinOp::Mod => x - y * (x / y).floor(),
-                    BinOp::Pow => x.powf(y),
-                }
+                op.eval(self.eval_value(a, vars, pt), self.eval_value(b, vars, pt))
             }
             Expr::Select(c, a, b) => {
                 if self.eval_cond(c, vars, pt) {
@@ -105,12 +92,8 @@ impl Interp<'_> {
                 }
             }
             Expr::Cast(ty, a) => {
-                let x = self.eval_value(a, vars, pt);
-                match ty.saturation_range() {
-                    Some((lo, hi)) => x.clamp(lo as f32, hi as f32).round(),
-                    None if ty.is_integral() => x.round(),
-                    None => x,
-                }
+                let (sat, round) = ty.store_rule();
+                store_convert(self.eval_value(a, vars, pt), sat, round)
             }
             Expr::Call(src, args) => {
                 let idx: Vec<i64> = args.iter().map(|a| self.eval_index(a, vars, pt)).collect();
@@ -119,8 +102,13 @@ impl Interp<'_> {
         }
     }
 
-    /// Index-position evaluation: floor semantics.
+    /// Index-position evaluation: floor semantics. An argument that reads
+    /// data is evaluated in `f32` ([`Interp::eval_index_f32`]) and converted
+    /// once; a data-free one exactly, in `i64`.
     fn eval_index(&self, e: &Expr, vars: &[VarId], pt: &[i64]) -> i64 {
+        if reads_data(e) {
+            return index_convert(self.eval_index_f32(e, vars, pt));
+        }
         match e {
             Expr::Binary(BinOp::Div, a, b) => {
                 let x = self.eval_index(a, vars, pt);
@@ -147,7 +135,7 @@ impl Interp<'_> {
                             x.rem_euclid(y)
                         }
                     }
-                    BinOp::Pow => (x as f32).powf(y as f32).round() as i64,
+                    BinOp::Pow => index_convert(op.eval(x as f32, y as f32)),
                     BinOp::Div => unreachable!(),
                 }
             }
@@ -166,9 +154,32 @@ impl Interp<'_> {
                     self.eval_index(b, vars, pt)
                 }
             }
-            // Data-dependent: value rounded to nearest (matches the engine's
-            // gather).
-            other => self.eval_value(other, vars, pt).round() as i64,
+            other => index_convert(self.eval_value(other, vars, pt)),
+        }
+    }
+
+    /// An index argument in `f32`, the way the compiler lowers one that
+    /// reads data: `/` floors, casts round, everything else is its value.
+    fn eval_index_f32(&self, e: &Expr, vars: &[VarId], pt: &[i64]) -> f32 {
+        match e {
+            Expr::Binary(op, a, b) => {
+                let x = self.eval_index_f32(a, vars, pt);
+                let y = self.eval_index_f32(b, vars, pt);
+                match op {
+                    BinOp::Div => UnOp::Floor.eval(op.eval(x, y)),
+                    _ => op.eval(x, y),
+                }
+            }
+            Expr::Unary(op, a) => op.eval(self.eval_index_f32(a, vars, pt)),
+            Expr::Cast(_, a) => round_ties_away(self.eval_index_f32(a, vars, pt)),
+            Expr::Select(c, a, b) => {
+                if self.eval_cond(c, vars, pt) {
+                    self.eval_index_f32(a, vars, pt)
+                } else {
+                    self.eval_index_f32(b, vars, pt)
+                }
+            }
+            other => self.eval_value(other, vars, pt),
         }
     }
 
@@ -177,23 +188,11 @@ impl Interp<'_> {
             Cond::Cmp(op, a, b) => {
                 let x = self.eval_value(a, vars, pt);
                 let y = self.eval_value(b, vars, pt);
-                op.apply(x as f64, y as f64)
+                op.eval(x, y)
             }
             Cond::And(a, b) => self.eval_cond(a, vars, pt) && self.eval_cond(b, vars, pt),
             Cond::Or(a, b) => self.eval_cond(a, vars, pt) || self.eval_cond(b, vars, pt),
             Cond::Not(a) => !self.eval_cond(a, vars, pt),
-        }
-    }
-
-    fn store(&self, ty: ScalarType, v: f32) -> f32 {
-        let v = match ty.saturation_range() {
-            Some((lo, hi)) => v.clamp(lo as f32, hi as f32),
-            None => v,
-        };
-        if ty.is_integral() {
-            v.round()
-        } else {
-            v
         }
     }
 
@@ -205,6 +204,7 @@ impl Interp<'_> {
             FuncBody::Undefined => {}
             FuncBody::Cases(cases) => {
                 let vars = &fd.var_dom.vars;
+                let (sat, round) = fd.ty.store_rule();
                 // Temporarily park the (zeroed or partially written) buffer
                 // so self-referential stages can read it while we scan.
                 self.values.insert(f, buf);
@@ -237,8 +237,7 @@ impl Interp<'_> {
                         if !ok {
                             continue;
                         }
-                        let v = self.eval_value(&case.expr, vars, &pt);
-                        let v = self.store(fd.ty, v);
+                        let v = store_convert(self.eval_value(&case.expr, vars, &pt), sat, round);
                         // write through the parked buffer
                         let b = self.values.get_mut(&f).expect("parked");
                         let flat = flat_index(&b.rect, &pt);
@@ -249,9 +248,7 @@ impl Interp<'_> {
             }
             FuncBody::Reduce(acc) => {
                 let red = Rect::new(acc.red_dom.iter().map(|iv| iv.eval(self.params)).collect());
-                for v in buf.data.iter_mut() {
-                    *v = acc.op.identity() as f32;
-                }
+                buf.data.fill(acc.op.identity());
                 if !red.is_empty() {
                     let pts: Vec<Vec<i64>> = red.points().collect();
                     for pt in pts {
@@ -267,22 +264,21 @@ impl Interp<'_> {
                             .collect();
                         let v = self.eval_value(&acc.value, &acc.red_vars, &pt);
                         let flat = flat_index(&dom, &clamped);
-                        buf.data[flat] = acc.op.combine(buf.data[flat] as f64, v as f64) as f32;
+                        buf.data[flat] = acc.op.combine(buf.data[flat], v);
                     }
                 }
-                // untouched Min/Max cells: identity → 0 like the engine
-                if !matches!(acc.op, polymage_ir::Reduction::Sum) {
-                    let id = acc.op.identity() as f32;
-                    for v in buf.data.iter_mut() {
-                        if !v.is_finite() && *v == id {
-                            *v = 0.0;
-                        }
-                    }
-                }
+                acc.op.finish(&mut buf.data);
             }
         }
         self.values.insert(f, buf);
     }
+}
+
+/// Whether `e` reads an image or a stage anywhere, guards included.
+fn reads_data(e: &Expr) -> bool {
+    let mut found = false;
+    visit_exprs(e, &mut |x| found |= matches!(x, Expr::Call(..)));
+    found
 }
 
 fn flat_index(rect: &Rect, pt: &[i64]) -> usize {
@@ -351,7 +347,7 @@ pub fn interpret(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polymage_ir::{Case, Interval, PAff, PipelineBuilder};
+    use polymage_ir::{Case, Interval, PAff, PipelineBuilder, ScalarType};
 
     #[test]
     fn simple_pointwise() {
@@ -410,6 +406,37 @@ mod tests {
         // f(3, x) = x * 8
         assert_eq!(out[0].at(&[3, 4]), 32.0);
         assert_eq!(out[0].at(&[3, 1]), 8.0);
+    }
+
+    /// `f(x) = I(I(x)·3 + 1)`: the index argument reads data, so it is
+    /// evaluated in `f32` and rounded once, as the engine and the emitted C
+    /// do — not rounded at the inner load and then multiplied in `i64`.
+    fn data_index_pipeline() -> Pipeline {
+        let mut p = PipelineBuilder::new("t");
+        let img = p.image("I", ScalarType::Float, vec![PAff::cst(8)]);
+        let x = p.var("x");
+        let f = p.func("f", &[(x, Interval::cst(0, 7))], ScalarType::Float);
+        let arg = Expr::at(img, [Expr::from(x)]) * 3.0 + 1.0;
+        p.define(f, vec![Case::always(Expr::at(img, [arg]))])
+            .unwrap();
+        p.finish(&[f]).unwrap()
+    }
+
+    #[test]
+    fn data_dependent_index_is_evaluated_in_f32() {
+        let i = vec![0.3, 0.6, 1.2, 1.4, 0.0, 2.0, 0.5, 1.0];
+        let input = Buffer::from_vec(Rect::new(vec![(0, 7)]), i);
+        let out = interpret(&data_index_pipeline(), &[], &[input]).unwrap();
+        assert_eq!(out[0].data, vec![1.2, 1.4, 2.0, 2.0, 0.6, 1.0, 1.4, 0.0]);
+    }
+
+    #[test]
+    fn data_dependent_index_saturates() {
+        // ±1e30·3 saturates and clamps to the ends; NaN indexes 0.
+        let i = vec![1e30, -1e30, f32::NAN, 0.0, 0.0, 0.0, 0.0, 5.0];
+        let input = Buffer::from_vec(Rect::new(vec![(0, 7)]), i);
+        let out = interpret(&data_index_pipeline(), &[], &[input]).unwrap();
+        assert_eq!(out[0].data[..3], [5.0, 1e30, 1e30]);
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! computation feeding an [`IdxPlan::Reg`] gather (lookup tables, grid
 //! slicing, histogram targets).
 
-use polymage_ir::{BinOp, CmpOp, Cond, Expr, FuncId, Pipeline, ScalarType, Source, UnOp, VarId};
+use polymage_ir::{BinOp, Cond, Expr, FuncId, Pipeline, ScalarType, Source, UnOp, VarId};
 use polymage_poly::VAff;
-use polymage_vm::{BinF, BufId, CmpF, IdxPlan, Kernel, Op, RegId, UnF};
+use polymage_vm::{BufId, IdxPlan, Kernel, Op, RegId};
 use std::collections::HashMap;
 
 /// Buffer environment for lowering one stage.
@@ -123,9 +123,8 @@ impl<'a> KernelBuilder<'a> {
             }
             Expr::Unary(op, a) => {
                 let ra = self.value(a);
-                let o = lower_unop(*op);
                 self.emit(|d| Op::UnF {
-                    op: o,
+                    op: *op,
                     dst: d,
                     a: ra,
                 })
@@ -133,9 +132,8 @@ impl<'a> KernelBuilder<'a> {
             Expr::Binary(op, a, b) => {
                 let ra = self.value(a);
                 let rb = self.value(b);
-                let o = lower_binop(*op);
                 self.emit(|d| Op::BinF {
-                    op: o,
+                    op: *op,
                     dst: d,
                     a: ra,
                     b: rb,
@@ -167,13 +165,13 @@ impl<'a> KernelBuilder<'a> {
                 let ra = self.index(a);
                 let rb = self.index(b);
                 let q = self.emit(|d| Op::BinF {
-                    op: BinF::Div,
+                    op: BinOp::Div,
                     dst: d,
                     a: ra,
                     b: rb,
                 });
                 self.emit(|d| Op::UnF {
-                    op: UnF::Floor,
+                    op: UnOp::Floor,
                     dst: d,
                     a: q,
                 })
@@ -181,9 +179,8 @@ impl<'a> KernelBuilder<'a> {
             Expr::Binary(op, a, b) => {
                 let ra = self.index(a);
                 let rb = self.index(b);
-                let o = lower_binop(*op);
                 self.emit(|d| Op::BinF {
-                    op: o,
+                    op: *op,
                     dst: d,
                     a: ra,
                     b: rb,
@@ -191,9 +188,8 @@ impl<'a> KernelBuilder<'a> {
             }
             Expr::Unary(op, a) => {
                 let ra = self.index(a);
-                let o = lower_unop(*op);
                 self.emit(|d| Op::UnF {
-                    op: o,
+                    op: *op,
                     dst: d,
                     a: ra,
                 })
@@ -226,9 +222,8 @@ impl<'a> KernelBuilder<'a> {
             Cond::Cmp(op, a, b) => {
                 let ra = self.value(a);
                 let rb = self.value(b);
-                let o = lower_cmp(*op);
                 self.emit(|d| Op::CmpMask {
-                    op: o,
+                    op: *op,
                     dst: d,
                     a: ra,
                     b: rb,
@@ -259,15 +254,12 @@ impl<'a> KernelBuilder<'a> {
         }
     }
 
-    /// Lowers a cast according to the target type's store semantics.
+    /// Lowers a cast to the target type's store conversion.
     fn cast(&mut self, ty: ScalarType, a: RegId) -> RegId {
-        if let Some((lo, hi)) = ty.saturation_range() {
-            let (lo, hi) = (lo as f32, hi as f32);
-            self.emit(|d| Op::CastSat { dst: d, a, lo, hi })
-        } else if ty.is_integral() {
-            self.emit(|d| Op::CastRound { dst: d, a })
-        } else {
-            a // float-to-float: no-op in the f32 engine
+        match ty.store_rule() {
+            (Some((lo, hi)), _) => self.emit(|d| Op::CastSat { dst: d, a, lo, hi }),
+            (None, true) => self.emit(|d| Op::CastRound { dst: d, a }),
+            (None, false) => a, // float-to-float: no-op in the f32 engine
         }
     }
 
@@ -343,44 +335,6 @@ impl<'a> KernelBuilder<'a> {
             }
         }
         IdxPlan::Reg(self.index(arg))
-    }
-}
-
-fn lower_binop(op: BinOp) -> BinF {
-    match op {
-        BinOp::Add => BinF::Add,
-        BinOp::Sub => BinF::Sub,
-        BinOp::Mul => BinF::Mul,
-        BinOp::Div => BinF::Div,
-        BinOp::Min => BinF::Min,
-        BinOp::Max => BinF::Max,
-        BinOp::Mod => BinF::Mod,
-        BinOp::Pow => BinF::Pow,
-    }
-}
-
-fn lower_unop(op: UnOp) -> UnF {
-    match op {
-        UnOp::Neg => UnF::Neg,
-        UnOp::Abs => UnF::Abs,
-        UnOp::Sqrt => UnF::Sqrt,
-        UnOp::Exp => UnF::Exp,
-        UnOp::Log => UnF::Log,
-        UnOp::Sin => UnF::Sin,
-        UnOp::Cos => UnF::Cos,
-        UnOp::Floor => UnF::Floor,
-        UnOp::Ceil => UnF::Ceil,
-    }
-}
-
-fn lower_cmp(op: CmpOp) -> CmpF {
-    match op {
-        CmpOp::Lt => CmpF::Lt,
-        CmpOp::Le => CmpF::Le,
-        CmpOp::Gt => CmpF::Gt,
-        CmpOp::Ge => CmpF::Ge,
-        CmpOp::Eq => CmpF::Eq,
-        CmpOp::Ne => CmpF::Ne,
     }
 }
 
@@ -480,17 +434,23 @@ mod tests {
         // value-position division: no floor
         let e = Expr::from(vars[0]) / 2;
         let _ = b.value(&e);
-        assert!(!b
-            .ops
-            .iter()
-            .any(|op| matches!(op, Op::UnF { op: UnF::Floor, .. })));
+        assert!(!b.ops.iter().any(|op| matches!(
+            op,
+            Op::UnF {
+                op: UnOp::Floor,
+                ..
+            }
+        )));
         // index-position division: floored
         let mut b2 = KernelBuilder::new(&env);
         let _ = b2.index(&e);
-        assert!(b2
-            .ops
-            .iter()
-            .any(|op| matches!(op, Op::UnF { op: UnF::Floor, .. })));
+        assert!(b2.ops.iter().any(|op| matches!(
+            op,
+            Op::UnF {
+                op: UnOp::Floor,
+                ..
+            }
+        )));
     }
 
     #[test]

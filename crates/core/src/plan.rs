@@ -31,7 +31,7 @@ use crate::storage::StageStorage;
 use crate::{CompileError, CompileOptions};
 use polymage_diag::{Diag, Value};
 use polymage_graph::{inline_pointwise, PipelineGraph};
-use polymage_ir::{Cond, Expr, FuncBody, FuncId, Pipeline, ScalarType, Source, VarId};
+use polymage_ir::{Cond, Expr, FuncBody, FuncId, Pipeline, Source, VarId};
 use polymage_poly::{extract_accesses, narrow_rect_by_cond, solve_alignment, Access, DimMap, Rect};
 use polymage_vm::MAX_INDEX_TERMS;
 use polymage_vm::{fixed_dims, optimize_kernel, sync_mask};
@@ -367,11 +367,6 @@ pub(crate) struct SelfRefPlan {
     pub(crate) cases: Vec<CasePlan>,
 }
 
-pub(crate) fn sat_round(ty: ScalarType) -> (Option<(f32, f32)>, bool) {
-    let sat = ty.saturation_range().map(|(lo, hi)| (lo as f32, hi as f32));
-    (sat, ty.is_integral())
-}
-
 /// Builds a size-independent [`ParametricPlan`] (phase 1).
 ///
 /// Runs the front-end, grouping (at [`CompileOptions::estimates`]),
@@ -672,7 +667,7 @@ fn plan_tiled(ctx: &mut PlanCtx<'_>, group: &Group) -> Result<GroupPlan, Compile
     let group_name = format!("{}+{}", ctx.pipe.func(sink).name, stages.len() - 1);
     let mut stage_plans: Vec<StagePlanP> = Vec::with_capacity(stages.len());
     for (k, (&f, s)) in stages.iter().zip(&storage).enumerate() {
-        let (sat, round) = sat_round(ctx.pipe.func(f).ty);
+        let (sat, round) = ctx.pipe.func(f).ty.store_rule();
         let dom_est = eval_dom(ctx.pipe, f, ctx.est);
         let cases = plan_cases(ctx, f, &dom_est, &func_scratch, &group_name)?;
         stage_plans.push(StagePlanP {
@@ -921,7 +916,7 @@ fn plan_selfref(ctx: &mut PlanCtx<'_>, f: FuncId) -> Result<GroupPlan, CompileEr
     let out = ctx.alloc_buf();
     ctx.func_full.insert(f, out);
 
-    let (sat, round) = sat_round(fd.ty);
+    let (sat, round) = fd.ty.store_rule();
     let dom_est = eval_dom(ctx.pipe, f, ctx.est);
     let group_name = format!("{}(scan)", fd.name);
     let empty_scratch = HashMap::new();

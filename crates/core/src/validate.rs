@@ -456,7 +456,7 @@ mod tests {
         if let GroupKind::Tiled(tg) = &mut p.groups[0].kind {
             tg.stages[0].cases[0].kernel = Kernel {
                 ops: vec![Op::UnF {
-                    op: polymage_vm::UnF::Neg,
+                    op: polymage_ir::UnOp::Neg,
                     dst: RegId(1),
                     a: RegId(0), // never defined
                 }],

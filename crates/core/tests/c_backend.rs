@@ -8,6 +8,7 @@
 //! installed (CI checks `cc --version` first, so a runner without one fails).
 
 use polymage_apps::Scale;
+use polymage_core::interp::interpret;
 use polymage_core::{compile, emit_c, CompileOptions, Schedule};
 use polymage_ir::*;
 use polymage_poly::Rect;
@@ -101,13 +102,14 @@ fn engine_bits(engine: &Engine, prog: &Arc<Program>, inputs: &[Buffer]) -> Vec<V
         .collect()
 }
 
-fn assert_bits_eq(c: &[Vec<u32>], vm: &[Vec<u32>], what: &str) {
+/// `c` is the output of `side` (the C program or the interpreter).
+fn assert_bits_eq(side: &str, c: &[Vec<u32>], vm: &[Vec<u32>], what: &str) {
     assert_eq!(c.len(), vm.len(), "{what}: live-out count");
     for (o, (c, v)) in c.iter().zip(vm).enumerate() {
         assert_eq!(c.len(), v.len(), "{what}: live-out {o} length");
         if let Some(i) = (0..c.len()).find(|&i| c[i] != v[i]) {
             panic!(
-                "{what}: live-out {o} element {i}: C {:#010x} ({}) vs engine {:#010x} ({})",
+                "{what}: live-out {o} element {i}: {side} {:#010x} ({}) vs engine {:#010x} ({})",
                 c[i],
                 f32::from_bits(c[i]),
                 v[i],
@@ -139,7 +141,7 @@ fn check(
         let dir = build_c(&prog);
         let (c, _) = run_c(&dir, &prog, inputs, 1);
         let what = format!("{} under {}", pipe.name(), schedule.label());
-        assert_bits_eq(&c, &engine_bits(engine, &prog, inputs), &what);
+        assert_bits_eq("C", &c, &engine_bits(engine, &prog, inputs), &what);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -519,11 +521,35 @@ fn c_backend_matches_vm_on_hostile_values() {
     let inputs = [Buffer::zeros(Rect::new(vec![(0, h - 1), (0, w - 1)]))
         .fill_with(|pt| HOSTILE[((pt[0] * 7 + pt[1] * 3) % 16) as usize])];
 
+    // The interpreter is the third side, checked with or without a C
+    // compiler: bit for bit with the engine at every schedule and level.
+    let engine = Engine::with_threads(1);
+    let interp: Vec<Vec<u32>> = interpret(&pipe, &[], &inputs)
+        .unwrap()
+        .iter()
+        .map(|b| b.data.iter().map(|v| v.to_bits()).collect())
+        .collect();
+    for schedule in Schedule::ALL {
+        let opts = CompileOptions {
+            schedule,
+            ..CompileOptions::optimized(vec![])
+        };
+        let prog = compile(&pipe, &opts).unwrap().program;
+        for level in available_simd_levels() {
+            let at_level = Arc::new(Program {
+                simd: level,
+                ..(*prog).clone()
+            });
+            let what = format!("hostile under {} at {level}", schedule.label());
+            let vm = engine_bits(&engine, &at_level, &inputs);
+            assert_bits_eq("interpreter", &interp, &vm, &what);
+        }
+    }
+
     if !have_cc() {
         eprintln!("no C compiler; skipping");
         return;
     }
-    let engine = Engine::with_threads(1);
     for schedule in [Schedule::Opt, Schedule::Base] {
         let opts = CompileOptions {
             schedule,
@@ -541,7 +567,7 @@ fn c_backend_matches_vm_on_hostile_values() {
                 ..(*prog).clone()
             });
             let what = format!("hostile under {} at {level}", schedule.label());
-            assert_bits_eq(&c, &engine_bits(&engine, &at_level, &inputs), &what);
+            assert_bits_eq("C", &c, &engine_bits(&engine, &at_level, &inputs), &what);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -599,7 +625,7 @@ fn native_vs_vm_timing() {
             .program;
         let dir = build_c(&prog);
         let (c, native) = run_c(&dir, &prog, &inputs, 7);
-        assert_bits_eq(&c, &engine_bits(&engine, &prog, &inputs), app.name());
+        assert_bits_eq("C", &c, &engine_bits(&engine, &prog, &inputs), app.name());
         let mut vm: Vec<f64> = (0..7)
             .map(|_| {
                 let t = std::time::Instant::now();

@@ -1,7 +1,8 @@
 //! The compiler's central correctness property: for every pipeline and
 //! every schedule configuration (every `Schedule`, vector/scalar, several
 //! tile shapes and thresholds, any thread count), the compiled program
-//! computes the same function as the naive reference interpreter.
+//! computes the same function as the naive reference interpreter, bit for
+//! bit.
 
 use polymage_core::interp::interpret;
 use polymage_core::{compile, CompileOptions, Schedule};
@@ -9,7 +10,7 @@ use polymage_ir::*;
 use polymage_poly::Rect;
 use polymage_vm::{Buffer, Engine, EvalMode, RunRequest};
 
-fn check_all_configs(pipe: &Pipeline, params: Vec<i64>, inputs: &[Buffer], tol: f32) {
+fn check_all_configs(pipe: &Pipeline, params: Vec<i64>, inputs: &[Buffer]) {
     let expect = interpret(pipe, &params, inputs).expect("interpreter");
     let engine = Engine::with_threads(3);
     let schedules = Schedule::ALL.map(|schedule| CompileOptions {
@@ -36,8 +37,9 @@ fn check_all_configs(pipe: &Pipeline, params: Vec<i64>, inputs: &[Buffer], tol: 
             for (o, (g, w)) in got.iter().zip(&expect).enumerate() {
                 assert_eq!(g.rect, w.rect, "output {o} shape");
                 for (i, (a, b)) in g.data.iter().zip(&w.data).enumerate() {
-                    assert!(
-                        (a - b).abs() <= tol + tol * b.abs(),
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
                         "pipeline {} config {ci} threads {threads} output {o} \
                          elem {i}: compiled {a} vs interpreted {b}",
                         pipe.name()
@@ -168,7 +170,7 @@ fn harris_corner_detection() {
         input.rect.clone(),
         input.data.iter().map(|v| v / 255.0).collect(),
     );
-    check_all_configs(&pipe, vec![rr, cc], &[input], 2e-4);
+    check_all_configs(&pipe, vec![rr, cc], &[input]);
 }
 
 /// Up/down-sampling chain (Fig. 6 pattern), exercising scaled alignment.
@@ -218,7 +220,7 @@ fn sampling_pyramid_chain() {
     .unwrap();
     let pipe = p.finish(&[out]).unwrap();
     let input = noise_image(Rect::new(vec![(0, 255)]), 7);
-    check_all_configs(&pipe, vec![256], &[input], 1e-5);
+    check_all_configs(&pipe, vec![256], &[input]);
 }
 
 /// Histogram + LUT consumption (dynamic indices on both sides).
@@ -262,7 +264,7 @@ fn histogram_equalization_like() {
     .unwrap();
     let pipe = p.finish(&[out]).unwrap();
     let input = noise_image(Rect::new(vec![(0, 59), (0, 77)]), 3);
-    check_all_configs(&pipe, vec![60, 78], &[input], 1e-4);
+    check_all_configs(&pipe, vec![60, 78], &[input]);
 }
 
 /// Multiple live-outs from one fused group.
@@ -295,7 +297,7 @@ fn multiple_live_outs() {
     .unwrap();
     let pipe = p.finish(&[blur, edge]).unwrap();
     let input = noise_image(Rect::new(vec![(0, 63), (0, 63)]), 11);
-    check_all_configs(&pipe, vec![], &[input], 1e-4);
+    check_all_configs(&pipe, vec![], &[input]);
 }
 
 /// Color image: 3-D stages with a small innermost channel dimension.
@@ -345,7 +347,7 @@ fn color_pipeline_three_dims() {
     .unwrap();
     let pipe = p.finish(&[sharp]).unwrap();
     let input = noise_image(Rect::new(vec![(0, 47), (0, 53), (0, 2)]), 23);
-    check_all_configs(&pipe, vec![48, 54], &[input], 1e-4);
+    check_all_configs(&pipe, vec![48, 54], &[input]);
 }
 
 /// Time-iterated stage (sequential scan) feeding a stencil.
@@ -380,7 +382,7 @@ fn time_iterated_then_stencil() {
     .unwrap();
     let pipe = p.finish(&[out]).unwrap();
     let input = noise_image(Rect::new(vec![(0, 63)]), 99);
-    check_all_configs(&pipe, vec![], &[input], 1e-4);
+    check_all_configs(&pipe, vec![], &[input]);
 }
 
 /// Saturating UChar stores along the pipeline.
@@ -398,7 +400,7 @@ fn uchar_saturation_pipeline() {
         .unwrap();
     let pipe = p.finish(&[out]).unwrap();
     let input = noise_image(Rect::new(vec![(0, 63)]), 5);
-    check_all_configs(&pipe, vec![], &[input], 0.0);
+    check_all_configs(&pipe, vec![], &[input]);
 }
 
 /// The compiler rejects out-of-bounds specifications.

@@ -3,7 +3,8 @@
 use crate::Expr;
 use std::ops::{BitAnd, BitOr, Not};
 
-/// Comparison operators usable in a [`Cond`].
+/// Comparison operators usable in a [`Cond`]. [`CmpOp::eval`] gives each
+/// its `f32` meaning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// `<`
@@ -18,20 +19,6 @@ pub enum CmpOp {
     Eq,
     /// `!=`
     Ne,
-}
-
-impl CmpOp {
-    /// Evaluates the comparison on two scalars.
-    pub fn apply(self, a: f64, b: f64) -> bool {
-        match self {
-            CmpOp::Lt => a < b,
-            CmpOp::Le => a <= b,
-            CmpOp::Gt => a > b,
-            CmpOp::Ge => a >= b,
-            CmpOp::Eq => a == b,
-            CmpOp::Ne => a != b,
-        }
-    }
 }
 
 /// A boolean condition: comparisons combined with `&` (conjunction),
@@ -98,12 +85,12 @@ mod tests {
 
     #[test]
     fn cmp_apply() {
-        assert!(CmpOp::Lt.apply(1.0, 2.0));
-        assert!(!CmpOp::Lt.apply(2.0, 2.0));
-        assert!(CmpOp::Le.apply(2.0, 2.0));
-        assert!(CmpOp::Ge.apply(2.0, 2.0));
-        assert!(CmpOp::Eq.apply(3.0, 3.0));
-        assert!(CmpOp::Ne.apply(3.0, 4.0));
+        assert!(CmpOp::Lt.eval(1.0, 2.0));
+        assert!(!CmpOp::Lt.eval(2.0, 2.0));
+        assert!(CmpOp::Le.eval(2.0, 2.0));
+        assert!(CmpOp::Ge.eval(2.0, 2.0));
+        assert!(CmpOp::Eq.eval(3.0, 3.0));
+        assert!(CmpOp::Ne.eval(3.0, 4.0));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::{CmpOp, Cond, ParamId, ScalarType, Source, VarId};
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
-/// Unary scalar operations.
+/// Unary scalar operations. [`UnOp::eval`] gives each its `f32` meaning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnOp {
     /// Arithmetic negation.
@@ -26,7 +26,7 @@ pub enum UnOp {
     Ceil,
 }
 
-/// Binary scalar operations.
+/// Binary scalar operations. [`BinOp::eval`] gives each its `f32` meaning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// Addition.
@@ -43,7 +43,7 @@ pub enum BinOp {
     Max,
     /// Euclidean remainder (result has the sign of the divisor's absolute).
     Mod,
-    /// Power (`a.powf(b)`).
+    /// Power (`a` raised to `b`).
     Pow,
 }
 
@@ -86,6 +86,13 @@ impl Expr {
     }
 
     /// A value access `src(args…)`.
+    ///
+    /// Each argument is an index. One that reads no data is integer
+    /// arithmetic (`/` floors). One that reads data — a lookup table
+    /// `lut(I(x))`, grid slicing — is evaluated in `f32` (`/` floors, casts
+    /// round) and converted once at the access by [`crate::index_convert`]
+    /// (round half away from zero, NaN → 0, saturating); the result is
+    /// clamped into the source's domain.
     pub fn at<S, I, E>(src: S, args: I) -> Expr
     where
         S: Into<Source>,

@@ -35,7 +35,8 @@ impl Case {
     }
 }
 
-/// Reduction operators for accumulators.
+/// Reduction operators for accumulators. [`Reduction::combine`] gives each
+/// its `f32` meaning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Reduction {
     /// `+=`
@@ -46,34 +47,16 @@ pub enum Reduction {
     Max,
 }
 
-impl Reduction {
-    /// The identity element the accumulator buffer is initialized with.
-    pub fn identity(self) -> f64 {
-        match self {
-            Reduction::Sum => 0.0,
-            Reduction::Min => f64::INFINITY,
-            Reduction::Max => f64::NEG_INFINITY,
-        }
-    }
-
-    /// Combines an accumulated value with a new contribution.
-    pub fn combine(self, acc: f64, v: f64) -> f64 {
-        match self {
-            Reduction::Sum => acc + v,
-            Reduction::Min => acc.min(v),
-            Reduction::Max => acc.max(v),
-        }
-    }
-}
-
 /// The update rule of an accumulator — the paper's
 /// `Accumulate(hist(I(x,y)), 1, Sum)`.
 ///
 /// For every point of the *reduction domain* (`red_vars` over `red_dom`),
 /// the expressions in `target` (which may reference images/functions — this
-/// is what makes histograms possible) are evaluated and rounded to produce an
-/// index into the accumulator's *variable domain*, and `value` is combined
-/// into that cell with `op`. An out-of-range target is *clamped* into the
+/// is what makes histograms possible) are evaluated as access indices (see
+/// [`Expr::at`]: a target that reads data is evaluated in `f32` and
+/// converted once by [`crate::index_convert`]) to produce an index into the
+/// accumulator's *variable domain*, and `value` is combined into that cell
+/// with `op` ([`Reduction::combine`]). An out-of-range target is *clamped* into the
 /// domain, dimension by dimension — the saturating-histogram convention,
 /// and the same rule data-dependent loads follow — so every point of the
 /// reduction domain contributes to some cell; interpreter and VM agree on
@@ -145,8 +128,8 @@ mod tests {
     #[test]
     fn reduction_identities() {
         assert_eq!(Reduction::Sum.identity(), 0.0);
-        assert_eq!(Reduction::Min.identity(), f64::INFINITY);
-        assert_eq!(Reduction::Max.identity(), f64::NEG_INFINITY);
+        assert_eq!(Reduction::Min.identity(), f32::INFINITY);
+        assert_eq!(Reduction::Max.identity(), f32::NEG_INFINITY);
     }
 
     #[test]

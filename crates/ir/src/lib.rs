@@ -51,6 +51,7 @@ mod error;
 mod expr;
 mod function;
 mod id;
+mod ops;
 mod paff;
 mod pipeline;
 mod stable_hash;
@@ -64,6 +65,7 @@ pub use error::IrError;
 pub use expr::{BinOp, Expr, UnOp};
 pub use function::{Accumulate, Case, FuncBody, FuncDef, Reduction, VarDom};
 pub use id::{FuncId, ImageId, ParamId, Source, VarId};
+pub use ops::{index_convert, round_ties_away, store_convert};
 pub use paff::{Interval, PAff};
 pub use pipeline::{ImageDecl, Pipeline, PipelineBuilder};
 pub use stable_hash::{StableHash, StableHasher};

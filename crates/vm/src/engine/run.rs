@@ -12,8 +12,7 @@ use std::time::{Duration, Instant};
 
 use super::{lock, panic_error, RunRequest, SchedCounters, Shared};
 use crate::exec::{
-    decl_rect, execute_reduction, execute_seq, fix_untouched_identities, strip_layout,
-    written_stages, StripRows,
+    decl_rect, execute_reduction, execute_seq, strip_layout, written_stages, StripRows,
 };
 use crate::{BufId, BufKind, Buffer, CancelReason, GroupKind, Program, RunStats, VmError};
 use polymage_diag::{Counter, Diag, Span, Value};
@@ -333,7 +332,7 @@ fn advance_inner(shared: &Shared, run: &Arc<RunContext>, finalize: bool) {
                     // merging partials).
                     execute_reduction(prog, red, &mut st.fulls)
                 } else {
-                    let identity = red.op.identity() as f32;
+                    let identity = red.op.identity();
                     st.red_out = std::mem::take(&mut st.fulls[red.out.0]);
                     st.red_out.fill(identity);
                     st.red_parts = chunks.iter().map(|_| None).collect();
@@ -415,11 +414,11 @@ fn combine_partials(shared: &Shared, red: &crate::ReductionExec, st: &mut RunSta
     let mut out = std::mem::take(&mut st.red_out);
     for part in st.red_parts.drain(..).flatten() {
         for (o, p) in out.iter_mut().zip(&part) {
-            *o = red.op.combine(*o as f64, *p as f64) as f32;
+            *o = red.op.combine(*o, *p);
         }
         shared.pool.release(part);
     }
-    fix_untouched_identities(red.op, red.op.identity() as f32, &mut out);
+    red.op.finish(&mut out);
     st.fulls[red.out.0] = out;
 }
 

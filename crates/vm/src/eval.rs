@@ -14,7 +14,8 @@ use crate::index::IndexPlan;
 use crate::kernel::OptMeta;
 use crate::loadclass::{self, ResolvedLoad};
 use crate::simd::{self, Lanes, SimdLevel};
-use crate::{BinF, CmpF, Kernel, Op, UnF};
+use crate::{Kernel, Op};
+use polymage_ir::{round_ties_away, store_convert, BinOp, CmpOp, UnOp};
 
 /// Chunk capacity (lanes per register).
 pub const CHUNK: usize = 128;
@@ -314,12 +315,6 @@ impl RegFile {
     }
 }
 
-#[inline]
-pub(crate) fn round_ties_away(v: f32) -> f32 {
-    // f32::round rounds half away from zero — matches C's roundf.
-    v.round()
-}
-
 /// Evaluates `k` over the chunk described by `ctx`, leaving results in
 /// `regs` at `k.outs`.
 ///
@@ -415,87 +410,31 @@ fn eval_optimized(k: &Kernel, meta: &OptMeta, ctx: &ChunkCtx<'_>, regs: &mut Reg
 }
 
 /// Scalar (lane-0) evaluation of one op — the uniform preamble. Uses the
-/// same scalar semantics as the vector loops in [`exec_op`], so uniform
-/// results are bit-identical to evaluating all lanes.
+/// op table of `polymage_ir`, as the vector loops in [`exec_op`] do, so
+/// uniform results are bit-identical to evaluating all lanes.
 fn eval_op_scalar(op: &Op, ctx: &ChunkCtx<'_>, regs: &mut RegFile) {
+    let r = |x: crate::RegId| regs.regs[x.0 as usize][0];
     let v = match *op {
         Op::ConstF { val, .. } => val,
         Op::CoordF { dim, .. } => ctx.coords[dim] as f32,
-        Op::BinF { op, a, b, .. } => {
-            scalar_bin(op, regs.regs[a.0 as usize][0], regs.regs[b.0 as usize][0])
-        }
-        Op::UnF { op, a, .. } => scalar_un(op, regs.regs[a.0 as usize][0]),
-        Op::CmpMask { op, a, b, .. } => {
-            scalar_cmp(op, regs.regs[a.0 as usize][0], regs.regs[b.0 as usize][0])
-        }
-        Op::MaskAnd { a, b, .. } => regs.regs[a.0 as usize][0] * regs.regs[b.0 as usize][0],
-        Op::MaskOr { a, b, .. } => regs.regs[a.0 as usize][0].max(regs.regs[b.0 as usize][0]),
-        Op::MaskNot { a, .. } => 1.0 - regs.regs[a.0 as usize][0],
+        Op::BinF { op, a, b, .. } => op.eval(r(a), r(b)),
+        Op::UnF { op, a, .. } => op.eval(r(a)),
+        Op::CmpMask { op, a, b, .. } => op.mask(r(a), r(b)),
+        Op::MaskAnd { a, b, .. } => r(a) * r(b),
+        Op::MaskOr { a, b, .. } => r(a).max(r(b)),
+        Op::MaskNot { a, .. } => 1.0 - r(a),
         Op::SelectF { mask, a, b, .. } => {
-            if regs.regs[mask.0 as usize][0] != 0.0 {
-                regs.regs[a.0 as usize][0]
+            if r(mask) != 0.0 {
+                r(a)
             } else {
-                regs.regs[b.0 as usize][0]
+                r(b)
             }
         }
-        Op::CastRound { a, .. } => round_ties_away(regs.regs[a.0 as usize][0]),
-        Op::CastSat { a, lo, hi, .. } => round_ties_away(regs.regs[a.0 as usize][0].clamp(lo, hi)),
+        Op::CastRound { a, .. } => round_ties_away(r(a)),
+        Op::CastSat { a, lo, hi, .. } => store_convert(r(a), Some((lo, hi)), true),
         Op::Load { buf, ref plan, .. } => loadclass::load_scalar(ctx, regs, buf, plan),
     };
     regs.regs[op.dst().0 as usize][0] = v;
-}
-
-/// Scalar semantics of [`BinF`] — shared by constant folding and the
-/// uniform preamble; must match the vector loops in [`exec_op`] bit-exactly.
-pub(crate) fn scalar_bin(op: BinF, a: f32, b: f32) -> f32 {
-    match op {
-        BinF::Add => a + b,
-        BinF::Sub => a - b,
-        BinF::Mul => a * b,
-        BinF::Div => a / b,
-        BinF::Min => a.min(b),
-        BinF::Max => a.max(b),
-        BinF::Mod => a - b * (a / b).floor(),
-        BinF::Pow => a.powf(b),
-    }
-}
-
-/// Scalar semantics of [`UnF`] (see [`scalar_bin`]).
-pub(crate) fn scalar_un(op: UnF, a: f32) -> f32 {
-    match op {
-        UnF::Neg => -a,
-        UnF::Abs => a.abs(),
-        UnF::Sqrt => a.sqrt(),
-        UnF::Exp => a.exp(),
-        UnF::Log => a.ln(),
-        UnF::Sin => a.sin(),
-        UnF::Cos => a.cos(),
-        UnF::Floor => a.floor(),
-        UnF::Ceil => a.ceil(),
-    }
-}
-
-/// Scalar semantics of [`CmpF`] (see [`scalar_bin`]).
-pub(crate) fn scalar_cmp(op: CmpF, a: f32, b: f32) -> f32 {
-    let t = match op {
-        CmpF::Lt => a < b,
-        CmpF::Le => a <= b,
-        CmpF::Gt => a > b,
-        CmpF::Ge => a >= b,
-        CmpF::Eq => a == b,
-        CmpF::Ne => a != b,
-    };
-    if t {
-        1.0
-    } else {
-        0.0
-    }
-}
-
-/// Scalar semantics of [`Op::CastRound`]/[`Op::CastSat`] rounding (see
-/// [`scalar_bin`]).
-pub(crate) fn scalar_round(a: f32) -> f32 {
-    round_ties_away(a)
 }
 
 /// Executes one op across the chunk (the legacy all-lanes path; also the
@@ -523,98 +462,19 @@ fn exec_op(op: &Op, ctx: &ChunkCtx<'_>, regs: &mut RegFile, len: usize) {
                 if simd::bin(lvl, *op, d, va, vb, len) {
                     return;
                 }
-                match op {
-                    BinF::Add => {
-                        for i in 0..len {
-                            d[i] = va[i] + vb[i];
-                        }
+                per_op!(*op, BinOp { Add Sub Mul Div Min Max Mod Pow }, |o| {
+                    for i in 0..len {
+                        d[i] = o.eval(va[i], vb[i]);
                     }
-                    BinF::Sub => {
-                        for i in 0..len {
-                            d[i] = va[i] - vb[i];
-                        }
-                    }
-                    BinF::Mul => {
-                        for i in 0..len {
-                            d[i] = va[i] * vb[i];
-                        }
-                    }
-                    BinF::Div => {
-                        for i in 0..len {
-                            d[i] = va[i] / vb[i];
-                        }
-                    }
-                    BinF::Min => {
-                        for i in 0..len {
-                            d[i] = va[i].min(vb[i]);
-                        }
-                    }
-                    BinF::Max => {
-                        for i in 0..len {
-                            d[i] = va[i].max(vb[i]);
-                        }
-                    }
-                    BinF::Mod => {
-                        for i in 0..len {
-                            d[i] = va[i] - vb[i] * (va[i] / vb[i]).floor();
-                        }
-                    }
-                    BinF::Pow => {
-                        for i in 0..len {
-                            d[i] = va[i].powf(vb[i]);
-                        }
-                    }
-                }
+                });
             }
             Op::UnF { op, dst, a } => {
                 let (d, va) = regs.pair(dst.0, a.0);
-                match op {
-                    UnF::Neg => {
-                        for i in 0..len {
-                            d[i] = -va[i];
-                        }
+                per_op!(*op, UnOp { Neg Abs Sqrt Exp Log Sin Cos Floor Ceil }, |o| {
+                    for i in 0..len {
+                        d[i] = o.eval(va[i]);
                     }
-                    UnF::Abs => {
-                        for i in 0..len {
-                            d[i] = va[i].abs();
-                        }
-                    }
-                    UnF::Sqrt => {
-                        for i in 0..len {
-                            d[i] = va[i].sqrt();
-                        }
-                    }
-                    UnF::Exp => {
-                        for i in 0..len {
-                            d[i] = va[i].exp();
-                        }
-                    }
-                    UnF::Log => {
-                        for i in 0..len {
-                            d[i] = va[i].ln();
-                        }
-                    }
-                    UnF::Sin => {
-                        for i in 0..len {
-                            d[i] = va[i].sin();
-                        }
-                    }
-                    UnF::Cos => {
-                        for i in 0..len {
-                            d[i] = va[i].cos();
-                        }
-                    }
-                    UnF::Floor => {
-                        for i in 0..len {
-                            d[i] = va[i].floor();
-                        }
-                    }
-                    UnF::Ceil => {
-                        for i in 0..len {
-                            d[i] = va[i].ceil();
-                        }
-                    }
-                }
+                });
             }
             Op::CmpMask { op, dst, a, b } => {
                 let lvl = regs.simd;
@@ -622,27 +482,17 @@ fn exec_op(op: &Op, ctx: &ChunkCtx<'_>, regs: &mut RegFile, len: usize) {
                 if simd::cmp(lvl, *op, d, va, vb, len) {
                     return;
                 }
-                macro_rules! cmp {
-                    ($cmp:tt) => {
-                        for i in 0..len {
-                            d[i] = if va[i] $cmp vb[i] { 1.0 } else { 0.0 };
-                        }
-                    };
-                }
-                match op {
-                    CmpF::Lt => cmp!(<),
-                    CmpF::Le => cmp!(<=),
-                    CmpF::Gt => cmp!(>),
-                    CmpF::Ge => cmp!(>=),
-                    CmpF::Eq => cmp!(==),
-                    CmpF::Ne => cmp!(!=),
-                }
+                per_op!(*op, CmpOp { Lt Le Gt Ge Eq Ne }, |o| {
+                    for i in 0..len {
+                        d[i] = o.mask(va[i], vb[i]);
+                    }
+                });
             }
             Op::MaskAnd { dst, a, b } => {
                 let lvl = regs.simd;
                 let (d, va, vb) = regs.tri(dst.0, a.0, b.0);
                 // Mask AND is a lane product — same instruction as `Mul`.
-                if simd::bin(lvl, BinF::Mul, d, va, vb, len) {
+                if simd::bin(lvl, BinOp::Mul, d, va, vb, len) {
                     return;
                 }
                 for i in 0..len {
@@ -653,7 +503,7 @@ fn exec_op(op: &Op, ctx: &ChunkCtx<'_>, regs: &mut RegFile, len: usize) {
                 let lvl = regs.simd;
                 let (d, va, vb) = regs.tri(dst.0, a.0, b.0);
                 // Mask OR is a lane max — same sequence as `Max`.
-                if simd::bin(lvl, BinF::Max, d, va, vb, len) {
+                if simd::bin(lvl, BinOp::Max, d, va, vb, len) {
                     return;
                 }
                 for i in 0..len {
@@ -697,7 +547,7 @@ fn exec_op(op: &Op, ctx: &ChunkCtx<'_>, regs: &mut RegFile, len: usize) {
                     return;
                 }
                 for i in 0..len {
-                    d[i] = round_ties_away(va[i].clamp(*lo, *hi));
+                    d[i] = store_convert(va[i], Some((*lo, *hi)), true);
                 }
             }
             Op::Load { dst, buf, plan } => {
@@ -761,7 +611,7 @@ mod tests {
                     val: 3.0,
                 },
                 Op::BinF {
-                    op: BinF::Mul,
+                    op: BinOp::Mul,
                     dst: RegId(2),
                     a: RegId(0),
                     b: RegId(1),
@@ -787,7 +637,7 @@ mod tests {
                     dim: 0,
                 },
                 Op::BinF {
-                    op: BinF::Add,
+                    op: BinOp::Add,
                     dst: RegId(2),
                     a: RegId(0),
                     b: RegId(1),
@@ -920,7 +770,7 @@ mod tests {
                     val: 3.0,
                 },
                 Op::BinF {
-                    op: BinF::Mul,
+                    op: BinOp::Mul,
                     dst: RegId(2),
                     a: RegId(0),
                     b: RegId(1),
@@ -952,7 +802,7 @@ mod tests {
                     val: 2.0,
                 },
                 Op::CmpMask {
-                    op: CmpF::Ge,
+                    op: CmpOp::Ge,
                     dst: RegId(2),
                     a: RegId(0),
                     b: RegId(1),
@@ -1028,7 +878,7 @@ mod tests {
                     val: 5.0,
                 },
                 Op::BinF {
-                    op: BinF::Mod,
+                    op: BinOp::Mod,
                     dst: RegId(2),
                     a: RegId(0),
                     b: RegId(1),

@@ -7,6 +7,7 @@ use crate::{
     BufDecl, BufId, Buffer, CaseExec, EvalMode, Program, ReductionExec, RegFile, SeqExec,
     StageExec, TiledGroup, VmError, CHUNK,
 };
+use polymage_ir::{store_convert, Reduction};
 use polymage_poly::Rect;
 
 /// Execution statistics of one program run (all tiled groups).
@@ -298,7 +299,7 @@ fn eval_cases_into(
                     None => {
                         let st = dest.strides[axis] as usize;
                         for (i, &v) in out.iter().enumerate().take(len) {
-                            dest.data[base + i * st] = transform(v, sat, round);
+                            dest.data[base + i * st] = store_convert(v, sat, round);
                         }
                     }
                     Some(m) => {
@@ -309,7 +310,7 @@ fn eval_cases_into(
                         for (i, (&mv, &v)) in mask.iter().zip(out).enumerate() {
                             if mv != 0.0 {
                                 dest.data[(base as i64 + i as i64 * st) as usize] =
-                                    transform(v, sat, round);
+                                    store_convert(v, sat, round);
                             }
                         }
                     }
@@ -317,19 +318,6 @@ fn eval_cases_into(
                 x += len as i64;
             }
         });
-    }
-}
-
-#[inline]
-fn transform(v: f32, sat: Option<(f32, f32)>, round: bool) -> f32 {
-    let v = match sat {
-        Some((lo, hi)) => v.clamp(lo, hi),
-        None => v,
-    };
-    if round {
-        v.round()
-    } else {
-        v
     }
 }
 
@@ -347,23 +335,8 @@ fn store_lanes(
     if crate::simd::store(lvl, dst, src, sat, round) {
         return;
     }
-    match (sat, round) {
-        (None, false) => unreachable!("handled above"),
-        (Some((lo, hi)), true) => {
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d = s.clamp(lo, hi).round();
-            }
-        }
-        (Some((lo, hi)), false) => {
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d = s.clamp(lo, hi);
-            }
-        }
-        (None, true) => {
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d = s.round();
-            }
-        }
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d = store_convert(s, sat, round);
     }
 }
 
@@ -669,8 +642,6 @@ pub(crate) fn execute_reduction(
     red: &ReductionExec,
     fulls: &mut [Vec<f32>],
 ) -> Result<(), VmError> {
-    let identity = red.op.identity() as f32;
-
     // Views: everything the kernel reads (never its own output).
     let mut read_refs: Vec<Option<&[f32]>> = vec![None; fulls.len()];
     let mut out_vec: Vec<f32> = Vec::new();
@@ -681,7 +652,7 @@ pub(crate) fn execute_reduction(
             read_refs[i] = Some(&v[..]);
         }
     }
-    out_vec.fill(identity);
+    out_vec.fill(red.op.identity());
 
     let views = reduction_views(prog, red, &read_refs);
     sweep_reduction(
@@ -692,22 +663,10 @@ pub(crate) fn execute_reduction(
         &mut out_vec,
         &mut RegFile::new(),
     );
-    fix_untouched_identities(red.op, identity, &mut out_vec);
+    red.op.finish(&mut out_vec);
 
     fulls[red.out.0] = out_vec;
     Ok(())
-}
-
-/// Cells never touched by a reduction keep the identity; for Min/Max that
-/// would be ±∞ — replace with 0 to match the zero-for-undefined convention.
-pub(crate) fn fix_untouched_identities(op: polymage_ir::Reduction, identity: f32, out: &mut [f32]) {
-    if !matches!(op, polymage_ir::Reduction::Sum) {
-        for v in out.iter_mut() {
-            if !v.is_finite() && *v == identity {
-                *v = 0.0;
-            }
-        }
-    }
 }
 
 pub(crate) fn reduction_views<'a>(
@@ -800,21 +759,10 @@ pub(crate) fn sweep_reduction(
 
 /// Combines `vals` into `out[cell]`, lane by lane in ascending order (many
 /// lanes may hit one cell; the order is what makes a `Sum` reproducible).
-/// The combine is the `f32` one: `(a as f64 + b as f64) as f32 == a + b`
-/// (rounding a sum of floats to a double first is innocuous, 53 being at
-/// least 2·24 + 2 bits), and `min`/`max` round nothing.
-fn scatter(
-    op: polymage_ir::Reduction,
-    out: &mut [f32],
-    cells: impl Iterator<Item = usize>,
-    vals: &[f32],
-) {
-    use polymage_ir::Reduction;
-    match op {
-        Reduction::Sum => cells.zip(vals).for_each(|(c, &v)| out[c] += v),
-        Reduction::Min => cells.zip(vals).for_each(|(c, &v)| out[c] = out[c].min(v)),
-        Reduction::Max => cells.zip(vals).for_each(|(c, &v)| out[c] = out[c].max(v)),
-    }
+fn scatter(op: Reduction, out: &mut [f32], cells: impl Iterator<Item = usize>, vals: &[f32]) {
+    per_op!(op, Reduction { Sum Min Max }, |o| {
+        cells.zip(vals).for_each(|(c, &v)| out[c] = o.combine(out[c], v));
+    });
 }
 
 pub(crate) fn execute_seq(
@@ -900,7 +848,7 @@ pub(crate) fn execute_seq(
                 for i in 0..len {
                     if case.mask.is_none() || tmp_mask[i] != 0.0 {
                         out_vec[(base + i as i64 * vstrides[n - 1]) as usize] =
-                            transform(tmp[i], seq.sat, seq.round);
+                            store_convert(tmp[i], seq.sat, seq.round);
                     }
                 }
                 x += len as i64;

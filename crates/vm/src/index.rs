@@ -13,11 +13,12 @@
 //!   an arithmetic shift per lane when `m` is a power of two (1 included),
 //!   else one division at the chunk's first lane and a carried remainder
 //!   — never a division per lane;
-//! - a register term `(clamp(round(v)) − org)·stride` goes through
+//! - a register term `(clamp(index_convert(v)) − org)·stride` goes through
 //!   [`crate::simd::index_from_f32`].
 //!
 //! The same plan also defines the reference semantics, lane by lane, in
-//! [`IndexPlan::offset_at`] (`div_euclid`, `round`, `as i64`, `clamp`):
+//! [`IndexPlan::offset_at`] (`div_euclid`, the op table's
+//! `polymage_ir::index_convert`, `clamp`):
 //! the scalar walk every access took before the pipeline existed. It is
 //! what runs at [`SimdLevel::Scalar`], and whenever `fill_offsets`
 //! declines.
@@ -34,7 +35,7 @@
 //! `fill_offsets` returns `false` and the caller takes the scalar walk,
 //! which indexes with the `i64` and panics exactly where it always did.
 
-use crate::eval::{round_ties_away, CHUNK};
+use crate::eval::CHUNK;
 use crate::simd::{self, Lanes, SimdLevel};
 use crate::RegId;
 
@@ -137,7 +138,7 @@ impl RegTerm {
     /// This term's offset for index value `v` (reference form).
     #[inline]
     fn at(&self, v: f32) -> i64 {
-        let idx = (round_ties_away(v) as i64).clamp(self.org, self.org + self.size - 1);
+        let idx = polymage_ir::index_convert(v).clamp(self.org, self.org + self.size - 1);
         (idx - self.org) * self.stride
     }
 }

@@ -1,60 +1,19 @@
 //! Chunked register kernels — the compiled form of one stage's expressions.
 
 use crate::BufId;
+use polymage_ir::{BinOp, CmpOp, UnOp};
 
 /// Index of a virtual register inside a [`Kernel`]'s register file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RegId(pub u16);
 
-/// Binary floating-point operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub enum BinF {
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Min,
-    Max,
-    /// Euclidean remainder (`a - b*floor(a/b)`).
-    Mod,
-    /// `a.powf(b)`.
-    Pow,
-}
-
-/// Unary floating-point operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub enum UnF {
-    Neg,
-    Abs,
-    Sqrt,
-    Exp,
-    Log,
-    Sin,
-    Cos,
-    Floor,
-    Ceil,
-}
-
-/// Comparison operations producing 1.0/0.0 masks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub enum CmpF {
-    Lt,
-    Le,
-    Gt,
-    Ge,
-    Eq,
-    Ne,
-}
-
 /// How one dimension of a load is indexed.
 ///
 /// `Affine` covers every statically analyzable index
 /// `(q·coord(dim) + o) / m` (floor division); `dim == None` is a constant
-/// index. `Reg` is a data-dependent index taken from a register (rounded to
-/// nearest and clamped into the buffer's valid range).
+/// index. `Reg` is a data-dependent index taken from a register (converted
+/// by `polymage_ir::index_convert`, then clamped into the buffer's valid
+/// range).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IdxPlan {
     /// `(q·coord(dim) + o) / m`, with `coord(None) = 0`.
@@ -94,7 +53,7 @@ pub enum Op {
     /// Binary operation `dst = a ⊕ b`.
     BinF {
         /// Operation.
-        op: BinF,
+        op: BinOp,
         /// Destination register.
         dst: RegId,
         /// Left operand.
@@ -105,7 +64,7 @@ pub enum Op {
     /// Unary operation `dst = ⊖a`.
     UnF {
         /// Operation.
-        op: UnF,
+        op: UnOp,
         /// Destination register.
         dst: RegId,
         /// Operand.
@@ -114,7 +73,7 @@ pub enum Op {
     /// Comparison producing a 1.0/0.0 mask.
     CmpMask {
         /// Operation.
-        op: CmpF,
+        op: CmpOp,
         /// Destination register.
         dst: RegId,
         /// Left operand.
@@ -334,7 +293,7 @@ mod tests {
     #[test]
     fn dst_extraction() {
         let op = Op::BinF {
-            op: BinF::Add,
+            op: BinOp::Add,
             dst: RegId(3),
             a: RegId(1),
             b: RegId(2),

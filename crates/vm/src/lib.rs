@@ -26,6 +26,20 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
+/// Runs `$body` in one match arm per listed variant of `$E`, with `$o`
+/// bound to that variant as a constant, so each arm compiles to the plain
+/// loop of its op. The match is exhaustive: a new op must be listed.
+macro_rules! per_op {
+    ($op:expr, $E:ident { $($v:ident)* }, |$o:ident| $body:block) => {
+        match $op {
+            $($E::$v => {
+                let $o = $E::$v;
+                $body
+            })*
+        }
+    };
+}
+
 mod buffer;
 mod engine;
 mod error;
@@ -50,7 +64,7 @@ pub use error::{CancelReason, VmError};
 pub use eval::{eval_kernel, BufView, ChunkCtx, EvalCounters, RegFile, CHUNK};
 pub use exec::RunStats;
 pub use index::MAX_TERMS as MAX_INDEX_TERMS;
-pub use kernel::{BinF, CmpF, IdxPlan, Kernel, Op, OptMeta, RegId, UnF};
+pub use kernel::{IdxPlan, Kernel, Op, OptMeta, RegId};
 pub use loadclass::{LoadClass, LoadHistogram};
 pub use opt::{collect_reads, fixed_dims, optimize_kernel, sync_mask, KernelOptReport};
 pub use pool::{BufferPool, PoolStats, SharedPool};

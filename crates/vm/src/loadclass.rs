@@ -24,7 +24,7 @@
 //! each load with the class it will take under the nominal chunk axis (the
 //! innermost loop dimension).
 
-use crate::eval::{round_ties_away, ChunkCtx, RegFile, CHUNK};
+use crate::eval::{ChunkCtx, RegFile, CHUNK};
 use crate::index::{AffTerm, IndexPlan, RegTerm};
 use crate::{BufId, IdxPlan, RegId};
 
@@ -345,7 +345,7 @@ pub(crate) fn load_scalar(ctx: &ChunkCtx<'_>, regs: &RegFile, buf: BufId, plan: 
                 flat += (idx - view.origin[d]).clamp(0, view.sizes[d] - 1) * view.strides[d];
             }
             IdxPlan::Reg(r) => {
-                let raw = round_ties_away(regs.regs[r.0 as usize][0]) as i64;
+                let raw = polymage_ir::index_convert(regs.regs[r.0 as usize][0]);
                 let clamped = raw.clamp(view.origin[d], view.origin[d] + view.sizes[d] - 1);
                 flat += (clamped - view.origin[d]) * view.strides[d];
             }

@@ -7,9 +7,9 @@
 //! between lowering and execution:
 //!
 //! 1. **Constant folding** — ops whose operands are all constants are
-//!    evaluated at compile time with the *same scalar functions* the
-//!    evaluator uses (`crate::eval`'s `scalar_*` helpers), so folded
-//!    results are bit-identical to runtime results.
+//!    evaluated at compile time through the op table of `polymage_ir`
+//!    (`BinOp::eval` and friends), the functions the evaluator uses, so
+//!    folded results are bit-identical to runtime results.
 //! 2. **Identity / algebraic simplification and strength reduction** —
 //!    restricted to rewrites that are **bit-exact** over all `f32` inputs
 //!    (or over the values the operand can take, e.g. 0/1 masks). See
@@ -35,10 +35,10 @@
 //! All rewrites preserve bit-exact results; `kernel_opt: false` in
 //! `polymage_core::CompileOptions` skips this module entirely for ablation.
 
-use crate::eval::{scalar_bin, scalar_cmp, scalar_round, scalar_un};
 use crate::kernel::OptMeta;
 use crate::loadclass::{classify, LoadHistogram};
-use crate::{BinF, IdxPlan, Kernel, Op, RegId, UnF};
+use crate::{IdxPlan, Kernel, Op, RegId};
+use polymage_ir::{round_ties_away, store_convert, BinOp, UnOp};
 
 /// Per-kernel optimization statistics, surfaced through
 /// `polymage_core::CompileReport` and `bin/inspect`.
@@ -248,7 +248,7 @@ struct Facts {
     /// closed arithmetic over them.
     int_valued: Vec<bool>,
     /// Defined as `UnF(op, src)`.
-    unary: Vec<Option<(UnF, RegId)>>,
+    unary: Vec<Option<(UnOp, RegId)>>,
     /// Defined as `MaskNot(src)`.
     not_of: Vec<Option<RegId>>,
 }
@@ -276,7 +276,7 @@ impl Facts {
         let i = r.0 as usize;
         self.cval[i] = Some(val);
         self.is_mask[i] = val.to_bits() == POS_ZERO || val.to_bits() == ONE;
-        self.int_valued[i] = val.is_finite() && scalar_round(val).to_bits() == val.to_bits();
+        self.int_valued[i] = val.is_finite() && round_ties_away(val).to_bits() == val.to_bits();
     }
 }
 
@@ -336,7 +336,7 @@ fn fold_pass(
             Op::BinF { op: bop, a, b, .. } => {
                 let (ca, cb) = (facts.cval[a.0 as usize], facts.cval[b.0 as usize]);
                 if let (Some(x), Some(y)) = (ca, cb) {
-                    let val = scalar_bin(bop, x, y);
+                    let val = bop.eval(x, y);
                     facts.record_const(dst, val);
                     out_ops.push(Op::ConstF { dst, val });
                     *folded += 1;
@@ -346,7 +346,7 @@ fn fold_pass(
                 match bop {
                     // x + (-0.0) → x and (-0.0) + x → x are exact for every
                     // f32; x + 0.0 is not (x = -0.0 gives +0.0).
-                    BinF::Add => {
+                    BinOp::Add => {
                         if cb.map(f32::to_bits) == Some(NEG_ZERO) {
                             alias!(rename, dst, a, simplified, changed);
                         }
@@ -355,12 +355,12 @@ fn fold_pass(
                         }
                     }
                     // x − 0.0 → x is exact; x − (-0.0) is not (x = -0.0).
-                    BinF::Sub => {
+                    BinOp::Sub => {
                         if cb.map(f32::to_bits) == Some(POS_ZERO) {
                             alias!(rename, dst, a, simplified, changed);
                         }
                     }
-                    BinF::Mul => {
+                    BinOp::Mul => {
                         if cb.map(f32::to_bits) == Some(ONE) {
                             alias!(rename, dst, a, simplified, changed);
                         }
@@ -368,7 +368,7 @@ fn fold_pass(
                             alias!(rename, dst, b, simplified, changed);
                         }
                     }
-                    BinF::Div => {
+                    BinOp::Div => {
                         if cb.map(f32::to_bits) == Some(ONE) {
                             alias!(rename, dst, a, simplified, changed);
                         }
@@ -382,7 +382,7 @@ fn fold_pass(
                                 facts.record_const(c, r);
                                 out_ops.push(Op::ConstF { dst: c, val: r });
                                 out_ops.push(Op::BinF {
-                                    op: BinF::Mul,
+                                    op: BinOp::Mul,
                                     dst,
                                     a,
                                     b: c,
@@ -395,23 +395,23 @@ fn fold_pass(
                     }
                     // min/max of a register with itself is that register
                     // (bit-exact including -0.0 and NaN propagation).
-                    BinF::Min | BinF::Max => {
+                    BinOp::Min | BinOp::Max => {
                         if a == b {
                             alias!(rename, dst, a, simplified, changed);
                         }
                     }
-                    BinF::Mod | BinF::Pow => {}
+                    BinOp::Mod | BinOp::Pow => {}
                 }
                 facts.int_valued[di] = matches!(
                     bop,
-                    BinF::Add | BinF::Sub | BinF::Mul | BinF::Min | BinF::Max
+                    BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Min | BinOp::Max
                 ) && facts.int_valued[a.0 as usize]
                     && facts.int_valued[b.0 as usize];
                 out_ops.push(op);
             }
             Op::UnF { op: uop, a, .. } => {
                 if let Some(x) = facts.cval[a.0 as usize] {
-                    let val = scalar_un(uop, x);
+                    let val = uop.eval(x);
                     facts.record_const(dst, val);
                     out_ops.push(Op::ConstF { dst, val });
                     *folded += 1;
@@ -420,19 +420,19 @@ fn fold_pass(
                 }
                 let ua = facts.unary[a.0 as usize];
                 match uop {
-                    UnF::Neg => {
-                        if let Some((UnF::Neg, x)) = ua {
+                    UnOp::Neg => {
+                        if let Some((UnOp::Neg, x)) = ua {
                             alias!(rename, dst, x, simplified, changed);
                         }
                     }
-                    UnF::Abs => {
-                        if matches!(ua, Some((UnF::Abs, _))) {
+                    UnOp::Abs => {
+                        if matches!(ua, Some((UnOp::Abs, _))) {
                             alias!(rename, dst, a, simplified, changed);
                         }
                         // |−x| = |x| (sign-bit ops, bit-exact).
-                        if let Some((UnF::Neg, x)) = ua {
+                        if let Some((UnOp::Neg, x)) = ua {
                             op = Op::UnF {
-                                op: UnF::Abs,
+                                op: UnOp::Abs,
                                 dst,
                                 a: x,
                             };
@@ -440,20 +440,20 @@ fn fold_pass(
                             changed = true;
                         }
                     }
-                    UnF::Floor | UnF::Ceil if facts.int_valued[a.0 as usize] => {
+                    UnOp::Floor | UnOp::Ceil if facts.int_valued[a.0 as usize] => {
                         alias!(rename, dst, a, simplified, changed);
                     }
                     _ => {}
                 }
                 if let Op::UnF { op: uop, a, .. } = op {
                     facts.unary[di] = Some((uop, a));
-                    facts.int_valued[di] = matches!(uop, UnF::Floor | UnF::Ceil);
+                    facts.int_valued[di] = matches!(uop, UnOp::Floor | UnOp::Ceil);
                 }
                 out_ops.push(op);
             }
             Op::CmpMask { op: cop, a, b, .. } => {
                 if let (Some(x), Some(y)) = (facts.cval[a.0 as usize], facts.cval[b.0 as usize]) {
-                    let val = scalar_cmp(cop, x, y);
+                    let val = cop.mask(x, y);
                     facts.record_const(dst, val);
                     out_ops.push(Op::ConstF { dst, val });
                     *folded += 1;
@@ -568,7 +568,7 @@ fn fold_pass(
             }
             Op::CastRound { a, .. } => {
                 if let Some(x) = facts.cval[a.0 as usize] {
-                    let val = scalar_round(x);
+                    let val = round_ties_away(x);
                     facts.record_const(dst, val);
                     out_ops.push(Op::ConstF { dst, val });
                     *folded += 1;
@@ -585,7 +585,7 @@ fn fold_pass(
             }
             Op::CastSat { a, lo, hi, .. } => {
                 if let Some(x) = facts.cval[a.0 as usize] {
-                    let val = scalar_round(x.clamp(lo, hi));
+                    let val = store_convert(x, Some((lo, hi)), true);
                     facts.record_const(dst, val);
                     out_ops.push(Op::ConstF { dst, val });
                     *folded += 1;
@@ -714,7 +714,8 @@ fn build_meta(k: &Kernel, ndims: usize) -> OptMeta {
 mod tests {
     use super::*;
     use crate::eval::{eval_kernel, ChunkCtx, RegFile};
-    use crate::{BufId, CmpF};
+    use crate::BufId;
+    use polymage_ir::CmpOp;
 
     fn run(k: &Kernel, coords: &[i64], len: usize) -> Vec<f32> {
         let ctx = ChunkCtx {
@@ -729,7 +730,7 @@ mod tests {
         regs.reg(k.out())[..len].to_vec()
     }
 
-    fn bin(op: BinF, dst: u16, a: u16, b: u16) -> Op {
+    fn bin(op: BinOp, dst: u16, a: u16, b: u16) -> Op {
         Op::BinF {
             op,
             dst: RegId(dst),
@@ -752,13 +753,13 @@ mod tests {
             ops: vec![
                 cf(0, 2.0),
                 cf(1, 3.0),
-                bin(BinF::Add, 2, 0, 1),
+                bin(BinOp::Add, 2, 0, 1),
                 Op::CoordF {
                     dst: RegId(3),
                     dim: 0,
                 },
-                bin(BinF::Mul, 4, 2, 3),
-                bin(BinF::Sub, 5, 0, 1), // dead
+                bin(BinOp::Mul, 4, 2, 3),
+                bin(BinOp::Sub, 5, 0, 1), // dead
             ],
             nregs: 6,
             meta: None,
@@ -782,10 +783,10 @@ mod tests {
                     dim: 0,
                 },
                 cf(1, 1.0),
-                bin(BinF::Mul, 2, 0, 1),
+                bin(BinOp::Mul, 2, 0, 1),
                 cf(3, 2.0),
-                bin(BinF::Div, 4, 2, 3),
-                bin(BinF::Min, 5, 4, 4),
+                bin(BinOp::Div, 4, 2, 3),
+                bin(BinOp::Min, 5, 4, 4),
             ],
             nregs: 6,
             meta: None,
@@ -797,7 +798,7 @@ mod tests {
         assert!(!k
             .ops
             .iter()
-            .any(|o| matches!(o, Op::BinF { op: BinF::Div, .. })));
+            .any(|o| matches!(o, Op::BinF { op: BinOp::Div, .. })));
         for x0 in [-7i64, 0, 1000] {
             let a = run(&k, &[x0], 8);
             let b = run(&unopt, &[x0], 8);
@@ -811,7 +812,7 @@ mod tests {
     fn unsafe_rewrites_not_applied() {
         // x + 0.0 must NOT fold to x (x = -0.0 ⇒ +0.0).
         let mut k = Kernel {
-            ops: vec![cf(0, -0.0), cf(1, 0.0), bin(BinF::Add, 2, 0, 1)],
+            ops: vec![cf(0, -0.0), cf(1, 0.0), bin(BinOp::Add, 2, 0, 1)],
             nregs: 3,
             meta: None,
             outs: vec![RegId(2)],
@@ -833,7 +834,7 @@ mod tests {
                 },
                 cf(1, 0.0),
                 Op::CmpMask {
-                    op: CmpF::Ge,
+                    op: CmpOp::Ge,
                     dst: RegId(2),
                     a: RegId(0),
                     b: RegId(1),
@@ -877,7 +878,7 @@ mod tests {
                     dst: RegId(1),
                     dim: 0,
                 },
-                bin(BinF::Add, 2, 0, 1),
+                bin(BinOp::Add, 2, 0, 1),
             ],
             nregs: 3,
             meta: None,
@@ -897,7 +898,7 @@ mod tests {
                     dst: RegId(9),
                     dim: 0,
                 },
-                bin(BinF::Mul, 11, 5, 9),
+                bin(BinOp::Mul, 11, 5, 9),
             ],
             nregs: 12,
             meta: None,
@@ -921,7 +922,7 @@ mod tests {
                     dst: RegId(1),
                     dim: 1,
                 },
-                bin(BinF::Add, 2, 0, 1),
+                bin(BinOp::Add, 2, 0, 1),
             ],
             nregs: 3,
             meta: None,

@@ -16,16 +16,16 @@
 //!
 //! # Bit-exactness contract
 //!
-//! Every vector loop must produce **bit-identical** results to the scalar
-//! semantics in [`crate::eval`] (`scalar_bin`/`scalar_cmp`/`round_ties_away`),
-//! lane for lane, for *arbitrary* inputs — including NaN payloads, signed
+//! Every vector loop must produce **bit-identical** results to the op table
+//! of `polymage_ir` (`BinOp::eval`, `CmpOp::mask`, `round_ties_away`,
+//! `store_convert`, `index_convert`), lane for lane, for *arbitrary* inputs — including NaN payloads, signed
 //! zeros, subnormals, and infinities. That shapes the implementation:
 //!
 //! - only IEEE-exact ops are vectorized (add/sub/mul/div/min/max,
 //!   comparisons, mask algebra, select, round/saturate casts, loads, and
 //!   the float → index conversion of data-dependent accesses, which
 //!   yields integers and so has no rounding to preserve);
-//!   transcendentals (`UnF`), `Mod` and `Pow` stay on the scalar paths;
+//!   transcendentals (`UnOp`), `Mod` and `Pow` stay on the scalar paths;
 //! - **no FMA contraction is ever emitted** — multiplies and adds remain
 //!   separate instructions, so results match the scalar evaluation exactly;
 //! - `min`/`max` blend around the asymmetric NaN/±0 behavior of
@@ -35,7 +35,7 @@
 //!   `trunc(|x| + 0.5)` trick, and quiets signaling NaNs exactly like
 //!   `f32::round` does;
 //! - vector bodies cover `len` rounded down to the vector width and a
-//!   scalar tail finishes the rest, so lanes at and beyond `ctx.len` are
+//!   scalar tail finishes the rest through the op table itself, so lanes at and beyond `ctx.len` are
 //!   never read or written.
 //!
 //! The proptest suite in `crates/vm/tests` re-runs random kernels at every
@@ -56,7 +56,7 @@ mod neon;
 mod x86;
 
 use crate::eval::CHUNK;
-use crate::{BinF, CmpF};
+use polymage_ir::{BinOp, CmpOp};
 
 /// A cache-line-aligned chunk register: the storage unit of
 /// [`crate::RegFile`].
@@ -287,18 +287,18 @@ pub fn process_level() -> SimdLevel {
 // it from `RegFile::simd`, which `set_simd` clamps via `clamp_to_detected`.
 // ---------------------------------------------------------------------------
 
-/// Vectorized [`BinF`] over `d[..len] = a[..len] ⊕ b[..len]`.
+/// Vectorized [`BinOp`] over `d[..len] = a[..len] ⊕ b[..len]`.
 /// `Mod` and `Pow` are not IEEE-single-instruction ops and stay scalar.
 #[inline]
 pub(crate) fn bin(
     level: SimdLevel,
-    op: BinF,
+    op: BinOp,
     d: &mut [f32; CHUNK],
     a: &[f32; CHUNK],
     b: &[f32; CHUNK],
     len: usize,
 ) -> bool {
-    if matches!(op, BinF::Mod | BinF::Pow) {
+    if matches!(op, BinOp::Mod | BinOp::Pow) {
         return false;
     }
     match level {
@@ -321,11 +321,11 @@ pub(crate) fn bin(
     }
 }
 
-/// Vectorized [`CmpF`] mask: `d[i] = (a[i] ⊲ b[i]) as f32`.
+/// Vectorized [`CmpOp`] mask: `d[i] = (a[i] ⊲ b[i]) as f32`.
 #[inline]
 pub(crate) fn cmp(
     level: SimdLevel,
-    op: CmpF,
+    op: CmpOp,
     d: &mut [f32; CHUNK],
     a: &[f32; CHUNK],
     b: &[f32; CHUNK],
@@ -533,10 +533,11 @@ pub(crate) fn strided_load(
     }
 }
 
-/// One lane of [`index_from_f32`]: `v` rounded half away from zero and
-/// clamped to `[lo, hi]`, exactly as `(v.round() as i64).clamp(lo, hi)`
-/// computes it — `as` sends NaN to 0 and saturates ±∞ — for integer
-/// bounds with `lo ≤ hi` and magnitudes up to 2²⁴.
+/// One lane of [`index_from_f32`]: the op table's index conversion then
+/// the clamp, `polymage_ir::index_convert(v).clamp(lo, hi)`, for integer
+/// bounds with `lo ≤ hi` and magnitudes up to 2²⁴ — spelled as the vector
+/// bodies compute it, with no `roundf` call, so the scalar level
+/// autovectorizes.
 ///
 /// Clamping first is what lets a 32-bit truncating convert do the rest:
 /// rounding is monotone and fixes integers, so with integer bounds

@@ -1,7 +1,8 @@
 //! aarch64 NEON chunk loops (4 lanes, baseline on every aarch64 CPU).
 //!
-//! Bit-exactness here comes from same-instruction equivalence with the
-//! aarch64 *scalar* lowering rather than from emulating x86 semantics:
+//! Bit-exactness with the op table of `polymage_ir` (which the scalar
+//! tails call) comes from same-instruction equivalence with its aarch64
+//! *scalar* lowering rather than from emulating x86 semantics:
 //!
 //! * `f32::min`/`f32::max` lower to `fminnm`/`fmaxnm` on aarch64, and
 //!   `vminnmq_f32`/`vmaxnmq_f32` are exactly the vector forms of those
@@ -12,8 +13,8 @@
 //!   `bsl`, matching the scalar `<`/`>`/`!=` semantics on NaN and ±0.
 //! * No fused multiply-add intrinsics are used anywhere.
 
-use crate::eval::{round_ties_away, scalar_bin, scalar_cmp, CHUNK};
-use crate::{BinF, CmpF};
+use crate::eval::CHUNK;
+use polymage_ir::{round_ties_away, store_convert, BinOp, CmpOp};
 use std::arch::aarch64::*;
 
 /// Mask (all-ones/all-zeros lanes) to a 1.0/0.0 float mask.
@@ -33,10 +34,10 @@ unsafe fn clampq(v: float32x4_t, lo: float32x4_t, hi: float32x4_t) -> float32x4_
     vbslq_f32(above, hi, c)
 }
 
-/// Lane-exact `BinF` over register chunks (Mod/Pow never dispatched here).
+/// Lane-exact `BinOp` over register chunks (Mod/Pow never dispatched here).
 #[target_feature(enable = "neon")]
 pub(super) unsafe fn bin_neon(
-    op: BinF,
+    op: BinOp,
     d: &mut [f32; CHUNK],
     a: &[f32; CHUNK],
     b: &[f32; CHUNK],
@@ -55,23 +56,23 @@ pub(super) unsafe fn bin_neon(
         }};
     }
     match op {
-        BinF::Add => lanes!(vaddq_f32),
-        BinF::Sub => lanes!(vsubq_f32),
-        BinF::Mul => lanes!(vmulq_f32),
-        BinF::Div => lanes!(vdivq_f32),
-        BinF::Min => lanes!(vminnmq_f32),
-        BinF::Max => lanes!(vmaxnmq_f32),
-        BinF::Mod | BinF::Pow => debug_assert!(false, "Mod/Pow are scalar-only"),
+        BinOp::Add => lanes!(vaddq_f32),
+        BinOp::Sub => lanes!(vsubq_f32),
+        BinOp::Mul => lanes!(vmulq_f32),
+        BinOp::Div => lanes!(vdivq_f32),
+        BinOp::Min => lanes!(vminnmq_f32),
+        BinOp::Max => lanes!(vmaxnmq_f32),
+        BinOp::Mod | BinOp::Pow => debug_assert!(false, "Mod/Pow are scalar-only"),
     }
     for i in n..len {
-        d[i] = scalar_bin(op, a[i], b[i]);
+        d[i] = op.eval(a[i], b[i]);
     }
 }
 
 /// Comparison masks (1.0 / 0.0) over register chunks.
 #[target_feature(enable = "neon")]
 pub(super) unsafe fn cmp_neon(
-    op: CmpF,
+    op: CmpOp,
     d: &mut [f32; CHUNK],
     a: &[f32; CHUNK],
     b: &[f32; CHUNK],
@@ -84,18 +85,18 @@ pub(super) unsafe fn cmp_neon(
         let va = vld1q_f32(ap.add(i));
         let vb = vld1q_f32(bp.add(i));
         let m = match op {
-            CmpF::Lt => vcltq_f32(va, vb),
-            CmpF::Le => vcleq_f32(va, vb),
-            CmpF::Gt => vcltq_f32(vb, va),
-            CmpF::Ge => vcleq_f32(vb, va),
-            CmpF::Eq => vceqq_f32(va, vb),
-            CmpF::Ne => vmvnq_u32(vceqq_f32(va, vb)),
+            CmpOp::Lt => vcltq_f32(va, vb),
+            CmpOp::Le => vcleq_f32(va, vb),
+            CmpOp::Gt => vcltq_f32(vb, va),
+            CmpOp::Ge => vcleq_f32(vb, va),
+            CmpOp::Eq => vceqq_f32(va, vb),
+            CmpOp::Ne => vmvnq_u32(vceqq_f32(va, vb)),
         };
         vst1q_f32(dp.add(i), mask_to_f32(m));
         i += 4;
     }
     for i in n..len {
-        d[i] = scalar_cmp(op, a[i], b[i]);
+        d[i] = op.mask(a[i], b[i]);
     }
 }
 
@@ -179,7 +180,7 @@ pub(super) unsafe fn sat_neon(
         i += 4;
     }
     for i in n..len {
-        d[i] = round_ties_away(a[i].clamp(lo, hi));
+        d[i] = store_convert(a[i], Some((lo, hi)), true);
     }
 }
 
@@ -204,9 +205,6 @@ pub(super) unsafe fn store_neon(
                 vst1q_f32(dp.add(i), vrndaq_f32(c));
                 i += 4;
             }
-            for i in n..len {
-                dst[i] = round_ties_away(src[i].clamp(lo, hi));
-            }
         }
         (Some((lo, hi)), false) => {
             let (vlo, vhi) = (vdupq_n_f32(lo), vdupq_n_f32(hi));
@@ -215,9 +213,6 @@ pub(super) unsafe fn store_neon(
                 vst1q_f32(dp.add(i), clampq(vld1q_f32(sp.add(i)), vlo, vhi));
                 i += 4;
             }
-            for i in n..len {
-                dst[i] = src[i].clamp(lo, hi);
-            }
         }
         (None, true) => {
             let mut i = 0;
@@ -225,11 +220,14 @@ pub(super) unsafe fn store_neon(
                 vst1q_f32(dp.add(i), vrndaq_f32(vld1q_f32(sp.add(i))));
                 i += 4;
             }
-            for i in n..len {
-                dst[i] = round_ties_away(src[i]);
-            }
         }
-        (None, false) => dst.copy_from_slice(&src[..len]),
+        (None, false) => {
+            dst.copy_from_slice(&src[..len]);
+            return;
+        }
+    }
+    for i in n..len {
+        dst[i] = store_convert(src[i], sat, round);
     }
 }
 

@@ -6,7 +6,8 @@
 //! [`super::Lanes`] (64-byte aligned), so in-register loops use aligned
 //! loads/stores; buffer-side stores use unaligned accesses.
 //!
-//! # Bit-exactness notes (empirically verified against the scalar path)
+//! # Bit-exactness notes (verified against the op table of `polymage_ir`,
+//! which the scalar tails call)
 //!
 //! * `min`/`max`: `minps`/`maxps` are asymmetric — on NaN or `(±0, ∓0)`
 //!   they return the *second* operand. Rust's `f32::min(a, b)` returns `b`
@@ -25,8 +26,8 @@
 //!   `f32::clamp` including NaN passthrough and `-0.0 < 0.0 == false`.
 //! * No FMA is ever emitted: multiplies and adds are separate intrinsics.
 
-use crate::eval::{round_ties_away, scalar_bin, scalar_cmp, CHUNK};
-use crate::{BinF, CmpF};
+use crate::eval::CHUNK;
+use polymage_ir::{round_ties_away, store_convert, BinOp, CmpOp};
 use std::arch::x86_64::*;
 
 // ---------------------------------------------------------------------------
@@ -79,10 +80,10 @@ unsafe fn clamp8(v: __m256, lo: __m256, hi: __m256) -> __m256 {
     _mm256_blendv_ps(c, hi, above)
 }
 
-/// Lane-exact `BinF` over register chunks (Mod/Pow never dispatched here).
+/// Lane-exact `BinOp` over register chunks (Mod/Pow never dispatched here).
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn bin_avx2(
-    op: BinF,
+    op: BinOp,
     d: &mut [f32; CHUNK],
     a: &[f32; CHUNK],
     b: &[f32; CHUNK],
@@ -101,23 +102,23 @@ pub(super) unsafe fn bin_avx2(
         }};
     }
     match op {
-        BinF::Add => lanes!(_mm256_add_ps),
-        BinF::Sub => lanes!(_mm256_sub_ps),
-        BinF::Mul => lanes!(_mm256_mul_ps),
-        BinF::Div => lanes!(_mm256_div_ps),
-        BinF::Min => lanes!(min8),
-        BinF::Max => lanes!(max8),
-        BinF::Mod | BinF::Pow => debug_assert!(false, "Mod/Pow are scalar-only"),
+        BinOp::Add => lanes!(_mm256_add_ps),
+        BinOp::Sub => lanes!(_mm256_sub_ps),
+        BinOp::Mul => lanes!(_mm256_mul_ps),
+        BinOp::Div => lanes!(_mm256_div_ps),
+        BinOp::Min => lanes!(min8),
+        BinOp::Max => lanes!(max8),
+        BinOp::Mod | BinOp::Pow => debug_assert!(false, "Mod/Pow are scalar-only"),
     }
     for i in n..len {
-        d[i] = scalar_bin(op, a[i], b[i]);
+        d[i] = op.eval(a[i], b[i]);
     }
 }
 
 /// Comparison masks (1.0 / 0.0) over register chunks.
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn cmp_avx2(
-    op: CmpF,
+    op: CmpOp,
     d: &mut [f32; CHUNK],
     a: &[f32; CHUNK],
     b: &[f32; CHUNK],
@@ -137,15 +138,15 @@ pub(super) unsafe fn cmp_avx2(
         }};
     }
     match op {
-        CmpF::Lt => lanes!(ap, bp, _CMP_LT_OQ),
-        CmpF::Le => lanes!(ap, bp, _CMP_LE_OQ),
-        CmpF::Gt => lanes!(bp, ap, _CMP_LT_OQ),
-        CmpF::Ge => lanes!(bp, ap, _CMP_LE_OQ),
-        CmpF::Eq => lanes!(ap, bp, _CMP_EQ_OQ),
-        CmpF::Ne => lanes!(ap, bp, _CMP_NEQ_UQ),
+        CmpOp::Lt => lanes!(ap, bp, _CMP_LT_OQ),
+        CmpOp::Le => lanes!(ap, bp, _CMP_LE_OQ),
+        CmpOp::Gt => lanes!(bp, ap, _CMP_LT_OQ),
+        CmpOp::Ge => lanes!(bp, ap, _CMP_LE_OQ),
+        CmpOp::Eq => lanes!(ap, bp, _CMP_EQ_OQ),
+        CmpOp::Ne => lanes!(ap, bp, _CMP_NEQ_UQ),
     }
     for i in n..len {
-        d[i] = scalar_cmp(op, a[i], b[i]);
+        d[i] = op.mask(a[i], b[i]);
     }
 }
 
@@ -229,7 +230,7 @@ pub(super) unsafe fn sat_avx2(
         i += 8;
     }
     for i in n..len {
-        d[i] = round_ties_away(a[i].clamp(lo, hi));
+        d[i] = store_convert(a[i], Some((lo, hi)), true);
     }
 }
 
@@ -254,9 +255,6 @@ pub(super) unsafe fn store_avx2(
                 _mm256_storeu_ps(dp.add(i), round8(c));
                 i += 8;
             }
-            for i in n..len {
-                dst[i] = round_ties_away(src[i].clamp(lo, hi));
-            }
         }
         (Some((lo, hi)), false) => {
             let (vlo, vhi) = (_mm256_set1_ps(lo), _mm256_set1_ps(hi));
@@ -266,9 +264,6 @@ pub(super) unsafe fn store_avx2(
                 _mm256_storeu_ps(dp.add(i), c);
                 i += 8;
             }
-            for i in n..len {
-                dst[i] = src[i].clamp(lo, hi);
-            }
         }
         (None, true) => {
             let mut i = 0;
@@ -276,11 +271,14 @@ pub(super) unsafe fn store_avx2(
                 _mm256_storeu_ps(dp.add(i), round8(_mm256_loadu_ps(sp.add(i))));
                 i += 8;
             }
-            for i in n..len {
-                dst[i] = round_ties_away(src[i]);
-            }
         }
-        (None, false) => dst.copy_from_slice(&src[..len]),
+        (None, false) => {
+            dst.copy_from_slice(&src[..len]);
+            return;
+        }
+    }
+    for i in n..len {
+        dst[i] = store_convert(src[i], sat, round);
     }
 }
 
@@ -449,10 +447,10 @@ unsafe fn clamp4(v: __m128, lo: __m128, hi: __m128) -> __m128 {
     sel4(above, hi, c)
 }
 
-/// Lane-exact `BinF` over register chunks (Mod/Pow never dispatched here).
+/// Lane-exact `BinOp` over register chunks (Mod/Pow never dispatched here).
 #[target_feature(enable = "sse2")]
 pub(super) unsafe fn bin_sse2(
-    op: BinF,
+    op: BinOp,
     d: &mut [f32; CHUNK],
     a: &[f32; CHUNK],
     b: &[f32; CHUNK],
@@ -471,23 +469,23 @@ pub(super) unsafe fn bin_sse2(
         }};
     }
     match op {
-        BinF::Add => lanes!(_mm_add_ps),
-        BinF::Sub => lanes!(_mm_sub_ps),
-        BinF::Mul => lanes!(_mm_mul_ps),
-        BinF::Div => lanes!(_mm_div_ps),
-        BinF::Min => lanes!(min4),
-        BinF::Max => lanes!(max4),
-        BinF::Mod | BinF::Pow => debug_assert!(false, "Mod/Pow are scalar-only"),
+        BinOp::Add => lanes!(_mm_add_ps),
+        BinOp::Sub => lanes!(_mm_sub_ps),
+        BinOp::Mul => lanes!(_mm_mul_ps),
+        BinOp::Div => lanes!(_mm_div_ps),
+        BinOp::Min => lanes!(min4),
+        BinOp::Max => lanes!(max4),
+        BinOp::Mod | BinOp::Pow => debug_assert!(false, "Mod/Pow are scalar-only"),
     }
     for i in n..len {
-        d[i] = scalar_bin(op, a[i], b[i]);
+        d[i] = op.eval(a[i], b[i]);
     }
 }
 
 /// Comparison masks (1.0 / 0.0) over register chunks.
 #[target_feature(enable = "sse2")]
 pub(super) unsafe fn cmp_sse2(
-    op: CmpF,
+    op: CmpOp,
     d: &mut [f32; CHUNK],
     a: &[f32; CHUNK],
     b: &[f32; CHUNK],
@@ -507,15 +505,15 @@ pub(super) unsafe fn cmp_sse2(
         }};
     }
     match op {
-        CmpF::Lt => lanes!(ap, bp, _mm_cmplt_ps),
-        CmpF::Le => lanes!(ap, bp, _mm_cmple_ps),
-        CmpF::Gt => lanes!(bp, ap, _mm_cmplt_ps),
-        CmpF::Ge => lanes!(bp, ap, _mm_cmple_ps),
-        CmpF::Eq => lanes!(ap, bp, _mm_cmpeq_ps),
-        CmpF::Ne => lanes!(ap, bp, _mm_cmpneq_ps),
+        CmpOp::Lt => lanes!(ap, bp, _mm_cmplt_ps),
+        CmpOp::Le => lanes!(ap, bp, _mm_cmple_ps),
+        CmpOp::Gt => lanes!(bp, ap, _mm_cmplt_ps),
+        CmpOp::Ge => lanes!(bp, ap, _mm_cmple_ps),
+        CmpOp::Eq => lanes!(ap, bp, _mm_cmpeq_ps),
+        CmpOp::Ne => lanes!(ap, bp, _mm_cmpneq_ps),
     }
     for i in n..len {
-        d[i] = scalar_cmp(op, a[i], b[i]);
+        d[i] = op.mask(a[i], b[i]);
     }
 }
 
@@ -598,7 +596,7 @@ pub(super) unsafe fn sat_sse2(
         i += 4;
     }
     for i in n..len {
-        d[i] = round_ties_away(a[i].clamp(lo, hi));
+        d[i] = store_convert(a[i], Some((lo, hi)), true);
     }
 }
 
@@ -623,9 +621,6 @@ pub(super) unsafe fn store_sse2(
                 _mm_storeu_ps(dp.add(i), round4(c));
                 i += 4;
             }
-            for i in n..len {
-                dst[i] = round_ties_away(src[i].clamp(lo, hi));
-            }
         }
         (Some((lo, hi)), false) => {
             let (vlo, vhi) = (_mm_set1_ps(lo), _mm_set1_ps(hi));
@@ -635,9 +630,6 @@ pub(super) unsafe fn store_sse2(
                 _mm_storeu_ps(dp.add(i), c);
                 i += 4;
             }
-            for i in n..len {
-                dst[i] = src[i].clamp(lo, hi);
-            }
         }
         (None, true) => {
             let mut i = 0;
@@ -645,11 +637,14 @@ pub(super) unsafe fn store_sse2(
                 _mm_storeu_ps(dp.add(i), round4(_mm_loadu_ps(sp.add(i))));
                 i += 4;
             }
-            for i in n..len {
-                dst[i] = round_ties_away(src[i]);
-            }
         }
-        (None, false) => dst.copy_from_slice(&src[..len]),
+        (None, false) => {
+            dst.copy_from_slice(&src[..len]);
+            return;
+        }
+    }
+    for i in n..len {
+        dst[i] = store_convert(src[i], sat, round);
     }
 }
 

@@ -4,6 +4,7 @@
 //! (`out_g(x) = out_{g-1}(x) + 1`), long enough that a run spans many
 //! tile claims — the granularity at which cancellation must take hold.
 
+use polymage_ir::BinOp;
 use polymage_poly::Rect;
 use polymage_vm::*;
 use rand::rngs::StdRng;
@@ -55,7 +56,7 @@ fn chain_program(ngroups: usize, len: i64, tile: i64) -> Program {
                     val: 1.0,
                 },
                 Op::BinF {
-                    op: BinF::Add,
+                    op: BinOp::Add,
                     dst: RegId(2),
                     a: RegId(0),
                     b: RegId(1),

@@ -3,6 +3,7 @@
 //! serving later runs — the pool must not wedge and the `lock()` helpers
 //! must shrug off any poisoned mutexes the unwind left behind.
 
+use polymage_ir::BinOp;
 use polymage_poly::Rect;
 use polymage_vm::*;
 use std::sync::Arc;
@@ -43,7 +44,7 @@ fn program(poisoned: bool) -> Program {
             load(0, -1),
             load(1, 1),
             Op::BinF {
-                op: BinF::Add,
+                op: BinOp::Add,
                 dst: RegId(2),
                 a: RegId(0),
                 b: RegId(1),

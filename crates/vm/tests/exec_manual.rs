@@ -5,7 +5,7 @@
 //! partitioning of full buffers, direct stores, reductions, and the
 //! sequential scan path.
 
-use polymage_ir::Reduction;
+use polymage_ir::{BinOp, Reduction};
 use polymage_poly::Rect;
 use polymage_vm::*;
 use std::sync::Arc;
@@ -73,13 +73,13 @@ fn two_stage_program(mode: EvalMode) -> Program {
                 }],
             },
             Op::BinF {
-                op: BinF::Add,
+                op: BinOp::Add,
                 dst: RegId(3),
                 a: RegId(0),
                 b: RegId(1),
             },
             Op::BinF {
-                op: BinF::Add,
+                op: BinOp::Add,
                 dst: RegId(4),
                 a: RegId(3),
                 b: RegId(2),
@@ -103,7 +103,7 @@ fn two_stage_program(mode: EvalMode) -> Program {
                 }],
             },
             Op::BinF {
-                op: BinF::Add,
+                op: BinOp::Add,
                 dst: RegId(2),
                 a: RegId(0),
                 b: RegId(1),
@@ -354,7 +354,7 @@ fn sequential_scan_prefix_sum() {
                 }],
             },
             Op::BinF {
-                op: BinF::Add,
+                op: BinOp::Add,
                 dst: RegId(2),
                 a: RegId(0),
                 b: RegId(1),
@@ -486,7 +486,7 @@ fn saturating_stores() {
                             val: 3.0,
                         },
                         Op::BinF {
-                            op: BinF::Mul,
+                            op: BinOp::Mul,
                             dst: RegId(2),
                             a: RegId(0),
                             b: RegId(1),
@@ -585,7 +585,7 @@ fn min_max_reductions_and_untouched_cells() {
                                 val: 2.0,
                             },
                             Op::BinF {
-                                op: BinF::Mod,
+                                op: BinOp::Mod,
                                 dst: RegId(3),
                                 a: RegId(1),
                                 b: RegId(2),

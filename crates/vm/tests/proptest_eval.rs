@@ -4,6 +4,7 @@
 //! runs at each SIMD level the host supports — the vector loops must be
 //! bit-identical to the scalar reference.
 
+use polymage_ir::{BinOp, CmpOp, UnOp};
 use polymage_vm::*;
 use proptest::prelude::*;
 
@@ -74,10 +75,10 @@ proptest! {
                     plan: vec![IdxPlan::Affine { dim: Some(0), q: 1, o: 0, m: 1 }],
                 },
                 Op::ConstF { dst: RegId(1), val: c },
-                Op::BinF { op: BinF::Mul, dst: RegId(2), a: RegId(0), b: RegId(1) },
-                Op::BinF { op: BinF::Add, dst: RegId(3), a: RegId(2), b: RegId(0) },
-                Op::UnF { op: UnF::Abs, dst: RegId(4), a: RegId(3) },
-                Op::BinF { op: BinF::Max, dst: RegId(5), a: RegId(4), b: RegId(1) },
+                Op::BinF { op: BinOp::Mul, dst: RegId(2), a: RegId(0), b: RegId(1) },
+                Op::BinF { op: BinOp::Add, dst: RegId(3), a: RegId(2), b: RegId(0) },
+                Op::UnF { op: UnOp::Abs, dst: RegId(4), a: RegId(3) },
+                Op::BinF { op: BinOp::Max, dst: RegId(5), a: RegId(4), b: RegId(1) },
             ],
             nregs: 6,
             meta: None,
@@ -116,8 +117,8 @@ proptest! {
                 },
                 Op::ConstF { dst: RegId(1), val: 0.0 },
                 Op::ConstF { dst: RegId(2), val: 5.0 },
-                Op::CmpMask { op: CmpF::Gt, dst: RegId(3), a: RegId(0), b: RegId(1) },
-                Op::CmpMask { op: CmpF::Lt, dst: RegId(4), a: RegId(0), b: RegId(2) },
+                Op::CmpMask { op: CmpOp::Gt, dst: RegId(3), a: RegId(0), b: RegId(1) },
+                Op::CmpMask { op: CmpOp::Lt, dst: RegId(4), a: RegId(0), b: RegId(2) },
                 Op::MaskAnd { dst: RegId(5), a: RegId(3), b: RegId(4) },
                 Op::MaskNot { dst: RegId(6), a: RegId(5) },
                 Op::ConstF { dst: RegId(7), val: -1.0 },

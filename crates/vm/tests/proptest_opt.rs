@@ -4,33 +4,41 @@
 //! compaction, uniformity metadata, specialized loads) produces **bit
 //! identical** lane values for every output register.
 
+use polymage_ir::{BinOp, CmpOp, UnOp};
 use polymage_vm::opt::optimize_kernel;
 use polymage_vm::*;
 use proptest::prelude::*;
 
 const CONSTS: [f32; 8] = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 4.0, 3.1];
-const BINOPS: [BinF; 8] = [
-    BinF::Add,
-    BinF::Sub,
-    BinF::Mul,
-    BinF::Div,
-    BinF::Min,
-    BinF::Max,
-    BinF::Mod,
-    BinF::Pow,
+const BINOPS: [BinOp; 8] = [
+    BinOp::Add,
+    BinOp::Sub,
+    BinOp::Mul,
+    BinOp::Div,
+    BinOp::Min,
+    BinOp::Max,
+    BinOp::Mod,
+    BinOp::Pow,
 ];
-const UNOPS: [UnF; 9] = [
-    UnF::Neg,
-    UnF::Abs,
-    UnF::Sqrt,
-    UnF::Exp,
-    UnF::Log,
-    UnF::Sin,
-    UnF::Cos,
-    UnF::Floor,
-    UnF::Ceil,
+const UNOPS: [UnOp; 9] = [
+    UnOp::Neg,
+    UnOp::Abs,
+    UnOp::Sqrt,
+    UnOp::Exp,
+    UnOp::Log,
+    UnOp::Sin,
+    UnOp::Cos,
+    UnOp::Floor,
+    UnOp::Ceil,
 ];
-const CMPS: [CmpF; 6] = [CmpF::Lt, CmpF::Le, CmpF::Gt, CmpF::Ge, CmpF::Eq, CmpF::Ne];
+const CMPS: [CmpOp; 6] = [
+    CmpOp::Lt,
+    CmpOp::Le,
+    CmpOp::Gt,
+    CmpOp::Ge,
+    CmpOp::Eq,
+    CmpOp::Ne,
+];
 
 /// Builds a random SSA kernel from opcode tuples. Register 0/1 are the two
 /// coordinates, 2/3 seed constants; every subsequent op reads earlier

@@ -10,6 +10,7 @@
 //! only `[..len]`, so lanes left over from an earlier, longer evaluation
 //! can never leak into a later short one.
 
+use polymage_ir::{BinOp, CmpOp};
 use polymage_vm::*;
 
 /// Adversarial lane values: exercises NaN propagation/ordering, signed
@@ -46,14 +47,21 @@ fn special_data(offset: usize) -> Vec<f32> {
 /// A kernel applying every vectorized op class to two loaded operands.
 fn all_ops_kernel() -> Kernel {
     let bin = [
-        BinF::Add,
-        BinF::Sub,
-        BinF::Mul,
-        BinF::Div,
-        BinF::Min,
-        BinF::Max,
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Div,
+        BinOp::Min,
+        BinOp::Max,
     ];
-    let cmp = [CmpF::Lt, CmpF::Le, CmpF::Gt, CmpF::Ge, CmpF::Eq, CmpF::Ne];
+    let cmp = [
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+        CmpOp::Eq,
+        CmpOp::Ne,
+    ];
     let mut ops = vec![
         Op::Load {
             dst: RegId(0),
@@ -759,7 +767,7 @@ fn scatter_combines_in_ascending_lane_order() {
             Buffer::zeros(rect).fill_with(|p| idx_at(p[0] as usize)),
         ];
         for op in [Reduction::Sum, Reduction::Min, Reduction::Max] {
-            let mut want = [op.identity() as f32; 5];
+            let mut want = [op.identity(); 5];
             for x in 0..n {
                 let cell = (index_oracle(idx_at(x), -2, 5) + 2) as usize;
                 want[cell] = match op {

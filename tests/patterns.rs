@@ -19,7 +19,7 @@ fn run_both(pipe: &Pipeline, params: Vec<i64>, inputs: &[Buffer]) -> Vec<Buffer>
     for (g, w) in got.iter().zip(&expect) {
         assert_eq!(g.rect, w.rect);
         for (a, b) in g.data.iter().zip(&w.data) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
+            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
         }
     }
     got

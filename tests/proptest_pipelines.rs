@@ -218,7 +218,7 @@ proptest! {
                     prop_assert_eq!(&g.rect, &w.rect);
                     for (a, b) in g.data.iter().zip(&w.data) {
                         prop_assert!(
-                            (a - b).abs() <= 1e-3 + 1e-3 * b.abs(),
+                            a.to_bits() == b.to_bits(),
                             "compiled {} vs interpreted {}",
                             a,
                             b
@@ -467,7 +467,7 @@ proptest! {
                     prop_assert_eq!(&g.rect, &w.rect);
                     for (a, b) in g.data.iter().zip(&w.data) {
                         prop_assert!(
-                            (a - b).abs() <= 1e-3 + 1e-3 * b.abs(),
+                            a.to_bits() == b.to_bits(),
                             "compiled {} vs interpreted {}",
                             a,
                             b
