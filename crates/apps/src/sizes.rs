@@ -3,7 +3,7 @@
 //!
 //! Each benchmark's `new(scale)` routes through this table, and the
 //! `polymage-bench` crate re-exports it (with preset helpers) so binaries
-//! and criterion benches never hard-code their own `(rows, cols)` copies.
+//! never hard-code their own `(rows, cols)` copies.
 //! Pyramid-based apps require dimensions divisible by `2^levels`; the
 //! table entries respect each app's constraint at every scale.
 

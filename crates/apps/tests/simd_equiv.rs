@@ -87,8 +87,8 @@ fn simd_bit_exact_all_benchmarks_all_schedules() {
 /// indexed accesses all have provable ranges — Bilateral Grid (trilinear
 /// gathers, two reduction scatters) and Camera (LUT gathers, demosaic
 /// floor-division) — every indexed lane goes through the vector pipeline
-/// at a vector level and through the scalar walk at the scalar level.
-/// (Under a `POLYMAGE_SIMD` override both compiles resolve to the same
+/// at a vector level and through the scalar walk at the scalar level, and
+/// one thread counts the same lanes as three. (Under a `POLYMAGE_SIMD` override both compiles resolve to the same
 /// level, and the matching half of the assertion is checked twice.)
 #[test]
 fn indexed_lanes_are_all_vector_or_all_scalar() {
@@ -101,6 +101,7 @@ fn indexed_lanes_are_all_vector_or_all_scalar() {
         for simd in [SimdOpt::Auto, SimdOpt::Off] {
             let opts = CompileOptions::optimized(b.params()).with_simd(simd);
             let c = compile(b.pipeline(), &opts).unwrap_or_else(|e| panic!("{}: {e}", b.name()));
+            let mut first: Option<(u64, u64)> = None;
             for threads in [1usize, 3] {
                 let (_, stats) = engine
                     .submit(RunRequest::new(&c.program, &inputs).threads(threads))
@@ -120,6 +121,15 @@ fn indexed_lanes_are_all_vector_or_all_scalar() {
                         c.report.simd
                     );
                 }
+                // Every reduction sweeps as an engine task, so the thread
+                // count changes how the domain is split, not what is counted.
+                let pair = *first.get_or_insert((vector, scalar));
+                assert_eq!(
+                    (vector, scalar),
+                    pair,
+                    "{}: indexed lanes at {threads} threads differ from 1 thread",
+                    b.name()
+                );
             }
         }
     }

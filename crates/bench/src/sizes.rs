@@ -1,4 +1,4 @@
-//! Shared size presets for the bench binaries and criterion benches.
+//! Shared size presets for the bench binaries.
 //!
 //! Re-exports the canonical per-app size table from
 //! [`polymage_apps::sizes`] and layers the measurement presets on top:

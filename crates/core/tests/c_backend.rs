@@ -304,6 +304,82 @@ fn c_backend_matches_vm_on_time_iteration() {
         &[input],
         &Schedule::ALL,
     );
+
+    // A scan whose stores take every store arm: parity cases (strided
+    // stores), a residual mask (x + t ≤ 20 is no box), and a rounding,
+    // saturating `UChar` store.
+    let mut p = PipelineBuilder::new("emit_masked_scan");
+    let img = p.image("I", ScalarType::Float, vec![PAff::cst(32)]);
+    let (t, x) = (p.var("t"), p.var("x"));
+    let f = p.func(
+        "f",
+        &[(t, Interval::cst(0, 5)), (x, Interval::cst(0, 31))],
+        ScalarType::UChar,
+    );
+    let later = Expr::from(t).ge(1);
+    p.define(
+        f,
+        vec![
+            Case::new(Expr::from(t).le(0), Expr::at(img, [Expr::from(x)]) * 40.0),
+            Case::new(
+                later.clone()
+                    & Expr::from(x).rem(2.0).eq_(1.0)
+                    & Expr::from(x).ge(1)
+                    & Expr::from(x).le(30),
+                (Expr::at(f, [t - 1, x - 1]) + Expr::at(f, [t - 1, x + 1])) * 0.75 + 3.3,
+            ),
+            Case::new(
+                later & Expr::from(x).rem(2.0).eq_(0.0) & (Expr::from(x) + t).le(20),
+                Expr::at(f, [t - 1, Expr::from(x)]) * 1.6 - 7.5,
+            ),
+        ],
+    )
+    .unwrap();
+    let pipe = p.finish(&[f]).unwrap();
+    let inputs =
+        [Buffer::zeros(Rect::new(vec![(0, 31)])).fill_with(|pt| (pt[0] * 5 % 13) as f32 - 2.5)];
+    let interp: Vec<Vec<u32>> = interpret(&pipe, &[], &inputs)
+        .unwrap()
+        .iter()
+        .map(|b| b.data.iter().map(|v| v.to_bits()).collect())
+        .collect();
+    let vals: Vec<f32> = interp[0].iter().map(|&b| f32::from_bits(b)).collect();
+    assert!(
+        vals.contains(&0.0) && vals.contains(&255.0) && vals.iter().any(|&v| v > 0.0 && v < 255.0),
+        "masked scan never saturates both ways: {vals:?}"
+    );
+    let engine = Engine::with_threads(1);
+    for schedule in Schedule::ALL {
+        let opts = CompileOptions {
+            schedule,
+            ..CompileOptions::optimized(vec![])
+        };
+        let prog = compile(&pipe, &opts).unwrap().program;
+        let what = format!("masked scan under {}", schedule.label());
+        let [GroupKind::Sequential(seq)] =
+            &prog.groups.iter().map(|g| &g.kind).collect::<Vec<_>>()[..]
+        else {
+            panic!("{what}: not one sequential group");
+        };
+        assert!(seq.chunked, "{what}: scan runs point-wise");
+        let steps: Vec<_> = seq.cases.iter().map(|c| c.steps.last().copied()).collect();
+        assert!(
+            steps.contains(&Some((2, 1))) && steps.contains(&Some((2, 0))),
+            "{what}: parity cases lost their steps: {steps:?}"
+        );
+        let kinds = op_kinds(&prog);
+        assert!(
+            kinds.contains("case mask") && kinds.contains("saturating store"),
+            "{what}: {kinds:?}"
+        );
+        assert_bits_eq(
+            "interpreter",
+            &interp,
+            &engine_bits(&engine, &prog, &inputs),
+            &what,
+        );
+    }
+    check(&engine, &pipe, vec![], &inputs, &Schedule::ALL);
 }
 
 /// What the program's kernels and stores exercise: op kinds (binary,

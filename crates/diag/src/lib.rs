@@ -11,8 +11,7 @@
 //!
 //! - **no-op** ([`Diag::noop`]) — the default everywhere. Emission sites
 //!   reduce to a single enum-variant check, so instrumented code paths cost
-//!   nothing measurable (checked by a criterion benchmark in
-//!   `crates/bench/benches/engine.rs`, not by a cargo feature);
+//!   nothing measurable (a run-time choice, not a cargo feature);
 //! - **recorder** ([`Diag::recorder`]) — an in-memory [`Recorder`] that
 //!   timestamps spans/events and accumulates [`Counter`]s. Its
 //!   [`Recording`] snapshot can answer structured queries or export a

@@ -11,9 +11,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use super::{lock, panic_error, RunRequest, SchedCounters, Shared};
-use crate::exec::{
-    decl_rect, execute_reduction, execute_seq, strip_layout, written_stages, StripRows,
-};
+use crate::exec::{decl_rect, execute_seq, strip_layout, written_stages, StripRows};
 use crate::{BufId, BufKind, Buffer, CancelReason, GroupKind, Program, RunStats, VmError};
 use polymage_diag::{Counter, Diag, Span, Value};
 
@@ -96,8 +94,6 @@ pub(super) struct RunState {
     /// Bytes of this run's full buffers currently resident (the peak goes
     /// to `stats.peak_full_bytes`).
     cur_full_bytes: u64,
-    /// Reduction output being accumulated (identity-filled).
-    red_out: Vec<f32>,
     /// Reduction partials by chunk index.
     pub red_parts: Vec<Option<Vec<f32>>>,
     group_start: Instant,
@@ -152,8 +148,9 @@ impl RunContext {
         // Buffers the run provably overwrites in full skip the zero-fill:
         // input images are copied whole below, tiled sinks' tile stores
         // exactly partition a buffer sized exactly to the stage domain
-        // (the validator's coverage invariant), and reduction outputs are
-        // filled with the identity before combining. Sequential-scan
+        // (the validator's coverage invariant), and a reduction output is
+        // replaced by its one partial or filled with the identity before
+        // the partials combine into it. Sequential-scan
         // outputs stay zero-filled — they may write partially and read
         // their own zero-for-undefined border.
         let mut overwritten = vec![false; prog.buffers.len()];
@@ -217,7 +214,6 @@ impl RunContext {
                 reads_keep: vec![None; prog.buffers.len()],
                 failed: None,
                 cur_full_bytes: acquired_bytes,
-                red_out: Vec::new(),
                 red_parts: Vec::new(),
                 group_start: submitted,
                 group_span: None,
@@ -320,57 +316,52 @@ fn advance_inner(shared: &Shared, run: &Arc<RunContext>, finalize: bool) {
         let gi = st.group;
         acquire_for_group(shared, run, &mut st, gi);
         begin_group(run, &mut st);
-        // Groups without claimable units run right here, under the state
-        // lock: nobody else wants it while the run is `Advancing`.
-        let inline = match &prog.groups[gi].kind {
-            GroupKind::Sequential(seq) => execute_seq(prog, seq, &mut st.fulls),
+        let (task, units) = match &prog.groups[gi].kind {
+            // A scan has no claimable units: it runs right here, under the
+            // state lock — nobody else wants it while the run is
+            // `Advancing`.
+            GroupKind::Sequential(seq) => {
+                execute_seq(prog, seq, &mut st.fulls);
+                end_group(shared, run, &mut st);
+                continue;
+            }
             GroupKind::Reduction(red) => {
                 let chunks = reduction_chunks(red.red_dom.range(0), run.req_threads);
-                if chunks.is_empty() {
-                    // Single sweep straight into the output; no combine
-                    // step (and no `0.0 + -0.0` rounding artifacts from
-                    // merging partials).
-                    execute_reduction(prog, red, &mut st.fulls)
-                } else {
-                    let identity = red.op.identity();
-                    st.red_out = std::mem::take(&mut st.fulls[red.out.0]);
-                    st.red_out.fill(identity);
-                    st.red_parts = chunks.iter().map(|_| None).collect();
-                    let task = Task::Reduce(Arc::new(ReduceTask {
-                        group: gi,
-                        reads: snapshot_reads(&mut st, &[red.out.0]),
-                        out_len: st.red_out.len(),
-                        identity,
-                        chunks,
-                    }));
-                    let units = vec![1; st.red_parts.len()];
-                    drop(st);
-                    return publish(shared, run, task, units);
-                }
+                st.red_parts = chunks.iter().map(|_| None).collect();
+                let units = vec![1; chunks.len()];
+                let task = Task::Reduce(Arc::new(ReduceTask {
+                    group: gi,
+                    reads: snapshot_reads(&mut st, &[red.out.0]),
+                    out_len: st.fulls[red.out.0].len(),
+                    identity: red.op.identity(),
+                    chunks,
+                }));
+                (task, units)
             }
-            GroupKind::Tiled(tg) => match written_stages(tg) {
-                Ok(written) => {
-                    let (strip_rows, tiles_by_strip) = strip_layout(tg);
-                    let written_bufs: Vec<usize> = written.iter().map(|&(_, b)| b.0).collect();
-                    let units = tiles_by_strip.iter().map(|t| t.len() as u64).collect();
-                    let task = Task::Tiled(Arc::new(TiledTask {
-                        group: gi,
-                        reads: snapshot_reads(&mut st, &written_bufs),
-                        written,
-                        strip_rows,
-                        tiles_by_strip,
-                    }));
-                    drop(st);
-                    return publish(shared, run, task, units);
-                }
-                Err(e) => Err(e),
-            },
+            GroupKind::Tiled(tg) => {
+                let written = match written_stages(tg) {
+                    Ok(written) => written,
+                    Err(e) => {
+                        end_group(shared, run, &mut st);
+                        drop(st);
+                        return complete_run(shared, run, Err(e));
+                    }
+                };
+                let (strip_rows, tiles_by_strip) = strip_layout(tg);
+                let written_bufs: Vec<usize> = written.iter().map(|&(_, b)| b.0).collect();
+                let units = tiles_by_strip.iter().map(|t| t.len() as u64).collect();
+                let task = Task::Tiled(Arc::new(TiledTask {
+                    group: gi,
+                    reads: snapshot_reads(&mut st, &written_bufs),
+                    written,
+                    strip_rows,
+                    tiles_by_strip,
+                }));
+                (task, units)
+            }
         };
-        end_group(shared, run, &mut st);
-        if let Err(e) = inline {
-            drop(st);
-            return complete_run(shared, run, Err(e));
-        }
+        drop(st);
+        return publish(shared, run, task, units);
     }
 }
 
@@ -386,40 +377,45 @@ fn publish(shared: &Shared, run: &RunContext, task: Task, unit_tiles: Vec<u64>) 
     shared.work_cv.notify_all();
 }
 
-/// Outer-dimension chunks of a parallel reduction, or none when a single
-/// sweep does. Based on the *requested* thread count, not the pool size,
-/// so partial boundaries — and therefore float combine order — are those
-/// of a single-worker run with the same count.
+/// Outer-dimension chunks of a reduction, one task unit each: at least
+/// one (an empty domain sweeps nothing into one identity-filled partial),
+/// at most one per requested thread. Based on the *requested* thread
+/// count, not the pool size, so partial boundaries — and therefore float
+/// combine order — are those of a single-worker run with the same count.
 fn reduction_chunks((rlo, rhi): (i64, i64), req_threads: usize) -> Vec<(i64, i64)> {
     let total = (rhi - rlo + 1).max(0);
-    let nth = req_threads.min(total.max(1) as usize).max(1);
-    if nth == 1 {
-        return Vec::new();
-    }
+    let nth = req_threads.min(total as usize).max(1);
     let chunk = total.div_euclid(nth as i64) + 1;
     (0..nth as i64)
         .map(|t| (rlo + t * chunk, (rlo + (t + 1) * chunk - 1).min(rhi)))
-        .filter(|(lo, hi)| lo <= hi)
+        .filter(|&(lo, hi)| lo <= hi || lo == rlo)
         .collect()
 }
 
-/// Combines a drained reduction's partials into its output, in ascending
-/// chunk order whichever worker finished first, for bit-identical float
-/// results.
+/// Combines a drained reduction's partials into its output. One partial
+/// *is* the output (a single sweep from the identity, bit for bit). More
+/// are combined into an identity-filled output in ascending chunk order,
+/// whichever worker finished first, for bit-identical float results.
 fn combine_partials(shared: &Shared, red: &crate::ReductionExec, st: &mut RunState) {
-    if st.red_parts.iter().any(Option::is_none) {
+    // No partial at all would leave the output never swept.
+    if st.red_parts.is_empty() || st.red_parts.iter().any(Option::is_none) {
         st.failed = Some(VmError::Internal("reduction chunk lost".into()));
         return;
     }
-    let mut out = std::mem::take(&mut st.red_out);
-    for part in st.red_parts.drain(..).flatten() {
-        for (o, p) in out.iter_mut().zip(&part) {
-            *o = red.op.combine(*o, *p);
+    let mut parts: Vec<Vec<f32>> = st.red_parts.drain(..).flatten().collect();
+    let out = &mut st.fulls[red.out.0];
+    if parts.len() == 1 {
+        shared.pool.release(std::mem::replace(out, parts.remove(0)));
+    } else {
+        out.fill(red.op.identity());
+        for part in parts {
+            for (o, p) in out.iter_mut().zip(&part) {
+                *o = red.op.combine(*o, *p);
+            }
+            shared.pool.release(part);
         }
-        shared.pool.release(part);
     }
-    red.op.finish(&mut out);
-    st.fulls[red.out.0] = out;
+    red.op.finish(out);
 }
 
 /// Materializes the full buffers whose narrowed lifetime starts at group
@@ -567,7 +563,6 @@ fn complete_run(shared: &Shared, run: &RunContext, result: Result<Vec<Buffer>, V
                 shared.pool.release(v);
             }
         }
-        shared.pool.release(std::mem::take(&mut st.red_out));
         for part in st.red_parts.drain(..).flatten() {
             shared.pool.release(part);
         }

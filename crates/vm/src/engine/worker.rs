@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use super::policy::{self, ClaimKind};
 use super::run::{advance, ReduceTask, RunContext, RunState, Task, TiledTask};
 use super::{lock, panic_error, wait_on, Shared};
-use crate::exec::{reduction_views, row_size, run_tile, sweep_reduction, LocalStats, SlabPart};
+use crate::exec::{full_views, row_size, run_tile, sweep_reduction, LocalStats, SlabPart};
 use crate::pool::BufferPool;
 use crate::{GroupKind, RegFile};
 
@@ -305,7 +305,7 @@ fn run_chunk(
         panic!("chunk work targets a non-reduction group");
     };
     let read_refs = read_refs(&task.reads);
-    let views = reduction_views(prog, red, &read_refs);
+    let views = full_views(prog, &red.name, &red.reads, &read_refs);
     let (lo, hi) = task.chunks[chunk];
     // The fill overwrites every element, so no zero-fill is needed.
     let mut part = shared.pool.acquire(task.out_len);
@@ -321,9 +321,10 @@ fn run_chunk(
     *dom.range_mut(0) = (lo, hi);
     let ws = worker_run_state(local, run, task.group, 0);
     sweep_reduction(prog, red, &views, &dom, &mut part, &mut ws.regs);
-    // A sweep has never reported its kernel's chunk, load-class or lane
-    // counts (run statistics cover tiled groups); of what the register
-    // file gathered, only how the targets were addressed is carried.
+    // Run statistics count chunks, load classes and SIMD lanes of tiled
+    // groups only; of what the register file gathered here, only how the
+    // scatter targets were addressed is carried. Every reduction sweeps
+    // here, so that count does not depend on the thread count.
     let eval = ws.regs.take_counters();
     stats.eval.index_lanes_vector = eval.index_lanes_vector;
     stats.eval.index_lanes_scalar = eval.index_lanes_scalar;

@@ -14,7 +14,7 @@ use crate::index::IndexPlan;
 use crate::kernel::OptMeta;
 use crate::loadclass::{self, ResolvedLoad};
 use crate::simd::{self, Lanes, SimdLevel};
-use crate::{Kernel, Op};
+use crate::{BufDecl, Kernel, Op};
 use polymage_ir::{round_ties_away, store_convert, BinOp, CmpOp, UnOp};
 
 /// Chunk capacity (lanes per register).
@@ -34,6 +34,18 @@ pub struct BufView<'a> {
     pub strides: Vec<i64>,
     /// Allocation sizes.
     pub sizes: Vec<i64>,
+}
+
+impl<'a> BufView<'a> {
+    /// A view of a whole full buffer, laid out as `decl` declares it.
+    pub(crate) fn full(decl: &BufDecl, data: &'a [f32]) -> BufView<'a> {
+        BufView {
+            data,
+            origin: decl.origin.clone(),
+            strides: decl.strides(),
+            sizes: decl.sizes.clone(),
+        }
+    }
 }
 
 /// Per-chunk evaluation context.

@@ -1,5 +1,9 @@
-//! What the engine's workers execute: one overlapped tile, one sweep of a
-//! reduction domain, one sequential scan. Scheduling lives in `engine`.
+//! What the engine's workers execute: one overlapped tile, one sweep of
+//! (a chunk of) a reduction domain, one sequential scan. All three walk
+//! their domain with the one row/chunk loop nest, [`for_each_chunk`] (the
+//! paper's Fig. 7 loop nest, chunks standing in for its `ivdep` innermost
+//! loop); tiles and scans store through [`StoreDest::store`]. Scheduling
+//! lives in `engine`.
 
 use crate::eval::{eval_kernel, BufView, ChunkCtx};
 use crate::index::{IndexPlan, RegTerm};
@@ -121,23 +125,26 @@ pub(crate) fn decl_rect(decl: &BufDecl) -> Rect {
     )
 }
 
-/// Where stores land: a flat array addressed as `offset + Σ coordᵈ·strideᵈ`
-/// (strided cases fold their `(stride, phase)` into these).
-struct StoreDest<'a> {
-    data: &'a mut [f32],
+/// Where one case's stores land: a flat array addressed as
+/// `offset + Σ coordᵈ·strideᵈ` (strided cases fold their `(stride, phase)`
+/// into these), converted by the stage's store rule.
+struct StoreDest {
     offset: i64,
     strides: Vec<i64>,
+    sat: Option<(f32, f32)>,
+    round: bool,
 }
 
-impl<'a> StoreDest<'a> {
+impl StoreDest {
     /// Builds a destination for buffer storage with the given origin,
     /// buffer strides, and per-dim case steps.
     fn new(
-        data: &'a mut [f32],
         origin: &[i64],
         buf_strides: &[i64],
         steps: &[(i64, i64)],
-    ) -> StoreDest<'a> {
+        sat: Option<(f32, f32)>,
+        round: bool,
+    ) -> StoreDest {
         let mut offset = 0i64;
         let mut strides = Vec::with_capacity(buf_strides.len());
         for d in 0..buf_strides.len() {
@@ -146,18 +153,62 @@ impl<'a> StoreDest<'a> {
             strides.push(s * buf_strides[d]);
         }
         StoreDest {
-            data,
             offset,
             strides,
+            sat,
+            round,
         }
     }
 
-    fn flat(&self, coords: &[i64]) -> usize {
-        let mut idx = self.offset;
+    /// Stores the `len` live lanes `case` just evaluated into `regs`, for
+    /// the chunk starting at `coords` along `axis`: through the SIMD store
+    /// kernels when the lanes are contiguous, lane by lane when strided,
+    /// and only where the case's mask is set when it has one. Always
+    /// inlined, so each chunk loop keeps its store in its own body.
+    #[inline(always)]
+    fn store(
+        &self,
+        data: &mut [f32],
+        coords: &[i64],
+        axis: usize,
+        len: usize,
+        regs: &RegFile,
+        case: &CaseExec,
+    ) {
+        let (sat, round) = (self.sat, self.round);
+        let mut base = self.offset;
         for (c, s) in coords.iter().zip(&self.strides) {
-            idx += c * s;
+            base += c * s;
         }
-        idx as usize
+        let st = self.strides[axis];
+        // Only the live lanes: those at or beyond `len` may hold stale
+        // values from earlier chunks.
+        let out = &regs.reg(case.kernel.out())[..len];
+        match case.mask {
+            None if st == 1 => {
+                let dst = &mut data[base as usize..base as usize + len];
+                if let (None, false) = (sat, round) {
+                    dst.copy_from_slice(out);
+                } else if !crate::simd::store(regs.simd_level(), dst, out, sat, round) {
+                    for (d, &v) in dst.iter_mut().zip(out) {
+                        *d = store_convert(v, sat, round);
+                    }
+                }
+            }
+            None => {
+                for (i, &v) in out.iter().enumerate() {
+                    data[(base + i as i64 * st) as usize] = store_convert(v, sat, round);
+                }
+            }
+            Some(m) => {
+                let mask = &regs.reg(m)[..len];
+                for (i, (&mv, &v)) in mask.iter().zip(out).enumerate() {
+                    if mv != 0.0 {
+                        data[(base + i as i64 * st) as usize] = store_convert(v, sat, round);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -217,6 +268,36 @@ fn for_each_row(rect: &Rect, axis: usize, f: &mut dyn FnMut(&mut [i64])) {
     }
 }
 
+/// The row/chunk loop nest every executor runs: walks `rect` row by row
+/// over every dimension but `axis`, and each row in chunks of at most
+/// `step` points along `axis`, calling `f(regs, coords, len)` with
+/// `coords[axis]` at the chunk's first point. Each row starts with
+/// [`RegFile::begin_row`].
+///
+/// Tiles chunk along [`chunk_axis`]. Reductions and scans chunk along the
+/// last axis: a reduction's scatter combines in the domain's row-major
+/// order (which makes a `Sum` reproducible), and a scan's self-dependences
+/// only allow whole chunks along the row-major innermost dimension.
+fn for_each_chunk(
+    rect: &Rect,
+    axis: usize,
+    step: usize,
+    regs: &mut RegFile,
+    mut f: impl FnMut(&mut RegFile, &[i64], usize),
+) {
+    let (xlo, xhi) = rect.range(axis);
+    for_each_row(rect, axis, &mut |coords| {
+        regs.begin_row();
+        let mut x = xlo;
+        while x <= xhi {
+            let len = ((xhi - x + 1) as usize).min(step);
+            coords[axis] = x;
+            f(regs, coords, len);
+            x += len as i64;
+        }
+    });
+}
+
 /// Chooses the chunk axis for a rectangle: the last dimension unless it is
 /// short and another dimension is substantially longer (small innermost
 /// dimensions — color channels, grid depth — would otherwise cap chunks at
@@ -240,10 +321,8 @@ fn chunk_axis(rect: &Rect) -> usize {
 /// buffer addressed by `origin`/`buf_strides`.
 #[allow(clippy::too_many_arguments)]
 fn eval_cases_into(
-    cases: &[CaseExec],
+    stage: &StageExec,
     region: &Rect,
-    sat: Option<(f32, f32)>,
-    round: bool,
     mode: EvalMode,
     views: &[Option<BufView<'_>>],
     regs: &mut RegFile,
@@ -252,11 +331,7 @@ fn eval_cases_into(
     buf_strides: &[i64],
     local: &mut LocalStats,
 ) {
-    let step = match mode {
-        EvalMode::Vector => CHUNK,
-        EvalMode::Scalar => 1,
-    };
-    for case in cases {
+    for case in &stage.cases {
         let rect = case.rect.intersect(region);
         if rect.is_empty() {
             continue;
@@ -270,73 +345,19 @@ fn eval_cases_into(
         // Chunk along the most profitable dimension (kernels resolve the
         // chunk axis at run time).
         let axis = chunk_axis(&vrect);
-        let dest = StoreDest::new(&mut *data, origin, buf_strides, &case.steps);
-        let axis_contig = dest.strides[axis] == 1;
-        let (xlo, xhi) = vrect.range(axis);
-        for_each_row(&vrect, axis, &mut |coords| {
-            regs.begin_row();
-            let mut x = xlo;
-            while x <= xhi {
-                let len = ((xhi - x + 1) as usize).min(step);
-                coords[axis] = x;
-                let ctx = ChunkCtx {
-                    coords,
-                    len,
-                    inner: axis,
-                    bufs: views,
-                };
-                eval_kernel(&case.kernel, &ctx, regs);
-                local.chunks += 1;
-                local.points += len as u64;
-                let base = dest.flat(coords);
-                let lvl = regs.simd_level();
-                let out = &regs.reg(case.kernel.out())[..len];
-                match case.mask {
-                    None if axis_contig => {
-                        let dst = &mut dest.data[base..base + len];
-                        store_lanes(lvl, dst, out, sat, round);
-                    }
-                    None => {
-                        let st = dest.strides[axis] as usize;
-                        for (i, &v) in out.iter().enumerate().take(len) {
-                            dest.data[base + i * st] = store_convert(v, sat, round);
-                        }
-                    }
-                    Some(m) => {
-                        let st = dest.strides[axis];
-                        // Borrow only the live lanes — lanes at or beyond
-                        // `len` may hold stale values from earlier chunks.
-                        let mask = &regs.reg(m)[..len];
-                        for (i, (&mv, &v)) in mask.iter().zip(out).enumerate() {
-                            if mv != 0.0 {
-                                dest.data[(base as i64 + i as i64 * st) as usize] =
-                                    store_convert(v, sat, round);
-                            }
-                        }
-                    }
-                }
-                x += len as i64;
-            }
+        let dest = StoreDest::new(origin, buf_strides, &case.steps, stage.sat, stage.round);
+        for_each_chunk(&vrect, axis, mode.chunk_len(), regs, |regs, coords, len| {
+            let ctx = ChunkCtx {
+                coords,
+                len,
+                inner: axis,
+                bufs: views,
+            };
+            eval_kernel(&case.kernel, &ctx, regs);
+            local.chunks += 1;
+            local.points += len as u64;
+            dest.store(data, coords, axis, len, regs, case);
         });
-    }
-}
-
-fn store_lanes(
-    lvl: crate::SimdLevel,
-    dst: &mut [f32],
-    src: &[f32],
-    sat: Option<(f32, f32)>,
-    round: bool,
-) {
-    if let (None, false) = (sat, round) {
-        dst.copy_from_slice(src);
-        return;
-    }
-    if crate::simd::store(lvl, dst, src, sat, round) {
-        return;
-    }
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = store_convert(s, sat, round);
     }
 }
 
@@ -461,10 +482,8 @@ pub(crate) fn run_tile(
             let mut origin = decl.origin.clone();
             origin[0] = slabs[si].row_lo;
             eval_cases_into(
-                &stage.cases,
+                stage,
                 &store,
-                stage.sat,
-                stage.round,
                 prog.mode,
                 &views,
                 regs,
@@ -497,10 +516,8 @@ pub(crate) fn run_tile(
             target.fill(0.0);
             let origin: Vec<i64> = region.ranges().iter().map(|&(lo, _)| lo).collect();
             eval_cases_into(
-                &stage.cases,
+                stage,
                 region,
-                stage.sat,
-                stage.round,
                 prog.mode,
                 &views,
                 regs,
@@ -537,10 +554,10 @@ pub(crate) fn run_tile(
 /// Builds the buffer views a stage's kernels need.
 ///
 /// The packed arena arrives as the two halves around the current stage's
-/// own slot (`lo` = `[0, hi_start − own.len)` … actually `[0, lo.len())`,
-/// `hi` = `[hi_start, arena_len)`); a producer's slot always falls entirely
-/// inside one half because live ranges that intersect are assigned
-/// disjoint slot bytes.
+/// own slot: `lo` holds arena elements `[0, lo.len())` and `hi` holds
+/// `[hi_start, arena_len)`. A producer's slot always falls entirely inside
+/// one half because live ranges that intersect are assigned disjoint slot
+/// bytes.
 #[allow(clippy::too_many_arguments)]
 fn build_views<'a>(
     prog: &Program,
@@ -563,12 +580,7 @@ fn build_views<'a>(
                         stage.name, decl.name
                     )
                 });
-                views[b.0] = Some(BufView {
-                    data,
-                    origin: decl.origin.clone(),
-                    strides: decl.strides(),
-                    sizes: decl.sizes.clone(),
-                });
+                views[b.0] = Some(BufView::full(decl, data));
             }
             crate::BufKind::Scratch => {
                 let j = tg
@@ -635,60 +647,20 @@ fn copy_region(
     });
 }
 
-/// Sweeps a whole reduction domain straight into its output, in one
-/// chunk (multi-chunk reductions go through the engine's partials).
-pub(crate) fn execute_reduction(
+/// Views of the full buffers `reads` names, from the run's read snapshots
+/// (`read_refs`, by buffer id); `reader` names the reduction or scan.
+pub(crate) fn full_views<'a>(
     prog: &Program,
-    red: &ReductionExec,
-    fulls: &mut [Vec<f32>],
-) -> Result<(), VmError> {
-    // Views: everything the kernel reads (never its own output).
-    let mut read_refs: Vec<Option<&[f32]>> = vec![None; fulls.len()];
-    let mut out_vec: Vec<f32> = Vec::new();
-    for (i, v) in fulls.iter_mut().enumerate() {
-        if i == red.out.0 {
-            out_vec = std::mem::take(v);
-        } else {
-            read_refs[i] = Some(&v[..]);
-        }
-    }
-    out_vec.fill(red.op.identity());
-
-    let views = reduction_views(prog, red, &read_refs);
-    sweep_reduction(
-        prog,
-        red,
-        &views,
-        &red.red_dom,
-        &mut out_vec,
-        &mut RegFile::new(),
-    );
-    red.op.finish(&mut out_vec);
-
-    fulls[red.out.0] = out_vec;
-    Ok(())
-}
-
-pub(crate) fn reduction_views<'a>(
-    prog: &Program,
-    red: &ReductionExec,
+    reader: &str,
+    reads: &[BufId],
     read_refs: &[Option<&'a [f32]>],
 ) -> Vec<Option<BufView<'a>>> {
     let mut views: Vec<Option<BufView<'a>>> = vec![None; prog.buffers.len()];
-    for &b in &red.reads {
+    for &b in reads {
         let decl = &prog.buffers[b.0];
-        let data = read_refs[b.0].unwrap_or_else(|| {
-            panic!(
-                "reduction `{}` reads unavailable buffer `{}`",
-                red.name, decl.name
-            )
-        });
-        views[b.0] = Some(BufView {
-            data,
-            origin: decl.origin.clone(),
-            strides: decl.strides(),
-            sizes: decl.sizes.clone(),
-        });
+        let data = read_refs[b.0]
+            .unwrap_or_else(|| panic!("`{reader}` reads unavailable buffer `{}`", decl.name));
+        views[b.0] = Some(BufView::full(decl, data));
     }
     views
 }
@@ -720,30 +692,26 @@ pub(crate) fn sweep_reduction(
             reg: red.kernel.outs[1 + d],
         });
     }
-    let n = dom.ndim();
-    let step = match prog.mode {
-        EvalMode::Vector => CHUNK,
-        EvalMode::Scalar => 1,
-    };
+    let axis = dom.ndim() - 1;
     regs.set_simd(prog.simd);
     let lvl = regs.simd_level();
-    let (xlo, xhi) = dom.range(n - 1);
     let mut off = [0i32; CHUNK];
-    for_each_row(dom, dom.ndim() - 1, &mut |coords| {
-        regs.begin_row();
-        let mut x = xlo;
-        while x <= xhi {
-            let len = ((xhi - x + 1) as usize).min(step);
-            coords[n - 1] = x;
+    for_each_chunk(
+        dom,
+        axis,
+        prog.mode.chunk_len(),
+        regs,
+        |regs, coords, len| {
             let ctx = ChunkCtx {
                 coords,
                 len,
-                inner: n - 1,
+                inner: axis,
                 bufs: views,
             };
             eval_kernel(&red.kernel, &ctx, regs);
             // Only the live lanes: those beyond `len` are stale.
             let val = &regs.reg(red.kernel.outs[0])[..len];
+            let x = coords[axis];
             let vector = target.fill_offsets(lvl, &regs.regs, x, len, out.len(), &mut off);
             if vector {
                 scatter(red.op, out, off[..len].iter().map(|&o| o as usize), val);
@@ -752,9 +720,8 @@ pub(crate) fn sweep_reduction(
                 scatter(red.op, out, cells, val);
             }
             regs.counters.count_indexed(vector, len);
-            x += len as i64;
-        }
-    });
+        },
+    );
 }
 
 /// Combines `vals` into `out[cell]`, lane by lane in ascending order (many
@@ -765,33 +732,21 @@ fn scatter(op: Reduction, out: &mut [f32], cells: impl Iterator<Item = usize>, v
     });
 }
 
-pub(crate) fn execute_seq(
-    prog: &Program,
-    seq: &SeqExec,
-    fulls: &mut [Vec<f32>],
-) -> Result<(), VmError> {
+/// Runs a sequential scan over its domain, straight into its output
+/// buffer, which its kernels also read (zero where not yet written).
+pub(crate) fn execute_seq(prog: &Program, seq: &SeqExec, fulls: &mut [Vec<f32>]) {
     let decl = &prog.buffers[seq.out.0];
     let strides = decl.strides();
-    let n = seq.dom.ndim();
-    let step = match (seq.chunked, prog.mode) {
-        (true, EvalMode::Vector) => CHUNK,
-        _ => 1,
+    let axis = seq.dom.ndim() - 1;
+    let step = if seq.chunked {
+        prog.mode.chunk_len()
+    } else {
+        1
     };
-
-    let mut read_refs: Vec<Option<&[f32]>> = vec![None; fulls.len()];
-    let mut out_vec: Vec<f32> = Vec::new();
-    for (i, v) in fulls.iter_mut().enumerate() {
-        if i == seq.out.0 {
-            out_vec = std::mem::take(v);
-        } else {
-            read_refs[i] = Some(&v[..]);
-        }
-    }
-
+    let mut out = std::mem::take(&mut fulls[seq.out.0]);
+    let read_refs: Vec<Option<&[f32]>> = fulls.iter().map(|v| Some(&v[..])).collect();
     let mut regs = RegFile::new();
     regs.set_simd(prog.simd);
-    let mut tmp = [0.0f32; CHUNK];
-    let mut tmp_mask = [0.0f32; CHUNK];
     for case in &seq.cases {
         let rect = case.rect.intersect(&seq.dom);
         if rect.is_empty() {
@@ -801,88 +756,26 @@ pub(crate) fn execute_seq(
         if vrect.is_empty() {
             continue;
         }
-        // strided store addressing: offset + Σ coordᵈ·vstrideᵈ
-        let mut offset = 0i64;
-        let mut vstrides = Vec::with_capacity(n);
-        for (d, &stride) in strides.iter().enumerate().take(n) {
-            let (s, ph) = case.steps.get(d).copied().unwrap_or((1, 0));
-            offset += (ph - decl.origin[d]) * stride;
-            vstrides.push(s * stride);
-        }
-        let (xlo, xhi) = vrect.range(n - 1);
-        for_each_row(&vrect, vrect.ndim() - 1, &mut |coords| {
-            let mut x = xlo;
-            while x <= xhi {
-                let len = ((xhi - x + 1) as usize).min(step);
-                coords[n - 1] = x;
-                {
-                    // The scan's own output buffer mutates between chunks, so
-                    // the uniform-row cache must be invalidated per chunk —
-                    // within one chunk reads precede this chunk's writes,
-                    // exactly matching the unoptimized evaluation order.
-                    regs.begin_row();
-                    // Build views including the (partially written) output.
-                    let mut views = reduction_views_for_seq(prog, seq, &read_refs);
-                    views[seq.out.0] = Some(BufView {
-                        data: &out_vec[..],
-                        origin: decl.origin.clone(),
-                        strides: strides.clone(),
-                        sizes: decl.sizes.clone(),
-                    });
-                    let ctx = ChunkCtx {
-                        coords,
-                        len,
-                        inner: n - 1,
-                        bufs: &views,
-                    };
-                    eval_kernel(&case.kernel, &ctx, &mut regs);
-                    tmp[..len].copy_from_slice(&regs.reg(case.kernel.out())[..len]);
-                    if let Some(m) = case.mask {
-                        tmp_mask[..len].copy_from_slice(&regs.reg(m)[..len]);
-                    }
-                }
-                let mut base = offset;
-                for d in 0..n {
-                    base += coords[d] * vstrides[d];
-                }
-                for i in 0..len {
-                    if case.mask.is_none() || tmp_mask[i] != 0.0 {
-                        out_vec[(base + i as i64 * vstrides[n - 1]) as usize] =
-                            store_convert(tmp[i], seq.sat, seq.round);
-                    }
-                }
-                x += len as i64;
+        let dest = StoreDest::new(&decl.origin, &strides, &case.steps, seq.sat, seq.round);
+        for_each_chunk(&vrect, axis, step, &mut regs, |regs, coords, len| {
+            // The scan's own output buffer mutates between chunks, so the
+            // uniform-row cache must be invalidated per chunk — within one
+            // chunk reads precede this chunk's writes, exactly matching the
+            // unoptimized evaluation order.
+            regs.begin_row();
+            {
+                let mut views = full_views(prog, &seq.name, &seq.reads, &read_refs);
+                views[seq.out.0] = Some(BufView::full(decl, &out));
+                let ctx = ChunkCtx {
+                    coords,
+                    len,
+                    inner: axis,
+                    bufs: &views,
+                };
+                eval_kernel(&case.kernel, &ctx, regs);
             }
+            dest.store(&mut out, coords, axis, len, regs, case);
         });
     }
-
-    fulls[seq.out.0] = out_vec;
-    Ok(())
-}
-
-fn reduction_views_for_seq<'a>(
-    prog: &Program,
-    seq: &SeqExec,
-    read_refs: &[Option<&'a [f32]>],
-) -> Vec<Option<BufView<'a>>> {
-    let mut views: Vec<Option<BufView<'a>>> = vec![None; prog.buffers.len()];
-    for &b in &seq.reads {
-        if b == seq.out {
-            continue; // bound separately to the live output
-        }
-        let decl = &prog.buffers[b.0];
-        let data = read_refs[b.0].unwrap_or_else(|| {
-            panic!(
-                "stage `{}` reads unavailable buffer `{}`",
-                seq.name, decl.name
-            )
-        });
-        views[b.0] = Some(BufView {
-            data,
-            origin: decl.origin.clone(),
-            strides: decl.strides(),
-            sizes: decl.sizes.clone(),
-        });
-    }
-    views
+    fulls[seq.out.0] = out;
 }

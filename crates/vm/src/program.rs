@@ -14,6 +14,17 @@ pub enum EvalMode {
     Scalar,
 }
 
+impl EvalMode {
+    /// Points per kernel evaluation: [`crate::CHUNK`] lanes when chunked,
+    /// one when point-at-a-time.
+    pub(crate) fn chunk_len(self) -> usize {
+        match self {
+            EvalMode::Vector => crate::CHUNK,
+            EvalMode::Scalar => 1,
+        }
+    }
+}
+
 /// One guarded piece of a stage's definition, compiled.
 #[derive(Debug, Clone)]
 pub struct CaseExec {

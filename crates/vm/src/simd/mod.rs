@@ -468,7 +468,7 @@ pub(crate) fn cast_sat(
 }
 
 /// Vectorized chunk store with optional saturation and rounding (the
-/// non-trivial arms of the executor's `store_lanes`). `dst` and `src` are
+/// non-trivial arms of the executor's contiguous store, `StoreDest::store`). `dst` and `src` are
 /// equal-length slices; `dst` may be unaligned (it points into an output
 /// buffer).
 #[inline]

@@ -10,6 +10,23 @@ use polymage_poly::Rect;
 use polymage_vm::*;
 use std::sync::Arc;
 
+/// `dst = buf(x₀ + o₀, x₁ + o₁, …)`: a load at the chunk's coordinates
+/// shifted by `offsets`.
+fn load(dst: u16, buf: BufId, offsets: &[i64]) -> Op {
+    Op::Load {
+        dst: RegId(dst),
+        buf,
+        plan: (0..offsets.len())
+            .map(|d| IdxPlan::Affine {
+                dim: Some(d),
+                q: 1,
+                o: offsets[d],
+                m: 1,
+            })
+            .collect(),
+    }
+}
+
 /// in(x) for x∈[0,63]; blur(x) = in(x−1)+in(x)+in(x+1) on [1,62];
 /// out(x) = blur(x−1)+blur(x+1) on [2,61]. Fused into one tiled group with
 /// 4 strips of 16, blur in scratch, out direct to full.
@@ -39,39 +56,11 @@ fn two_stage_program(mode: EvalMode) -> Program {
         },
     ];
 
-    let load = |buf: BufId, o: i64| Op::Load {
-        dst: RegId(0),
-        buf,
-        plan: vec![IdxPlan::Affine {
-            dim: Some(0),
-            q: 1,
-            o,
-            m: 1,
-        }],
-    };
     let blur_kernel = Kernel {
         ops: vec![
-            load(img, -1),
-            Op::Load {
-                dst: RegId(1),
-                buf: img,
-                plan: vec![IdxPlan::Affine {
-                    dim: Some(0),
-                    q: 1,
-                    o: 0,
-                    m: 1,
-                }],
-            },
-            Op::Load {
-                dst: RegId(2),
-                buf: img,
-                plan: vec![IdxPlan::Affine {
-                    dim: Some(0),
-                    q: 1,
-                    o: 1,
-                    m: 1,
-                }],
-            },
+            load(0, img, &[-1]),
+            load(1, img, &[0]),
+            load(2, img, &[1]),
             Op::BinF {
                 op: BinOp::Add,
                 dst: RegId(3),
@@ -91,17 +80,8 @@ fn two_stage_program(mode: EvalMode) -> Program {
     };
     let out_kernel = Kernel {
         ops: vec![
-            load(blur_s, -1),
-            Op::Load {
-                dst: RegId(1),
-                buf: blur_s,
-                plan: vec![IdxPlan::Affine {
-                    dim: Some(0),
-                    q: 1,
-                    o: 1,
-                    m: 1,
-                }],
-            },
+            load(0, blur_s, &[-1]),
+            load(1, blur_s, &[1]),
             Op::BinF {
                 op: BinOp::Add,
                 dst: RegId(2),
@@ -244,72 +224,74 @@ fn input_validation_errors() {
     assert!(matches!(err, VmError::InputShapeMismatch { index: 0, .. }));
 }
 
-#[test]
-fn histogram_reduction_parallel_matches_serial() {
-    // hist(b) over b∈[0,9]: count input values.
-    let img = BufId(0);
-    let hist = BufId(1);
-    let prog = Arc::new(Program {
-        name: "hist".into(),
+/// One reduction group: `op` over `red_dom` of the value in the first
+/// register `ops` write, into the cell of a `cells`-long accumulator the
+/// last one names; `ops` may load the input image (`in_sizes`, `BufId(0)`).
+fn reduction_program(
+    in_sizes: Vec<i64>,
+    cells: i64,
+    red_dom: Rect,
+    ops: Vec<Op>,
+    op: Reduction,
+) -> Arc<Program> {
+    let (img, out) = (BufId(0), BufId(1));
+    let nregs = ops.len();
+    Arc::new(Program {
+        name: "acc".into(),
         buffers: vec![
             BufDecl {
                 name: "in".into(),
                 kind: BufKind::Full,
-                sizes: vec![32, 32],
-                origin: vec![0, 0],
+                origin: vec![0; in_sizes.len()],
+                sizes: in_sizes,
             },
             BufDecl {
-                name: "hist".into(),
+                name: "acc".into(),
                 kind: BufKind::Full,
-                sizes: vec![10],
+                sizes: vec![cells],
                 origin: vec![0],
             },
         ],
         image_bufs: vec![img],
         groups: vec![GroupExec {
-            name: "hist".into(),
+            name: "acc".into(),
             kind: GroupKind::Reduction(ReductionExec {
-                name: "hist".into(),
-                out: hist,
-                red_dom: Rect::new(vec![(0, 31), (0, 31)]),
+                name: "acc".into(),
+                out,
+                red_dom,
                 kernel: Kernel {
-                    ops: vec![
-                        Op::ConstF {
-                            dst: RegId(0),
-                            val: 1.0,
-                        },
-                        Op::Load {
-                            dst: RegId(1),
-                            buf: img,
-                            plan: vec![
-                                IdxPlan::Affine {
-                                    dim: Some(0),
-                                    q: 1,
-                                    o: 0,
-                                    m: 1,
-                                },
-                                IdxPlan::Affine {
-                                    dim: Some(1),
-                                    q: 1,
-                                    o: 0,
-                                    m: 1,
-                                },
-                            ],
-                        },
-                    ],
-                    nregs: 2,
+                    ops,
+                    nregs,
                     meta: None,
-                    outs: vec![RegId(0), RegId(1)],
+                    outs: vec![RegId(0), RegId(nregs as u16 - 1)],
                 },
-                op: Reduction::Sum,
+                op,
                 reads: vec![img],
             }),
         }],
-        outputs: vec![("hist".into(), hist)],
+        outputs: vec![("acc".into(), out)],
         mode: EvalMode::Vector,
         simd: polymage_vm::process_simd_level(),
         storage: StoragePlan::run_scoped(2),
-    });
+    })
+}
+
+#[test]
+fn histogram_reduction_parallel_matches_serial() {
+    // hist(b) over b∈[0,9]: count input values.
+    let prog = reduction_program(
+        vec![32, 32],
+        10,
+        Rect::new(vec![(0, 31), (0, 31)]),
+        vec![
+            Op::ConstF {
+                dst: RegId(0),
+                val: 1.0,
+            },
+            load(1, BufId(0), &[0, 0]),
+        ],
+        Reduction::Sum,
+    );
     let input = Buffer::zeros(Rect::new(vec![(0, 31), (0, 31)]))
         .fill_with(|p| ((p[0] * 31 + p[1] * 17) % 10) as f32);
     let engine = Engine::with_threads(4);
@@ -333,26 +315,8 @@ fn sequential_scan_prefix_sum() {
     let out = BufId(1);
     let kernel_rec = Kernel {
         ops: vec![
-            Op::Load {
-                dst: RegId(0),
-                buf: out,
-                plan: vec![IdxPlan::Affine {
-                    dim: Some(0),
-                    q: 1,
-                    o: -1,
-                    m: 1,
-                }],
-            },
-            Op::Load {
-                dst: RegId(1),
-                buf: img,
-                plan: vec![IdxPlan::Affine {
-                    dim: Some(0),
-                    q: 1,
-                    o: 0,
-                    m: 1,
-                }],
-            },
+            load(0, out, &[-1]),
+            load(1, img, &[0]),
             Op::BinF {
                 op: BinOp::Add,
                 dst: RegId(2),
@@ -365,16 +329,7 @@ fn sequential_scan_prefix_sum() {
         outs: vec![RegId(2)],
     };
     let kernel_base = Kernel {
-        ops: vec![Op::Load {
-            dst: RegId(0),
-            buf: img,
-            plan: vec![IdxPlan::Affine {
-                dim: Some(0),
-                q: 1,
-                o: 0,
-                m: 1,
-            }],
-        }],
+        ops: vec![load(0, img, &[0])],
         nregs: 1,
         meta: None,
         outs: vec![RegId(0)],
@@ -471,16 +426,7 @@ fn saturating_stores() {
                 rect: Rect::new(vec![(0, 15)]),
                 kernel: Kernel {
                     ops: vec![
-                        Op::Load {
-                            dst: RegId(0),
-                            buf: img,
-                            plan: vec![IdxPlan::Affine {
-                                dim: Some(0),
-                                q: 1,
-                                o: 0,
-                                m: 1,
-                            }],
-                        },
+                        load(0, img, &[0]),
                         Op::ConstF {
                             dst: RegId(1),
                             val: 3.0,
@@ -538,72 +484,30 @@ fn min_max_reductions_and_untouched_cells() {
     // min/max over scattered targets; untouched cells read as 0.
     let engine = Engine::with_threads(3);
     for (op, odd_extreme) in [(Reduction::Min, -9.0f32), (Reduction::Max, 9.0f32)] {
-        let img = BufId(0);
-        let out = BufId(1);
-        let prog = Arc::new(Program {
-            name: "mm".into(),
-            buffers: vec![
-                BufDecl {
-                    name: "in".into(),
-                    kind: BufKind::Full,
-                    sizes: vec![20],
-                    origin: vec![0],
+        let prog = reduction_program(
+            vec![20],
+            4,
+            Rect::new(vec![(0, 19)]),
+            vec![
+                load(0, BufId(0), &[0]),
+                // target = x mod 2 (never touches cells 2, 3)
+                Op::CoordF {
+                    dst: RegId(1),
+                    dim: 0,
                 },
-                BufDecl {
-                    name: "mm".into(),
-                    kind: BufKind::Full,
-                    sizes: vec![4],
-                    origin: vec![0],
+                Op::ConstF {
+                    dst: RegId(2),
+                    val: 2.0,
+                },
+                Op::BinF {
+                    op: BinOp::Mod,
+                    dst: RegId(3),
+                    a: RegId(1),
+                    b: RegId(2),
                 },
             ],
-            image_bufs: vec![img],
-            groups: vec![GroupExec {
-                name: "mm".into(),
-                kind: GroupKind::Reduction(ReductionExec {
-                    name: "mm".into(),
-                    out,
-                    red_dom: Rect::new(vec![(0, 19)]),
-                    kernel: Kernel {
-                        ops: vec![
-                            Op::Load {
-                                dst: RegId(0),
-                                buf: img,
-                                plan: vec![IdxPlan::Affine {
-                                    dim: Some(0),
-                                    q: 1,
-                                    o: 0,
-                                    m: 1,
-                                }],
-                            },
-                            // target = x mod 2 (never touches cells 2, 3)
-                            Op::CoordF {
-                                dst: RegId(1),
-                                dim: 0,
-                            },
-                            Op::ConstF {
-                                dst: RegId(2),
-                                val: 2.0,
-                            },
-                            Op::BinF {
-                                op: BinOp::Mod,
-                                dst: RegId(3),
-                                a: RegId(1),
-                                b: RegId(2),
-                            },
-                        ],
-                        nregs: 4,
-                        meta: None,
-                        outs: vec![RegId(0), RegId(3)],
-                    },
-                    op,
-                    reads: vec![img],
-                }),
-            }],
-            outputs: vec![("mm".into(), out)],
-            mode: EvalMode::Vector,
-            simd: polymage_vm::process_simd_level(),
-            storage: StoragePlan::run_scoped(2),
-        });
+            op,
+        );
         // values −9..10 alternating over even/odd positions
         let input = Buffer::zeros(Rect::new(vec![(0, 19)]))
             .fill_with(|p| (p[0] - 10) as f32 + if p[0] % 2 == 0 { 0.5 } else { 0.0 });
@@ -689,4 +593,39 @@ fn engine_stats_report_group_times() {
     assert!(stats.points_computed > 0);
     assert_eq!(stats.group_times.len(), 1);
     assert_eq!(stats.group_times[0].0, "g0");
+}
+
+#[test]
+fn empty_reduction_domain_yields_finished_identity() {
+    // A reduction over an empty domain sweeps nothing: its output is the
+    // identity, finished (untouched Min/Max cells read as 0), at any
+    // thread count. The domain still gets its one (empty) chunk, so the
+    // combine step has a partial to adopt.
+    let engine = Engine::with_threads(3);
+    for op in [Reduction::Sum, Reduction::Min] {
+        let prog = reduction_program(
+            vec![8],
+            4,
+            Rect::new(vec![(5, 4)]),
+            vec![
+                load(0, BufId(0), &[0]),
+                Op::ConstF {
+                    dst: RegId(1),
+                    val: 0.0,
+                },
+            ],
+            op,
+        );
+        let input = Buffer::zeros(Rect::new(vec![(0, 7)])).fill_with(|p| p[0] as f32 + 1.0);
+        let mut want = vec![op.identity(); 4];
+        op.finish(&mut want);
+        for threads in [1, 3] {
+            let got = engine
+                .submit(RunRequest::new(&prog, std::slice::from_ref(&input)).threads(threads))
+                .and_then(|h| h.join())
+                .unwrap_or_else(|e| panic!("{op:?} threads {threads}: {e}"));
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got[0].data), bits(&want), "{op:?} threads {threads}");
+        }
+    }
 }
