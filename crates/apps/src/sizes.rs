@@ -1,9 +1,8 @@
 //! Canonical image sizes for the seven benchmarks — the single source of
-//! truth behind every `Scale` match arm, test size, and bench preset.
+//! truth behind every `Scale` match arm, test size, and bench size.
 //!
-//! Each benchmark's `new(scale)` routes through this table, and the
-//! `polymage-bench` crate re-exports it (with preset helpers) so binaries
-//! never hard-code their own `(rows, cols)` copies.
+//! Each benchmark's `new(scale)` routes through this table, so tests and
+//! bench binaries never hard-code their own `(rows, cols)` copies.
 //! Pyramid-based apps require dimensions divisible by `2^levels`; the
 //! table entries respect each app's constraint at every scale.
 

@@ -12,8 +12,10 @@
 //!   the two halves of the paper's headline optimization;
 //! - **overlap estimate**: the level-wise tight tile shapes vs forcing
 //!   group splits with a near-zero overlap threshold;
-//! - **kernel optimizer**: the bit-exact SSA pass pipeline plus
-//!   uniform-op hoisting and load specialization on/off;
+//! - **kernel optimizer** (`no-kopt`): the bit-exact SSA rewrites
+//!   (folding, simplification, CSE, DCE, compaction, fixed-dimension
+//!   specialization) on/off — uniform-op hoisting and row-resolved loads
+//!   belong to the evaluator and run in both columns;
 //! - **SIMD backend**: runtime-dispatched vector chunk loops vs the
 //!   forced-scalar fallback (`CompileOptions::with_simd(SimdOpt::Off)`);
 //! - **storage folding** (§3.6, second half): liveness-based scratch-slot

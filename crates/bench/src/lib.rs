@@ -20,8 +20,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod sizes;
-
 use polymage_apps::{Benchmark, Scale};
 use polymage_core::{CompileOptions, Compiled, Schedule, Session};
 use polymage_vm::{Buffer, Engine, EvalMode, RunRequest};

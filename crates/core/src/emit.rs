@@ -230,10 +230,10 @@ fn op_stmt(op: &Op, view: &dyn Fn(BufId) -> View) -> String {
 }
 
 /// A kernel's statements by loop level: `levels[0]` precedes the outermost
-/// of `n` loops, `levels[n]` is the innermost body. With `hoist`, an
-/// optimized kernel's op goes to the level of the innermost coordinate its
-/// value depends on (the optimizer's dependence masks); otherwise every op
-/// runs per point.
+/// of `n` loops, `levels[n]` is the innermost body. With `hoist`, an op
+/// goes to the level of the innermost coordinate its value depends on (the
+/// kernel's dependence masks; bit 31, which coordinates 31 and beyond
+/// share, means the innermost loop); otherwise every op runs per point.
 fn kernel_levels(
     k: &Kernel,
     n: usize,
@@ -242,9 +242,11 @@ fn kernel_levels(
 ) -> Vec<Vec<String>> {
     let mut levels = vec![Vec::new(); n + 1];
     for op in &k.ops {
-        let level = match (&k.meta, hoist) {
-            (Some(meta), true) => (32 - meta.dep[op.dst().0 as usize].leading_zeros()) as usize,
-            _ => n,
+        let dep = k.dep[op.dst().0 as usize];
+        let level = if hoist && dep >> 31 == 0 {
+            (32 - dep.leading_zeros()) as usize
+        } else {
+            n
         };
         levels[level.min(n)].push(op_stmt(op, view));
     }

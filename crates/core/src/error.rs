@@ -47,7 +47,8 @@ pub enum CompileError {
     /// A stage reads or accumulates through an access the executor cannot
     /// address: more than [`polymage_vm::MAX_INDEX_TERMS`] data-dependent
     /// dimensions, or more than that many dimensions driven by one loop
-    /// variable.
+    /// variable; or its kernel would run over a zero-dimensional loop (a
+    /// stage without variables, a reduction over no variables).
     UnsupportedAccess {
         /// Stage name.
         func: String,

@@ -41,7 +41,9 @@ pub struct LowerEnv<'a> {
 /// them is the job of the kernel optimizer's CSE pass
 /// (`polymage_vm::opt`), which keeps lowering trivially correct and makes
 /// the cleanup measurable and ablatable (`kernel_opt: false` runs the
-/// pristine structural form).
+/// pristine structural form). [`KernelBuilder::finish`] builds through
+/// `Kernel::new`, so even that form carries its dependence masks and gets
+/// the evaluator's uniform preamble.
 pub struct KernelBuilder<'a> {
     env: &'a LowerEnv<'a>,
     ops: Vec<Op>,
@@ -89,15 +91,7 @@ impl<'a> KernelBuilder<'a> {
 
     /// Finishes the kernel with the given outputs.
     pub fn finish(self, outs: Vec<RegId>) -> (Kernel, Vec<BufId>) {
-        (
-            Kernel {
-                ops: self.ops,
-                nregs: self.next as usize,
-                meta: None,
-                outs,
-            },
-            self.reads,
-        )
+        (Kernel::new(self.ops, outs), self.reads)
     }
 
     /// Lowers an expression in value position.

@@ -166,9 +166,11 @@ pub struct CompileOptions {
     /// locality knob.
     pub storage_fold: bool,
     /// Run the kernel optimizer (`polymage_vm::opt`): bit-exact constant
-    /// folding, simplification, CSE, DCE, register compaction, uniformity
-    /// analysis, and load specialization. `false` executes kernels exactly
-    /// as lowering emits them (the pre-optimizer behavior, for ablation).
+    /// folding, simplification, CSE, DCE, register compaction and
+    /// fixed-dimension specialization. `false` executes kernels as
+    /// lowering emits them (for ablation and as the optimizer's test
+    /// reference); the evaluator's uniform hoisting and row-resolved loads
+    /// run either way.
     pub kernel_opt: bool,
     /// SIMD backend selection for the chunk evaluator. [`SimdOpt::Auto`]
     /// (the default) uses the best instruction set detected at startup;
@@ -285,8 +287,7 @@ impl CompileOptions {
     /// pipeline's content hash) to key compile caches.
     ///
     /// Every knob participates, since each can change the produced program
-    /// — including `kernel_opt`, which rewrites kernels and attaches
-    /// uniformity metadata.
+    /// — including `kernel_opt`, which rewrites kernels.
     pub fn cache_key(&self) -> OptionsKey {
         OptionsKey {
             params: self.params.clone(),
@@ -381,181 +382,47 @@ pub(crate) fn check_params(
 }
 
 pub mod env {
-    //! Centralized `POLYMAGE_*` environment handling.
+    //! Diagnostics for ignored `POLYMAGE_*` environment variables.
     //!
-    //! `POLYMAGE_SIMD` is the one environment override; it is *consumed*
-    //! where the SIMD level resolves (`polymage_vm::resolve_simd`, which
-    //! also covers engine-only embedders) and validated here. This module
-    //! is the single parse-and-validate entry point, so that a typo or a
-    //! variable this toolchain does not read (such as the retired tile,
-    //! cache and storage-fold overrides) is reported instead of silently
-    //! running the default configuration: every `POLYMAGE_*` variable is
-    //! parsed once per process into [`EnvConfig`] and every problem is
-    //! captured as an [`EnvIssue`], reported once via diag (`env.invalid`
-    //! events) and stderr when compilation first runs with an enabled sink
-    //! (see [`report`]).
-    //!
-    //! The grammar stays owned by its type,
-    //! [`SimdOpt::parse_spelling`](polymage_vm::SimdOpt::parse_spelling),
-    //! so engine-only embedders that bypass `polymage-core` keep the exact
-    //! same spellings.
+    //! `polymage_vm` reads every `POLYMAGE_*` variable once per process
+    //! (engine-only embedders need its `POLYMAGE_SIMD` override) and warns
+    //! about each malformed value or unknown name once on stderr. This
+    //! module reports the same list as structured `env.invalid` diag events
+    //! when compilation first runs with an enabled sink (see [`report`]).
 
     use polymage_diag::{Diag, Value};
-    use polymage_vm::SimdOpt;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Once, OnceLock};
 
-    /// One rejected or unrecognized `POLYMAGE_*` variable.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct EnvIssue {
-        /// The variable name (always `POLYMAGE_`-prefixed).
-        pub var: String,
-        /// The value that was set.
-        pub value: String,
-        /// What was wrong with it (unknown variable / expected grammar).
-        pub problem: String,
-    }
-
-    /// The parsed `POLYMAGE_*` overrides: `None` means unset *or*
-    /// malformed (a malformed value keeps the built-in default and records
-    /// an [`EnvIssue`]).
-    #[derive(Debug, Clone, Default)]
-    pub struct EnvConfig {
-        /// `POLYMAGE_SIMD` — validated here; *consumed* by
-        /// `polymage_vm::resolve_simd`, which also covers engine-only
-        /// embedders.
-        pub simd: Option<SimdOpt>,
-        /// Everything rejected, in variable-name order.
-        pub issues: Vec<EnvIssue>,
-    }
-
-    /// Parses a set of environment variables (pure; exposed for tests).
-    /// Only `POLYMAGE_*` names are considered; order of the input does not
-    /// matter — issues come out sorted by variable name.
-    pub fn parse(vars: impl IntoIterator<Item = (String, String)>) -> EnvConfig {
-        let mut cfg = EnvConfig::default();
-        let mut vars: Vec<(String, String)> = vars
-            .into_iter()
-            .filter(|(k, _)| k.starts_with("POLYMAGE_"))
-            .collect();
-        vars.sort();
-        for (name, value) in vars {
-            let bad = |cfg: &mut EnvConfig, problem: &str| {
-                cfg.issues.push(EnvIssue {
-                    var: name.clone(),
-                    value: value.clone(),
-                    problem: problem.to_string(),
-                });
-            };
-            match name.as_str() {
-                "POLYMAGE_SIMD" => match SimdOpt::parse_spelling(&value) {
-                    Some(opt) => cfg.simd = Some(opt),
-                    None => bad(&mut cfg, "expected off|scalar|sse2|avx2|neon|auto"),
-                },
-                _ => bad(&mut cfg, "unknown POLYMAGE_* variable"),
-            }
-        }
-        cfg
-    }
-
-    /// The process-wide configuration, parsed from the real environment
-    /// once (it feeds compile-cache keys, which must be stable).
-    pub fn get() -> &'static EnvConfig {
-        static CONFIG: OnceLock<EnvConfig> = OnceLock::new();
-        CONFIG.get_or_init(|| parse(std::env::vars()))
-    }
-
-    /// Reports every [`EnvIssue`] of the process-wide configuration: once
-    /// to stderr (ever), and once as structured `env.invalid` diag events
-    /// on the first *enabled* sink offered. Called from the compiler entry
-    /// points; idempotent and cheap when there is nothing to say.
+    /// Reports every ignored `POLYMAGE_*` variable
+    /// ([`polymage_vm::env_issues`]) once as structured `env.invalid` diag
+    /// events on the first *enabled* sink offered. Called from the compiler
+    /// entry points; idempotent and cheap when there is nothing to say.
     pub fn report(diag: &Diag) {
-        let cfg = get();
-        if cfg.issues.is_empty() {
+        let issues = polymage_vm::env_issues();
+        static DIAG_DONE: AtomicBool = AtomicBool::new(false);
+        if issues.is_empty()
+            || !diag.enabled()
+            || DIAG_DONE
+                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
+                .is_err()
+        {
             return;
         }
-        static STDERR_ONCE: Once = Once::new();
-        STDERR_ONCE.call_once(|| {
-            for issue in &cfg.issues {
-                eprintln!(
-                    "polymage: ignoring {} = `{}` ({})",
-                    issue.var, issue.value, issue.problem
-                );
-            }
-        });
-        static DIAG_DONE: AtomicBool = AtomicBool::new(false);
-        if diag.enabled()
-            && DIAG_DONE
-                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-        {
-            for issue in &cfg.issues {
-                diag.event(
-                    "env.invalid",
-                    vec![
-                        ("var", Value::Str(issue.var.clone())),
-                        ("value", Value::Str(issue.value.clone())),
-                        ("problem", Value::Str(issue.problem.clone())),
-                    ],
-                );
-            }
+        for issue in issues {
+            diag.event(
+                "env.invalid",
+                vec![
+                    ("var", Value::Str(issue.var.clone())),
+                    ("value", Value::Str(issue.value.clone())),
+                    ("problem", Value::Str(issue.problem.clone())),
+                ],
+            );
         }
     }
 
     #[cfg(test)]
     mod tests {
         use super::*;
-
-        fn pairs(kv: &[(&str, &str)]) -> Vec<(String, String)> {
-            kv.iter()
-                .map(|&(k, v)| (k.to_string(), v.to_string()))
-                .collect()
-        }
-
-        #[test]
-        fn parses_known_vars() {
-            let cfg = parse(pairs(&[
-                ("POLYMAGE_SIMD", "avx2"),
-                ("PATH", "/usr/bin"), // non-POLYMAGE vars are ignored
-            ]));
-            assert_eq!(cfg.simd, Some(SimdOpt::Avx2));
-            assert!(cfg.issues.is_empty());
-        }
-
-        #[test]
-        fn flags_malformed_values_and_keeps_defaults() {
-            let cfg = parse(pairs(&[("POLYMAGE_SIMD", "avx512")]));
-            assert_eq!(cfg.simd, None);
-            assert_eq!(cfg.issues.len(), 1);
-            assert_eq!(cfg.issues[0].var, "POLYMAGE_SIMD");
-        }
-
-        #[test]
-        fn flags_unknown_polymage_vars() {
-            let cfg = parse(pairs(&[
-                ("POLYMAGE_TILES", "auto"), // typo
-                ("POLYMAGE_SIMD", "off"),
-                // Overrides this toolchain no longer reads.
-                ("POLYMAGE_TILE", "auto"),
-                ("POLYMAGE_CACHE", "48k:2m:64"),
-                ("POLYMAGE_STORAGE_FOLD", "off"),
-            ]));
-            assert_eq!(cfg.simd, Some(SimdOpt::Off));
-            let vars: Vec<&str> = cfg.issues.iter().map(|i| i.var.as_str()).collect();
-            assert_eq!(
-                vars,
-                [
-                    "POLYMAGE_CACHE",
-                    "POLYMAGE_STORAGE_FOLD",
-                    "POLYMAGE_TILE",
-                    "POLYMAGE_TILES"
-                ]
-            );
-            assert!(cfg
-                .issues
-                .iter()
-                .all(|i| i.problem == "unknown POLYMAGE_* variable"));
-        }
 
         #[test]
         fn report_is_idempotent_and_panic_free() {

@@ -290,7 +290,8 @@ pub(crate) enum KernelBody<'a> {
 /// embeds no parameter value and was built for the same signature; then it
 /// is byte-identical to what lowering at `env.params` would produce.
 /// Otherwise the body is lowered at `env.params` and, under `kernel_opt`,
-/// optimized.
+/// optimized. A kernel over a zero-dimensional loop domain (a stage
+/// without variables, a reduction over no variables) is rejected.
 pub(crate) fn build_kernel(
     env: &LowerEnv<'_>,
     body: KernelBody<'_>,
@@ -299,6 +300,13 @@ pub(crate) fn build_kernel(
     kernel_opt: bool,
     name: String,
 ) -> Result<(KernelProto, bool), CompileError> {
+    if rect.ndim() == 0 {
+        let (KernelBody::Case(f, ..) | KernelBody::Reduce(f)) = body;
+        return Err(CompileError::UnsupportedAccess {
+            func: env.pipe.func(f).name.clone(),
+            reason: "its loop domain has no dimensions; the executor chunks along one".into(),
+        });
+    }
     let fixed = if kernel_opt {
         fixed_dims(rect, steps)
     } else {

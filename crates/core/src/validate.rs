@@ -9,7 +9,7 @@
 //! scheduler regression is caught as a named invariant violation rather
 //! than a mysterious wrong pixel.
 
-use polymage_vm::{BufKind, GroupKind, IdxPlan, Kernel, Op, Program, TiledGroup};
+use polymage_vm::{BufKind, GroupKind, Kernel, Op, Program, TiledGroup};
 
 /// One violated invariant.
 #[derive(Debug, Clone, PartialEq)]
@@ -249,48 +249,31 @@ fn validate_tiled(prog: &Program, tg: &TiledGroup, push: &mut dyn FnMut(String))
 }
 
 fn validate_kernel(prog: &Program, k: &Kernel, push: &mut dyn FnMut(String)) {
+    if k.dep.len() != k.nregs {
+        push(format!(
+            "kernel has {} dependence masks for {} registers",
+            k.dep.len(),
+            k.nregs
+        ));
+    }
     let mut defined = vec![false; k.nregs];
     for op in &k.ops {
         // SSA: operands defined before use, destination fresh
-        let check_use = |r: polymage_vm::RegId, push: &mut dyn FnMut(String)| {
+        op.for_each_src(|r| {
             if r.0 as usize >= k.nregs || !defined[r.0 as usize] {
                 push(format!("kernel reads undefined register r{}", r.0));
             }
-        };
-        match op {
-            Op::ConstF { .. } | Op::CoordF { .. } => {}
-            Op::BinF { a, b, .. }
-            | Op::CmpMask { a, b, .. }
-            | Op::MaskAnd { a, b, .. }
-            | Op::MaskOr { a, b, .. } => {
-                check_use(*a, push);
-                check_use(*b, push);
-            }
-            Op::UnF { a, .. }
-            | Op::MaskNot { a, .. }
-            | Op::CastRound { a, .. }
-            | Op::CastSat { a, .. } => check_use(*a, push),
-            Op::SelectF { mask, a, b, .. } => {
-                check_use(*mask, push);
-                check_use(*a, push);
-                check_use(*b, push);
-            }
-            Op::Load { buf, plan, .. } => {
-                if buf.0 >= prog.buffers.len() {
-                    push(format!("kernel loads undeclared buffer {}", buf.0));
-                } else if plan.len() != prog.buffers[buf.0].sizes.len() {
-                    push(format!(
-                        "kernel load plan rank {} != buffer `{}` rank {}",
-                        plan.len(),
-                        prog.buffers[buf.0].name,
-                        prog.buffers[buf.0].sizes.len()
-                    ));
-                }
-                for p in plan {
-                    if let IdxPlan::Reg(r) = p {
-                        check_use(*r, push);
-                    }
-                }
+        });
+        if let Op::Load { buf, plan, .. } = op {
+            if buf.0 >= prog.buffers.len() {
+                push(format!("kernel loads undeclared buffer {}", buf.0));
+            } else if plan.len() != prog.buffers[buf.0].sizes.len() {
+                push(format!(
+                    "kernel load plan rank {} != buffer `{}` rank {}",
+                    plan.len(),
+                    prog.buffers[buf.0].name,
+                    prog.buffers[buf.0].sizes.len()
+                ));
             }
         }
         let dst = op.dst();
@@ -333,15 +316,13 @@ mod tests {
 
     fn tiny_prog() -> Program {
         // single direct stage writing a 1-D buffer with 2 strips
-        let kernel = Kernel {
-            ops: vec![Op::ConstF {
+        let kernel = Kernel::new(
+            vec![Op::ConstF {
                 dst: RegId(0),
                 val: 1.0,
             }],
-            nregs: 1,
-            meta: None,
-            outs: vec![RegId(0)],
-        };
+            vec![RegId(0)],
+        );
         let buffers = vec![BufDecl {
             name: "out".into(),
             kind: BufKind::Full,
@@ -433,8 +414,8 @@ mod tests {
     fn detects_ssa_violations() {
         let mut p = tiny_prog();
         if let GroupKind::Tiled(tg) = &mut p.groups[0].kind {
-            tg.stages[0].cases[0].kernel = Kernel {
-                ops: vec![
+            tg.stages[0].cases[0].kernel = Kernel::new(
+                vec![
                     Op::ConstF {
                         dst: RegId(0),
                         val: 1.0,
@@ -444,26 +425,22 @@ mod tests {
                         val: 2.0,
                     }, // double write
                 ],
-                nregs: 1,
-                meta: None,
-                outs: vec![RegId(0)],
-            };
+                vec![RegId(0)],
+            );
         }
         let vs = validate_program(&p);
         assert!(vs.iter().any(|v| v.message.contains("SSA")), "{vs:?}");
         // undefined use
         let mut p = tiny_prog();
         if let GroupKind::Tiled(tg) = &mut p.groups[0].kind {
-            tg.stages[0].cases[0].kernel = Kernel {
-                ops: vec![Op::UnF {
+            tg.stages[0].cases[0].kernel = Kernel::new(
+                vec![Op::UnF {
                     op: polymage_ir::UnOp::Neg,
                     dst: RegId(1),
                     a: RegId(0), // never defined
                 }],
-                nregs: 2,
-                meta: None,
-                outs: vec![RegId(1)],
-            };
+                vec![RegId(1)],
+            );
         }
         let vs = validate_program(&p);
         assert!(

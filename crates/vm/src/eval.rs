@@ -11,7 +11,6 @@
 //! and source registers without copying.
 
 use crate::index::IndexPlan;
-use crate::kernel::OptMeta;
 use crate::loadclass::{self, ResolvedLoad};
 use crate::simd::{self, Lanes, SimdLevel};
 use crate::{BufDecl, Kernel, Op};
@@ -63,7 +62,7 @@ pub struct ChunkCtx<'a> {
 }
 
 /// Uniform-preamble cache and load-resolution counters, accumulated by a
-/// [`RegFile`] while evaluating optimized kernels and drained with
+/// [`RegFile`] while evaluating kernels and drained with
 /// [`RegFile::take_counters`].
 ///
 /// These are plain integers bumped in the evaluator (never diagnostics
@@ -76,7 +75,7 @@ pub struct EvalCounters {
     /// Chunks that (re)computed the uniform preamble.
     pub uniform_misses: u64,
     /// Load-class histogram of row-resolved loads (counted at resolve
-    /// time, i.e. once per row per lane-varying load).
+    /// time, i.e. once per row per load).
     pub loads: crate::LoadHistogram,
     /// Lanes evaluated while dispatching AVX2 chunk loops.
     pub simd_lanes_avx2: u64,
@@ -124,13 +123,12 @@ impl EvalCounters {
 /// The register file backing kernel evaluation. Reused across chunks to
 /// avoid allocation in inner loops.
 ///
-/// For kernels carrying optimizer metadata ([`crate::kernel::OptMeta`]) the
-/// file additionally caches the chunk-invariant *preamble* — uniform
+/// The file also caches a kernel's chunk-invariant *preamble* — uniform
 /// register values and resolved load plans — across the chunks of one row.
 /// Executors call [`RegFile::begin_row`] whenever the outer coordinates,
-/// buffer views, or current kernel may have changed; evaluating an
-/// optimized kernel at different outer coordinates without an intervening
-/// `begin_row` is detected by the coordinate check and recomputed.
+/// buffer views, or current kernel may have changed; evaluating a kernel
+/// at different outer coordinates without an intervening `begin_row` is
+/// detected by the coordinate check and recomputed.
 #[derive(Debug)]
 pub struct RegFile {
     pub(crate) regs: Vec<Lanes>,
@@ -155,7 +153,7 @@ pub struct RegFile {
     resolved: Vec<ResolvedLoad>,
     /// The cached row's index plans ([`ResolvedLoad::Indexed`] positions).
     pub(crate) plans: Vec<IndexPlan>,
-    /// Optimized-kernel evaluation counters since the last drain.
+    /// Evaluation counters since the last drain.
     pub(crate) counters: EvalCounters,
 }
 
@@ -330,6 +328,11 @@ impl RegFile {
 /// Evaluates `k` over the chunk described by `ctx`, leaving results in
 /// `regs` at `k.outs`.
 ///
+/// Chunk-invariant ops (dependence bit of the chunk axis clear, see
+/// [`Kernel::dep`]) run once per row in a scalar preamble, cached across
+/// the row's chunks; lane-varying ops run through the vector loops, and
+/// loads dispatch through the form resolved for the row.
+///
 /// # Panics
 ///
 /// Panics (in debug builds) on malformed kernels: unresolved buffers,
@@ -338,26 +341,8 @@ impl RegFile {
 pub fn eval_kernel(k: &Kernel, ctx: &ChunkCtx<'_>, regs: &mut RegFile) {
     regs.ensure(k.nregs);
     regs.counters.count_chunk(regs.simd, ctx.len);
-    if let Some(meta) = &k.meta {
-        eval_optimized(k, meta, ctx, regs);
-        return;
-    }
-    // Loads on this path resolve per chunk into the row cache's plan list
-    // (see `exec_op`), so whatever row was cached is gone.
-    regs.begin_row();
     let len = ctx.len;
-    for op in &k.ops {
-        exec_op(op, ctx, regs, len);
-    }
-}
-
-/// Evaluates a kernel carrying uniformity metadata: chunk-invariant ops run
-/// once per row in a scalar preamble (cached across the row's chunks),
-/// lane-varying ops run through the same vector loops as the legacy path,
-/// and loads dispatch through their resolved class.
-fn eval_optimized(k: &Kernel, meta: &OptMeta, ctx: &ChunkCtx<'_>, regs: &mut RegFile) {
-    let len = ctx.len;
-    let inner_bit: u32 = 1u32 << ctx.inner;
+    let inner_bit: u32 = 1u32 << ctx.inner.min(31);
     let token = k.ops.as_ptr() as usize;
     let fresh = !regs.cache_valid(token, ctx);
     if fresh {
@@ -369,7 +354,7 @@ fn eval_optimized(k: &Kernel, meta: &OptMeta, ctx: &ChunkCtx<'_>, regs: &mut Reg
         plans.clear();
         for op in &k.ops {
             if let Op::Load { dst, buf, plan } = op {
-                let r = if meta.dep[dst.0 as usize] & inner_bit == 0 {
+                let r = if k.dep[dst.0 as usize] & inner_bit == 0 {
                     ResolvedLoad::Uniform
                 } else {
                     loadclass::resolve_load(ctx, *buf, plan, &mut plans)
@@ -388,9 +373,13 @@ fn eval_optimized(k: &Kernel, meta: &OptMeta, ctx: &ChunkCtx<'_>, regs: &mut Reg
     let mut li = 0usize;
     for op in &k.ops {
         let dst = op.dst().0 as usize;
-        if meta.dep[dst] & inner_bit == 0 {
+        if k.dep[dst] & inner_bit == 0 {
             if fresh {
-                eval_op_scalar(op, ctx, regs);
+                // The uniform preamble: lane 0 only.
+                regs.regs[dst][0] = match op {
+                    Op::Load { buf, plan, .. } => loadclass::load_scalar(ctx, regs, *buf, plan),
+                    _ => op.eval_scalar(ctx.coords, |r| regs.regs[r.0 as usize][0]),
+                };
                 regs.bcast[dst] = false;
             }
             if matches!(op, Op::Load { .. }) {
@@ -400,12 +389,12 @@ fn eval_optimized(k: &Kernel, meta: &OptMeta, ctx: &ChunkCtx<'_>, regs: &mut Reg
         }
         // Lane-varying op: materialize uniform operands first.
         op.for_each_src(|r| {
-            if meta.dep[r.0 as usize] & inner_bit == 0 {
+            if k.dep[r.0 as usize] & inner_bit == 0 {
                 regs.broadcast_full(r.0);
             }
         });
-        if let Op::Load { dst, buf, .. } = op {
-            loadclass::exec_resolved(ctx, regs, *dst, *buf, resolved[li], &plans, len);
+        if let Op::Load { dst, buf, plan } = op {
+            loadclass::exec_resolved(ctx, regs, *dst, *buf, plan, resolved[li], &plans, len);
             li += 1;
         } else {
             exec_op(op, ctx, regs, len);
@@ -415,167 +404,124 @@ fn eval_optimized(k: &Kernel, meta: &OptMeta, ctx: &ChunkCtx<'_>, regs: &mut Reg
     regs.plans = plans;
     // Consumers (stores, reduction scatter, store masks) read full lanes.
     for &o in &k.outs {
-        if meta.dep[o.0 as usize] & inner_bit == 0 {
+        if k.dep[o.0 as usize] & inner_bit == 0 {
             regs.broadcast_full(o.0);
         }
     }
 }
 
-/// Scalar (lane-0) evaluation of one op — the uniform preamble. Uses the
-/// op table of `polymage_ir`, as the vector loops in [`exec_op`] do, so
-/// uniform results are bit-identical to evaluating all lanes.
-fn eval_op_scalar(op: &Op, ctx: &ChunkCtx<'_>, regs: &mut RegFile) {
-    let r = |x: crate::RegId| regs.regs[x.0 as usize][0];
-    let v = match *op {
-        Op::ConstF { val, .. } => val,
-        Op::CoordF { dim, .. } => ctx.coords[dim] as f32,
-        Op::BinF { op, a, b, .. } => op.eval(r(a), r(b)),
-        Op::UnF { op, a, .. } => op.eval(r(a)),
-        Op::CmpMask { op, a, b, .. } => op.mask(r(a), r(b)),
-        Op::MaskAnd { a, b, .. } => r(a) * r(b),
-        Op::MaskOr { a, b, .. } => r(a).max(r(b)),
-        Op::MaskNot { a, .. } => 1.0 - r(a),
-        Op::SelectF { mask, a, b, .. } => {
-            if r(mask) != 0.0 {
-                r(a)
+/// Executes one lane-varying non-load op across the chunk.
+fn exec_op(op: &Op, ctx: &ChunkCtx<'_>, regs: &mut RegFile, len: usize) {
+    match op {
+        Op::CoordF { dst, dim } => {
+            let d = &mut regs.regs[dst.0 as usize];
+            if *dim == ctx.inner {
+                let x0 = ctx.coords[*dim];
+                for (i, v) in d[..len].iter_mut().enumerate() {
+                    *v = (x0 + i as i64) as f32;
+                }
             } else {
-                r(b)
+                // Another coordinate sharing the chunk axis's dependence
+                // bit (31 and beyond): constant along the chunk.
+                d[..len].fill(ctx.coords[*dim] as f32);
             }
         }
-        Op::CastRound { a, .. } => round_ties_away(r(a)),
-        Op::CastSat { a, lo, hi, .. } => store_convert(r(a), Some((lo, hi)), true),
-        Op::Load { buf, ref plan, .. } => loadclass::load_scalar(ctx, regs, buf, plan),
-    };
-    regs.regs[op.dst().0 as usize][0] = v;
-}
-
-/// Executes one op across the chunk (the legacy all-lanes path; also the
-/// lane-varying body of optimized kernels).
-fn exec_op(op: &Op, ctx: &ChunkCtx<'_>, regs: &mut RegFile, len: usize) {
-    {
-        match op {
-            Op::ConstF { dst, val } => {
-                regs.regs[dst.0 as usize][..len].fill(*val);
+        Op::BinF { op, dst, a, b } => {
+            let lvl = regs.simd;
+            let (d, va, vb) = regs.tri(dst.0, a.0, b.0);
+            if simd::bin(lvl, *op, d, va, vb, len) {
+                return;
             }
-            Op::CoordF { dst, dim } => {
-                let d = &mut regs.regs[dst.0 as usize];
-                if *dim == ctx.inner {
-                    let x0 = ctx.coords[*dim];
-                    for (i, v) in d[..len].iter_mut().enumerate() {
-                        *v = (x0 + i as i64) as f32;
-                    }
-                } else {
-                    d[..len].fill(ctx.coords[*dim] as f32);
-                }
-            }
-            Op::BinF { op, dst, a, b } => {
-                let lvl = regs.simd;
-                let (d, va, vb) = regs.tri(dst.0, a.0, b.0);
-                if simd::bin(lvl, *op, d, va, vb, len) {
-                    return;
-                }
-                per_op!(*op, BinOp { Add Sub Mul Div Min Max Mod Pow }, |o| {
-                    for i in 0..len {
-                        d[i] = o.eval(va[i], vb[i]);
-                    }
-                });
-            }
-            Op::UnF { op, dst, a } => {
-                let (d, va) = regs.pair(dst.0, a.0);
-                per_op!(*op, UnOp { Neg Abs Sqrt Exp Log Sin Cos Floor Ceil }, |o| {
-                    for i in 0..len {
-                        d[i] = o.eval(va[i]);
-                    }
-                });
-            }
-            Op::CmpMask { op, dst, a, b } => {
-                let lvl = regs.simd;
-                let (d, va, vb) = regs.tri(dst.0, a.0, b.0);
-                if simd::cmp(lvl, *op, d, va, vb, len) {
-                    return;
-                }
-                per_op!(*op, CmpOp { Lt Le Gt Ge Eq Ne }, |o| {
-                    for i in 0..len {
-                        d[i] = o.mask(va[i], vb[i]);
-                    }
-                });
-            }
-            Op::MaskAnd { dst, a, b } => {
-                let lvl = regs.simd;
-                let (d, va, vb) = regs.tri(dst.0, a.0, b.0);
-                // Mask AND is a lane product — same instruction as `Mul`.
-                if simd::bin(lvl, BinOp::Mul, d, va, vb, len) {
-                    return;
-                }
+            per_op!(*op, BinOp { Add Sub Mul Div Min Max Mod Pow }, |o| {
                 for i in 0..len {
-                    d[i] = va[i] * vb[i];
+                    d[i] = o.eval(va[i], vb[i]);
                 }
-            }
-            Op::MaskOr { dst, a, b } => {
-                let lvl = regs.simd;
-                let (d, va, vb) = regs.tri(dst.0, a.0, b.0);
-                // Mask OR is a lane max — same sequence as `Max`.
-                if simd::bin(lvl, BinOp::Max, d, va, vb, len) {
-                    return;
-                }
+            });
+        }
+        Op::UnF { op, dst, a } => {
+            let (d, va) = regs.pair(dst.0, a.0);
+            per_op!(*op, UnOp { Neg Abs Sqrt Exp Log Sin Cos Floor Ceil }, |o| {
                 for i in 0..len {
-                    d[i] = va[i].max(vb[i]);
+                    d[i] = o.eval(va[i]);
                 }
+            });
+        }
+        Op::CmpMask { op, dst, a, b } => {
+            let lvl = regs.simd;
+            let (d, va, vb) = regs.tri(dst.0, a.0, b.0);
+            if simd::cmp(lvl, *op, d, va, vb, len) {
+                return;
             }
-            Op::MaskNot { dst, a } => {
-                let lvl = regs.simd;
-                let (d, va) = regs.pair(dst.0, a.0);
-                if simd::mask_not(lvl, d, va, len) {
-                    return;
-                }
+            per_op!(*op, CmpOp { Lt Le Gt Ge Eq Ne }, |o| {
                 for i in 0..len {
-                    d[i] = 1.0 - va[i];
+                    d[i] = o.mask(va[i], vb[i]);
                 }
+            });
+        }
+        Op::MaskAnd { dst, a, b } => {
+            let lvl = regs.simd;
+            let (d, va, vb) = regs.tri(dst.0, a.0, b.0);
+            // Mask AND is a lane product — same instruction as `Mul`.
+            if simd::bin(lvl, BinOp::Mul, d, va, vb, len) {
+                return;
             }
-            Op::SelectF { dst, mask, a, b } => {
-                let lvl = regs.simd;
-                let (d, vm, va, vb) = regs.quad(dst.0, mask.0, a.0, b.0);
-                if simd::select(lvl, d, vm, va, vb, len) {
-                    return;
-                }
-                for i in 0..len {
-                    d[i] = if vm[i] != 0.0 { va[i] } else { vb[i] };
-                }
+            for i in 0..len {
+                d[i] = va[i] * vb[i];
             }
-            Op::CastRound { dst, a } => {
-                let lvl = regs.simd;
-                let (d, va) = regs.pair(dst.0, a.0);
-                if simd::cast_round(lvl, d, va, len) {
-                    return;
-                }
-                for i in 0..len {
-                    d[i] = round_ties_away(va[i]);
-                }
+        }
+        Op::MaskOr { dst, a, b } => {
+            let lvl = regs.simd;
+            let (d, va, vb) = regs.tri(dst.0, a.0, b.0);
+            // Mask OR is a lane max — same sequence as `Max`.
+            if simd::bin(lvl, BinOp::Max, d, va, vb, len) {
+                return;
             }
-            Op::CastSat { dst, a, lo, hi } => {
-                let lvl = regs.simd;
-                let (d, va) = regs.pair(dst.0, a.0);
-                if simd::cast_sat(lvl, d, va, *lo, *hi, len) {
-                    return;
-                }
-                for i in 0..len {
-                    d[i] = store_convert(va[i], Some((*lo, *hi)), true);
-                }
+            for i in 0..len {
+                d[i] = va[i].max(vb[i]);
             }
-            Op::Load { dst, buf, plan } => {
-                // No row cache on this path: resolve for this chunk alone,
-                // with the (invalidated) cache's plan list as scratch.
-                let mut plans = std::mem::take(&mut regs.plans);
-                plans.clear();
-                match loadclass::resolve_load(ctx, *buf, plan, &mut plans) {
-                    ResolvedLoad::Uniform => {
-                        let v = loadclass::load_scalar(ctx, regs, *buf, plan);
-                        regs.regs[dst.0 as usize][..len].fill(v);
-                    }
-                    r => loadclass::exec_resolved(ctx, regs, *dst, *buf, r, &plans, len),
-                }
-                regs.plans = plans;
+        }
+        Op::MaskNot { dst, a } => {
+            let lvl = regs.simd;
+            let (d, va) = regs.pair(dst.0, a.0);
+            if simd::mask_not(lvl, d, va, len) {
+                return;
             }
+            for i in 0..len {
+                d[i] = 1.0 - va[i];
+            }
+        }
+        Op::SelectF { dst, mask, a, b } => {
+            let lvl = regs.simd;
+            let (d, vm, va, vb) = regs.quad(dst.0, mask.0, a.0, b.0);
+            if simd::select(lvl, d, vm, va, vb, len) {
+                return;
+            }
+            for i in 0..len {
+                d[i] = if vm[i] != 0.0 { va[i] } else { vb[i] };
+            }
+        }
+        Op::CastRound { dst, a } => {
+            let lvl = regs.simd;
+            let (d, va) = regs.pair(dst.0, a.0);
+            if simd::cast_round(lvl, d, va, len) {
+                return;
+            }
+            for i in 0..len {
+                d[i] = round_ties_away(va[i]);
+            }
+        }
+        Op::CastSat { dst, a, lo, hi } => {
+            let lvl = regs.simd;
+            let (d, va) = regs.pair(dst.0, a.0);
+            if simd::cast_sat(lvl, d, va, *lo, *hi, len) {
+                return;
+            }
+            for i in 0..len {
+                d[i] = store_convert(va[i], Some((*lo, *hi)), true);
+            }
+        }
+        Op::ConstF { .. } | Op::Load { .. } => {
+            unreachable!("constants are uniform; loads run through their resolved form")
         }
     }
 }
@@ -583,7 +529,8 @@ fn exec_op(op: &Op, ctx: &ChunkCtx<'_>, regs: &mut RegFile, len: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BufId, IdxPlan, RegId};
+    use crate::kernel::test_ops::{affine, bin, cf, coord, load};
+    use crate::{IdxPlan, RegId};
 
     fn view(data: &[f32], origin: Vec<i64>, sizes: Vec<i64>) -> BufView<'_> {
         let mut strides = vec![1i64; sizes.len()];
@@ -612,53 +559,19 @@ mod tests {
 
     #[test]
     fn const_and_arith() {
-        let k = Kernel {
-            ops: vec![
-                Op::ConstF {
-                    dst: RegId(0),
-                    val: 2.0,
-                },
-                Op::ConstF {
-                    dst: RegId(1),
-                    val: 3.0,
-                },
-                Op::BinF {
-                    op: BinOp::Mul,
-                    dst: RegId(2),
-                    a: RegId(0),
-                    b: RegId(1),
-                },
-            ],
-            nregs: 3,
-            meta: None,
-            outs: vec![RegId(2)],
-        };
+        let k = Kernel::new(
+            vec![cf(0, 2.0), cf(1, 3.0), bin(BinOp::Mul, 2, 0, 1)],
+            vec![RegId(2)],
+        );
         assert_eq!(eval_simple(&k, &[0], 4, &[]), vec![6.0; 4]);
     }
 
     #[test]
     fn coord_iota_and_broadcast() {
-        let k = Kernel {
-            ops: vec![
-                Op::CoordF {
-                    dst: RegId(0),
-                    dim: 1,
-                },
-                Op::CoordF {
-                    dst: RegId(1),
-                    dim: 0,
-                },
-                Op::BinF {
-                    op: BinOp::Add,
-                    dst: RegId(2),
-                    a: RegId(0),
-                    b: RegId(1),
-                },
-            ],
-            nregs: 3,
-            meta: None,
-            outs: vec![RegId(2)],
-        };
+        let k = Kernel::new(
+            vec![coord(0, 1), coord(1, 0), bin(BinOp::Add, 2, 0, 1)],
+            vec![RegId(2)],
+        );
         // coords (y=7, x0=10): out = [17, 18, 19]
         assert_eq!(eval_simple(&k, &[7, 10], 3, &[]), vec![17.0, 18.0, 19.0]);
     }
@@ -667,21 +580,7 @@ mod tests {
     fn contiguous_load() {
         let data: Vec<f32> = (0..20).map(|i| i as f32).collect();
         let v = view(&data, vec![0], vec![20]);
-        let k = Kernel {
-            ops: vec![Op::Load {
-                dst: RegId(0),
-                buf: BufId(0),
-                plan: vec![IdxPlan::Affine {
-                    dim: Some(0),
-                    q: 1,
-                    o: 2,
-                    m: 1,
-                }],
-            }],
-            nregs: 1,
-            meta: None,
-            outs: vec![RegId(0)],
-        };
+        let k = Kernel::new(vec![load(0, vec![affine(0, 1, 2, 1)])], vec![RegId(0)]);
         assert_eq!(eval_simple(&k, &[5], 3, &[Some(v)]), vec![7.0, 8.0, 9.0]);
     }
 
@@ -690,41 +589,13 @@ mod tests {
         let data: Vec<f32> = (0..20).map(|i| i as f32).collect();
         let v = view(&data, vec![0], vec![20]);
         // 2x+1 over x=[1..3]
-        let k = Kernel {
-            ops: vec![Op::Load {
-                dst: RegId(0),
-                buf: BufId(0),
-                plan: vec![IdxPlan::Affine {
-                    dim: Some(0),
-                    q: 2,
-                    o: 1,
-                    m: 1,
-                }],
-            }],
-            nregs: 1,
-            meta: None,
-            outs: vec![RegId(0)],
-        };
+        let k = Kernel::new(vec![load(0, vec![affine(0, 2, 1, 1)])], vec![RegId(0)]);
         assert_eq!(
             eval_simple(&k, &[1], 3, &[Some(v.clone())]),
             vec![3.0, 5.0, 7.0]
         );
         // x/2 over x=[4..7]
-        let k = Kernel {
-            ops: vec![Op::Load {
-                dst: RegId(0),
-                buf: BufId(0),
-                plan: vec![IdxPlan::Affine {
-                    dim: Some(0),
-                    q: 1,
-                    o: 0,
-                    m: 2,
-                }],
-            }],
-            nregs: 1,
-            meta: None,
-            outs: vec![RegId(0)],
-        };
+        let k = Kernel::new(vec![load(0, vec![affine(0, 1, 0, 2)])], vec![RegId(0)]);
         assert_eq!(
             eval_simple(&k, &[4], 4, &[Some(v)]),
             vec![2.0, 2.0, 3.0, 3.0]
@@ -737,29 +608,10 @@ mod tests {
         let data: Vec<f32> = (0..12).map(|i| i as f32).collect();
         let v = view(&data, vec![2, 10], vec![3, 4]);
         // load (y=3, x) for x in [11..13]  → row 1, cols 1..3 → 5,6,7
-        let k = Kernel {
-            ops: vec![Op::Load {
-                dst: RegId(0),
-                buf: BufId(0),
-                plan: vec![
-                    IdxPlan::Affine {
-                        dim: Some(0),
-                        q: 1,
-                        o: 0,
-                        m: 1,
-                    },
-                    IdxPlan::Affine {
-                        dim: Some(1),
-                        q: 1,
-                        o: 0,
-                        m: 1,
-                    },
-                ],
-            }],
-            nregs: 1,
-            meta: None,
-            outs: vec![RegId(0)],
-        };
+        let k = Kernel::new(
+            vec![load(0, vec![affine(0, 1, 0, 1), affine(1, 1, 0, 1)])],
+            vec![RegId(0)],
+        );
         assert_eq!(
             eval_simple(&k, &[3, 11], 3, &[Some(v)]),
             vec![5.0, 6.0, 7.0]
@@ -771,48 +623,25 @@ mod tests {
         let data: Vec<f32> = (0..10).map(|i| (i * 10) as f32).collect();
         let v = view(&data, vec![0], vec![10]);
         // index = coords scaled by 3 (some out of range, clamped to 9)
-        let k = Kernel {
-            ops: vec![
-                Op::CoordF {
-                    dst: RegId(0),
-                    dim: 0,
-                },
-                Op::ConstF {
-                    dst: RegId(1),
-                    val: 3.0,
-                },
-                Op::BinF {
-                    op: BinOp::Mul,
-                    dst: RegId(2),
-                    a: RegId(0),
-                    b: RegId(1),
-                },
-                Op::Load {
-                    dst: RegId(3),
-                    buf: BufId(0),
-                    plan: vec![IdxPlan::Reg(RegId(2))],
-                },
+        let k = Kernel::new(
+            vec![
+                coord(0, 0),
+                cf(1, 3.0),
+                bin(BinOp::Mul, 2, 0, 1),
+                load(3, vec![IdxPlan::Reg(RegId(2))]),
             ],
-            nregs: 4,
-            meta: None,
-            outs: vec![RegId(3)],
-        };
+            vec![RegId(3)],
+        );
         // x = 2,3,4 → idx 6, 9, 12→clamped 9
         assert_eq!(eval_simple(&k, &[2], 3, &[Some(v)]), vec![60.0, 90.0, 90.0]);
     }
 
     #[test]
     fn select_and_masks() {
-        let k = Kernel {
-            ops: vec![
-                Op::CoordF {
-                    dst: RegId(0),
-                    dim: 0,
-                },
-                Op::ConstF {
-                    dst: RegId(1),
-                    val: 2.0,
-                },
+        let k = Kernel::new(
+            vec![
+                coord(0, 0),
+                cf(1, 2.0),
                 Op::CmpMask {
                     op: CmpOp::Ge,
                     dst: RegId(2),
@@ -830,30 +659,22 @@ mod tests {
                     b: RegId(0),
                 },
             ],
-            nregs: 5,
-            meta: None,
-            outs: vec![RegId(4)],
-        };
+            vec![RegId(4)],
+        );
         // x = 0..3: mask(x>=2) → not → select(not, 2.0, x) = [2,2,2,3]
         assert_eq!(eval_simple(&k, &[0], 4, &[]), vec![2.0, 2.0, 2.0, 3.0]);
     }
 
     #[test]
     fn casts() {
-        let k = Kernel {
-            ops: vec![
-                Op::ConstF {
-                    dst: RegId(0),
-                    val: 2.5,
-                },
+        let k = Kernel::new(
+            vec![
+                cf(0, 2.5),
                 Op::CastRound {
                     dst: RegId(1),
                     a: RegId(0),
                 },
-                Op::ConstF {
-                    dst: RegId(2),
-                    val: 300.0,
-                },
+                cf(2, 300.0),
                 Op::CastSat {
                     dst: RegId(3),
                     a: RegId(2),
@@ -861,10 +682,8 @@ mod tests {
                     hi: 255.0,
                 },
             ],
-            nregs: 4,
-            meta: None,
-            outs: vec![RegId(1), RegId(3)],
-        };
+            vec![RegId(1), RegId(3)],
+        );
         let ctx = ChunkCtx {
             coords: &[0],
             len: 2,
@@ -879,27 +698,10 @@ mod tests {
 
     #[test]
     fn mod_is_euclidean() {
-        let k = Kernel {
-            ops: vec![
-                Op::ConstF {
-                    dst: RegId(0),
-                    val: -3.0,
-                },
-                Op::ConstF {
-                    dst: RegId(1),
-                    val: 5.0,
-                },
-                Op::BinF {
-                    op: BinOp::Mod,
-                    dst: RegId(2),
-                    a: RegId(0),
-                    b: RegId(1),
-                },
-            ],
-            nregs: 3,
-            meta: None,
-            outs: vec![RegId(2)],
-        };
+        let k = Kernel::new(
+            vec![cf(0, -3.0), cf(1, 5.0), bin(BinOp::Mod, 2, 0, 1)],
+            vec![RegId(2)],
+        );
         assert_eq!(eval_simple(&k, &[0], 1, &[]), vec![2.0]);
     }
 }

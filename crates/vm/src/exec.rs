@@ -33,12 +33,12 @@ pub struct RunStats {
     pub points_computed: u64,
     /// Per-group wall-clock durations, in execution order.
     pub group_times: Vec<(String, std::time::Duration)>,
-    /// Chunks that reused a cached uniform preamble (optimized kernels).
+    /// Chunks that reused a cached uniform preamble.
     pub uniform_hits: u64,
     /// Chunks that (re)computed the uniform preamble.
     pub uniform_misses: u64,
-    /// Load-class histogram of runtime row resolutions (optimized
-    /// kernels; one tally per row per lane-varying load).
+    /// Load-class histogram of runtime row resolutions (one tally per
+    /// row per load).
     pub loads: crate::LoadHistogram,
     /// Tiles executed per participating worker. Sized to the run's
     /// *effective* worker count — `min(requested threads, engine pool
@@ -84,8 +84,8 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// The uniform-preamble cache hit rate over optimized-kernel chunks,
-    /// or `None` when no optimized kernels ran.
+    /// The uniform-preamble cache hit rate over evaluated chunks, or
+    /// `None` when no kernel ran.
     pub fn uniform_hit_rate(&self) -> Option<f64> {
         let total = self.uniform_hits + self.uniform_misses;
         (total > 0).then(|| self.uniform_hits as f64 / total as f64)
@@ -760,8 +760,8 @@ pub(crate) fn execute_seq(prog: &Program, seq: &SeqExec, fulls: &mut [Vec<f32>])
         for_each_chunk(&vrect, axis, step, &mut regs, |regs, coords, len| {
             // The scan's own output buffer mutates between chunks, so the
             // uniform-row cache must be invalidated per chunk — within one
-            // chunk reads precede this chunk's writes, exactly matching the
-            // unoptimized evaluation order.
+            // chunk reads precede this chunk's writes, exactly matching a
+            // point-by-point evaluation order.
             regs.begin_row();
             {
                 let mut views = full_views(prog, &seq.name, &seq.reads, &read_refs);

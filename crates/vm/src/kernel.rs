@@ -1,7 +1,7 @@
 //! Chunked register kernels — the compiled form of one stage's expressions.
 
 use crate::BufId;
-use polymage_ir::{BinOp, CmpOp, UnOp};
+use polymage_ir::{round_ties_away, store_convert, BinOp, CmpOp, UnOp};
 
 /// Index of a virtual register inside a [`Kernel`]'s register file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -146,10 +146,10 @@ pub enum Op {
     },
 }
 
-impl Op {
-    /// The destination register of this operation.
-    pub fn dst(&self) -> RegId {
-        match *self {
+/// The destination field of `$op` (an `&Op` or `&mut Op`), borrowed alike.
+macro_rules! dst_of {
+    ($op:expr) => {
+        match $op {
             Op::ConstF { dst, .. }
             | Op::CoordF { dst, .. }
             | Op::BinF { dst, .. }
@@ -162,6 +162,86 @@ impl Op {
             | Op::CastRound { dst, .. }
             | Op::CastSat { dst, .. }
             | Op::Load { dst, .. } => dst,
+        }
+    };
+}
+
+/// Runs `$each` with `$r` bound to each source field of `$op` (an `&Op` or
+/// `&mut Op`) in operand order, data-dependent load indices included.
+macro_rules! each_src {
+    ($op:expr, |$r:ident| $each:expr) => {
+        match $op {
+            Op::ConstF { .. } | Op::CoordF { .. } => {}
+            Op::BinF { a, b, .. }
+            | Op::CmpMask { a, b, .. }
+            | Op::MaskAnd { a, b, .. }
+            | Op::MaskOr { a, b, .. } => {
+                let $r = a;
+                $each;
+                let $r = b;
+                $each;
+            }
+            Op::UnF { a: $r, .. }
+            | Op::MaskNot { a: $r, .. }
+            | Op::CastRound { a: $r, .. }
+            | Op::CastSat { a: $r, .. } => $each,
+            Op::SelectF { mask, a, b, .. } => {
+                let $r = mask;
+                $each;
+                let $r = a;
+                $each;
+                let $r = b;
+                $each;
+            }
+            Op::Load { plan, .. } => {
+                for p in plan {
+                    if let IdxPlan::Reg($r) = p {
+                        $each;
+                    }
+                }
+            }
+        }
+    };
+}
+
+impl Op {
+    /// The destination register of this operation.
+    pub fn dst(&self) -> RegId {
+        *dst_of!(self)
+    }
+
+    /// This op's value at one point, from its operands' values (`src`)
+    /// and the point's coordinates, through the op table of `polymage_ir`
+    /// (`BinOp::eval` and friends) — the functions the evaluator's lane
+    /// loops run, so a value computed here is bit-identical to the same op
+    /// evaluated across a chunk. The evaluator's uniform preamble and the
+    /// optimizer's constant folding both evaluate through it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a load: its value is a buffer element, not a function of
+    /// operands.
+    #[inline]
+    pub fn eval_scalar(&self, coords: &[i64], src: impl Fn(RegId) -> f32) -> f32 {
+        match *self {
+            Op::ConstF { val, .. } => val,
+            Op::CoordF { dim, .. } => coords[dim] as f32,
+            Op::BinF { op, a, b, .. } => op.eval(src(a), src(b)),
+            Op::UnF { op, a, .. } => op.eval(src(a)),
+            Op::CmpMask { op, a, b, .. } => op.mask(src(a), src(b)),
+            Op::MaskAnd { a, b, .. } => src(a) * src(b),
+            Op::MaskOr { a, b, .. } => src(a).max(src(b)),
+            Op::MaskNot { a, .. } => 1.0 - src(a),
+            Op::SelectF { mask, a, b, .. } => {
+                if src(mask) != 0.0 {
+                    src(a)
+                } else {
+                    src(b)
+                }
+            }
+            Op::CastRound { a, .. } => round_ties_away(src(a)),
+            Op::CastSat { a, lo, hi, .. } => store_convert(src(a), Some((lo, hi)), true),
+            Op::Load { .. } => panic!("a load's value is a buffer element"),
         }
     }
 
@@ -170,97 +250,18 @@ impl Op {
     // Inlined: the evaluator calls it once per lane-varying op per chunk.
     #[inline]
     pub fn for_each_src(&self, mut f: impl FnMut(RegId)) {
-        match self {
-            Op::ConstF { .. } | Op::CoordF { .. } => {}
-            Op::BinF { a, b, .. }
-            | Op::CmpMask { a, b, .. }
-            | Op::MaskAnd { a, b, .. }
-            | Op::MaskOr { a, b, .. } => {
-                f(*a);
-                f(*b);
-            }
-            Op::UnF { a, .. }
-            | Op::MaskNot { a, .. }
-            | Op::CastRound { a, .. }
-            | Op::CastSat { a, .. } => f(*a),
-            Op::SelectF { mask, a, b, .. } => {
-                f(*mask);
-                f(*a);
-                f(*b);
-            }
-            Op::Load { plan, .. } => {
-                for p in plan {
-                    if let IdxPlan::Reg(r) = p {
-                        f(*r);
-                    }
-                }
-            }
-        }
+        each_src!(self, |r| f(*r));
     }
 
     /// Calls `f` with mutable access to every source register.
     pub fn for_each_src_mut(&mut self, mut f: impl FnMut(&mut RegId)) {
-        match self {
-            Op::ConstF { .. } | Op::CoordF { .. } => {}
-            Op::BinF { a, b, .. }
-            | Op::CmpMask { a, b, .. }
-            | Op::MaskAnd { a, b, .. }
-            | Op::MaskOr { a, b, .. } => {
-                f(a);
-                f(b);
-            }
-            Op::UnF { a, .. }
-            | Op::MaskNot { a, .. }
-            | Op::CastRound { a, .. }
-            | Op::CastSat { a, .. } => f(a),
-            Op::SelectF { mask, a, b, .. } => {
-                f(mask);
-                f(a);
-                f(b);
-            }
-            Op::Load { plan, .. } => {
-                for p in plan {
-                    if let IdxPlan::Reg(r) = p {
-                        f(r);
-                    }
-                }
-            }
-        }
+        each_src!(self, |r| f(r));
     }
 
     /// Mutable access to the destination register.
     pub fn dst_mut(&mut self) -> &mut RegId {
-        match self {
-            Op::ConstF { dst, .. }
-            | Op::CoordF { dst, .. }
-            | Op::BinF { dst, .. }
-            | Op::UnF { dst, .. }
-            | Op::CmpMask { dst, .. }
-            | Op::MaskAnd { dst, .. }
-            | Op::MaskOr { dst, .. }
-            | Op::MaskNot { dst, .. }
-            | Op::SelectF { dst, .. }
-            | Op::CastRound { dst, .. }
-            | Op::CastSat { dst, .. }
-            | Op::Load { dst, .. } => dst,
-        }
+        dst_of!(self)
     }
-}
-
-/// Optimizer metadata attached to a kernel by
-/// [`crate::optimize_kernel`](crate::opt::optimize_kernel).
-///
-/// `dep[r]` is a bitmask over the consumer loop dimensions: bit `d` is set
-/// iff register `r`'s value can vary with coordinate `d` (transitively,
-/// through operands and affine load indices). Because the executor picks
-/// the chunk axis per region at run time, uniformity is decided at
-/// evaluation time: a register is *chunk-invariant* for chunk axis `inner`
-/// iff bit `inner` is clear, and the evaluator then computes it once per
-/// row in a scalar preamble instead of once per lane per chunk.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OptMeta {
-    /// Per-register dimension-dependence bitmask (indexed by register).
-    pub dep: Vec<u32>,
 }
 
 /// A straight-line program over chunk registers with one or more result
@@ -273,16 +274,115 @@ pub struct Kernel {
     pub nregs: usize,
     /// Result registers.
     pub outs: Vec<RegId>,
-    /// Uniformity metadata, present only on optimized kernels. `None` means
-    /// the evaluator runs every op across all lanes (the pre-optimizer
-    /// behavior).
-    pub meta: Option<OptMeta>,
+    /// Per-register dimension-dependence masks (indexed by register): bit
+    /// `d` is set iff the register's value can vary with consumer
+    /// coordinate `d` (transitively, through operands and affine load
+    /// indices). Coordinates 31 and beyond share bit 31.
+    ///
+    /// The executor picks the chunk axis per region at run time, so
+    /// uniformity is decided at evaluation time: a register is
+    /// chunk-invariant for chunk axis `inner` iff bit `inner.min(31)` is
+    /// clear, and the evaluator then computes it once per row in a scalar
+    /// preamble instead of once per lane per chunk.
+    pub dep: Vec<u32>,
 }
 
 impl Kernel {
+    /// A kernel running `ops` with result registers `outs`. Derives
+    /// `nregs` (one past the highest register named) and `dep`. Never
+    /// panics: a malformed kernel is built as given, for
+    /// `polymage_core::validate` to report.
+    pub fn new(ops: Vec<Op>, outs: Vec<RegId>) -> Kernel {
+        let mut nregs = 0;
+        let mut see = |r: RegId| nregs = nregs.max(r.0 as usize + 1);
+        for op in &ops {
+            see(op.dst());
+            op.for_each_src(&mut see);
+        }
+        outs.iter().copied().for_each(see);
+        let mut k = Kernel {
+            ops,
+            nregs,
+            outs,
+            dep: Vec::new(),
+        };
+        k.derive_dep();
+        k
+    }
+
+    /// Recomputes [`Kernel::dep`] from the ops (after a rewrite).
+    pub(crate) fn derive_dep(&mut self) {
+        let mut dep = vec![0u32; self.nregs];
+        for op in &self.ops {
+            let mut d = match op {
+                Op::CoordF { dim, .. } => 1 << (*dim).min(31),
+                Op::Load { plan, .. } => plan.iter().fold(0, |d, p| match *p {
+                    IdxPlan::Affine {
+                        dim: Some(dd), q, ..
+                    } if q != 0 => d | 1 << dd.min(31),
+                    _ => d,
+                }),
+                _ => 0,
+            };
+            op.for_each_src(|r| d |= dep.get(r.0 as usize).copied().unwrap_or(0));
+            if let Some(slot) = dep.get_mut(op.dst().0 as usize) {
+                *slot = d;
+            }
+        }
+        self.dep = dep;
+    }
+
     /// The primary (value) output register.
     pub fn out(&self) -> RegId {
         self.outs[0]
+    }
+}
+
+/// Shorthand op constructors for the crate's unit tests.
+#[cfg(test)]
+pub(crate) mod test_ops {
+    use super::*;
+
+    pub(crate) fn cf(dst: u16, val: f32) -> Op {
+        Op::ConstF {
+            dst: RegId(dst),
+            val,
+        }
+    }
+
+    pub(crate) fn coord(dst: u16, dim: usize) -> Op {
+        Op::CoordF {
+            dst: RegId(dst),
+            dim,
+        }
+    }
+
+    pub(crate) fn bin(op: BinOp, dst: u16, a: u16, b: u16) -> Op {
+        Op::BinF {
+            op,
+            dst: RegId(dst),
+            a: RegId(a),
+            b: RegId(b),
+        }
+    }
+
+    /// `(q·coord(dim) + o) / m`.
+    pub(crate) fn affine(dim: usize, q: i64, o: i64, m: i64) -> IdxPlan {
+        IdxPlan::Affine {
+            dim: Some(dim),
+            q,
+            o,
+            m,
+        }
+    }
+
+    /// A load from buffer 0.
+    pub(crate) fn load(dst: u16, plan: Vec<IdxPlan>) -> Op {
+        Op::Load {
+            dst: RegId(dst),
+            buf: BufId(0),
+            plan,
+        }
     }
 }
 
@@ -309,12 +409,7 @@ mod tests {
 
     #[test]
     fn kernel_primary_out() {
-        let k = Kernel {
-            ops: vec![],
-            nregs: 2,
-            meta: None,
-            outs: vec![RegId(1), RegId(0)],
-        };
+        let k = Kernel::new(vec![], vec![RegId(1), RegId(0)]);
         assert_eq!(k.out(), RegId(1));
     }
 }

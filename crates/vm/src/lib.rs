@@ -42,6 +42,7 @@ macro_rules! per_op {
 
 mod buffer;
 mod engine;
+mod env;
 mod error;
 mod eval;
 mod exec;
@@ -60,11 +61,12 @@ mod simd;
 
 pub use buffer::{BufDecl, BufId, BufKind, Buffer};
 pub use engine::{CancelToken, Engine, OverloadPolicy, Priority, RunHandle, RunRequest};
+pub use env::{env_issues, EnvIssue};
 pub use error::{CancelReason, VmError};
 pub use eval::{eval_kernel, BufView, ChunkCtx, EvalCounters, RegFile, CHUNK};
 pub use exec::RunStats;
 pub use index::MAX_TERMS as MAX_INDEX_TERMS;
-pub use kernel::{IdxPlan, Kernel, Op, OptMeta, RegId};
+pub use kernel::{IdxPlan, Kernel, Op, RegId};
 pub use loadclass::{LoadClass, LoadHistogram};
 pub use opt::{collect_reads, fixed_dims, optimize_kernel, sync_mask, KernelOptReport};
 pub use pool::{BufferPool, PoolStats, SharedPool};

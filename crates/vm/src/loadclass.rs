@@ -1,10 +1,9 @@
 //! Load classification: specialized access forms for [`crate::Op::Load`].
 //!
-//! The shape of a load is resolved into a [`ResolvedLoad`] — **once per
-//! row** for optimized kernels (cached by the register file), once per
-//! chunk for kernels without optimizer metadata. The base offset from all
-//! non-varying dimensions is folded ahead of time, and what remains takes
-//! one of four forms:
+//! The shape of a load is resolved into a [`ResolvedLoad`] **once per
+//! row** (cached by the register file with the uniform preamble). The base
+//! offset from all non-varying dimensions is folded ahead of time, and
+//! what remains takes one of four forms:
 //!
 //! - **broadcast** — the plan is chunk-invariant; the value is computed in
 //!   the scalar preamble ([`ResolvedLoad::Uniform`]);
@@ -77,13 +76,6 @@ impl LoadHistogram {
     /// Total loads tallied.
     pub fn total(&self) -> usize {
         self.broadcast + self.contiguous + self.strided + self.gather
-    }
-
-    /// Loads that take a specialized (non-generic) path: everything but
-    /// gathers still beats the legacy plan walk, but "specialized" here
-    /// counts the classes with a dedicated tight loop.
-    pub fn specialized(&self) -> usize {
-        self.broadcast + self.contiguous + self.strided
     }
 }
 
@@ -261,13 +253,15 @@ pub(crate) fn resolve_load(
     ResolvedLoad::Indexed(plans.len() - 1)
 }
 
-/// Executes one lane-varying load through its resolved form (`plans` is
-/// the list [`resolve_load`] appended to).
+/// Executes one lane-varying load of `plan` from `buf` through its resolved
+/// form (`plans` is the list [`resolve_load`] appended to).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn exec_resolved(
     ctx: &ChunkCtx<'_>,
     regs: &mut RegFile,
     dst: RegId,
     buf: BufId,
+    plan: &[IdxPlan],
     r: ResolvedLoad,
     plans: &[IndexPlan],
     len: usize,
@@ -278,8 +272,14 @@ pub(crate) fn exec_resolved(
     let x0 = ctx.coords[ctx.inner];
     let d = dst.0 as usize;
     let lvl = regs.simd;
-    let plan = match r {
-        ResolvedLoad::Uniform => unreachable!("uniform load dispatched to varying body"),
+    let ip = match r {
+        ResolvedLoad::Uniform => {
+            // Varying by its dependence mask only through a coordinate that
+            // shares the chunk axis's bit (31 and beyond): one element.
+            let v = load_scalar(ctx, regs, buf, plan);
+            regs.regs[d][..len].fill(v);
+            return;
+        }
         ResolvedLoad::Contig { shift } => {
             let start = shift + x0;
             debug_assert!(start >= 0);
@@ -304,7 +304,7 @@ pub(crate) fn exec_resolved(
         ResolvedLoad::Indexed(i) => &plans[i],
     };
     let mut off = [0i32; CHUNK];
-    let vector = plan.fill_offsets(lvl, &regs.regs, x0, len, view.data.len(), &mut off);
+    let vector = ip.fill_offsets(lvl, &regs.regs, x0, len, view.data.len(), &mut off);
     regs.counters.count_indexed(vector, len);
     if vector {
         let dreg = &mut regs.regs[d];
@@ -315,15 +315,14 @@ pub(crate) fn exec_resolved(
         }
     } else {
         for i in 0..len {
-            let flat = plan.offset_at(&regs.regs, x0 + i as i64, i);
+            let flat = ip.offset_at(&regs.regs, x0 + i as i64, i);
             regs.regs[d][i] = view.data[flat as usize];
         }
     }
 }
 
 /// Scalar (lane-0) evaluation of a chunk-invariant load — the preamble
-/// counterpart of [`exec_resolved`]. Computes exactly the element the
-/// legacy broadcast path reads.
+/// counterpart of [`exec_resolved`].
 pub(crate) fn load_scalar(ctx: &ChunkCtx<'_>, regs: &RegFile, buf: BufId, plan: &[IdxPlan]) -> f32 {
     let view = ctx.bufs[buf.0]
         .as_ref()
@@ -414,7 +413,6 @@ mod tests {
         h.add(LoadClass::Gather);
         h.add(LoadClass::Broadcast);
         assert_eq!(h.total(), 4);
-        assert_eq!(h.specialized(), 3);
         let mut h2 = LoadHistogram::default();
         h2.add(LoadClass::Strided);
         h.merge(&h2);

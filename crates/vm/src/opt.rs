@@ -7,9 +7,10 @@
 //! between lowering and execution:
 //!
 //! 1. **Constant folding** — ops whose operands are all constants are
-//!    evaluated at compile time through the op table of `polymage_ir`
-//!    (`BinOp::eval` and friends), the functions the evaluator uses, so
-//!    folded results are bit-identical to runtime results.
+//!    evaluated at compile time by [`Op::eval_scalar`], the function the
+//!    evaluator's uniform preamble runs (over the op table of
+//!    `polymage_ir`, as the lane loops do), so folded results are
+//!    bit-identical to runtime results.
 //! 2. **Identity / algebraic simplification and strength reduction** —
 //!    restricted to rewrites that are **bit-exact** over all `f32` inputs
 //!    (or over the values the operand can take, e.g. 0/1 masks). See
@@ -26,19 +27,19 @@
 //!    the strict operands-precede-destination SSA order the evaluator's
 //!    disjoint borrows rely on.
 //!
-//! Finally the pass computes per-register *dimension dependence* masks
-//! ([`OptMeta`]): which consumer loop dimensions each register's value can
-//! vary with. The evaluator uses them to split the kernel into a scalar
-//! per-row preamble (chunk-invariant ops) and a lane-varying body, and to
-//! dispatch loads through `crate::loadclass`'s specialized forms.
+//! Finally the pass re-derives the kernel's dependence masks
+//! ([`Kernel::dep`]) over the rewritten ops, as `Kernel::new` derived them
+//! for the raw kernel, and reports how many ops are chunk-invariant and
+//! which load classes they take under the nominal chunk axis.
 //!
 //! All rewrites preserve bit-exact results; `kernel_opt: false` in
-//! `polymage_core::CompileOptions` skips this module entirely for ablation.
+//! `polymage_core::CompileOptions` skips this module for ablation. The
+//! uniform preamble and row-resolved loads are the evaluator's, so they
+//! run either way.
 
-use crate::kernel::OptMeta;
 use crate::loadclass::{classify, LoadHistogram};
-use crate::{IdxPlan, Kernel, Op, RegId};
-use polymage_ir::{round_ties_away, store_convert, BinOp, UnOp};
+use crate::{Kernel, Op, RegId};
+use polymage_ir::{round_ties_away, BinOp, UnOp};
 
 /// Per-kernel optimization statistics, surfaced through
 /// `polymage_core::CompileReport` and `bin/inspect`.
@@ -167,8 +168,7 @@ pub fn collect_reads<'a>(
 ///
 /// The kernel must be in SSA form (as `core::lower` emits and
 /// `core::validate` checks); the result is again strict SSA with densely
-/// numbered registers and carries [`OptMeta`] so the evaluator takes the
-/// optimized path.
+/// numbered registers, and its dependence masks are re-derived.
 pub fn optimize_kernel(
     k: &mut Kernel,
     ndims: usize,
@@ -183,11 +183,6 @@ pub fn optimize_kernel(
         regs_after: k.nregs,
         ..Default::default()
     };
-    // The dependence masks are u32 bitsets; domains beyond 32 dims (never
-    // produced by the DSL) run unoptimized.
-    if ndims == 0 || ndims > 32 || k.nregs > u16::MAX as usize {
-        return rpt;
-    }
     let mut folded = 0usize;
     let mut simplified = 0usize;
     for _ in 0..8 {
@@ -199,22 +194,21 @@ pub fn optimize_kernel(
     }
     dce_pass(k);
     compact_pass(k);
-    let meta = build_meta(k, ndims);
-    let inner = ndims - 1;
+    k.derive_dep();
+    let inner = ndims.saturating_sub(1);
     let bit = 1u32 << inner.min(31);
     rpt.folded = folded;
     rpt.simplified = simplified;
     rpt.ops_after = k.ops.len();
     rpt.regs_after = k.nregs;
     for op in &k.ops {
-        if meta.dep[op.dst().0 as usize] & bit == 0 {
+        if k.dep[op.dst().0 as usize] & bit == 0 {
             rpt.uniform_ops += 1;
         }
         if let Op::Load { plan, .. } = op {
-            rpt.loads.add(classify(plan, &meta.dep, inner));
+            rpt.loads.add(classify(plan, &k.dep, inner));
         }
     }
-    k.meta = Some(meta);
     rpt
 }
 
@@ -314,6 +308,24 @@ fn fold_pass(
         op.for_each_src_mut(|r| *r = rename[r.0 as usize]);
         let dst = op.dst();
         let di = dst.0 as usize;
+        // An op whose operands are all constants folds to its value (a
+        // constant select mask is resolved by aliasing below).
+        if !matches!(
+            op,
+            Op::ConstF { .. } | Op::CoordF { .. } | Op::SelectF { .. } | Op::Load { .. }
+        ) {
+            let mut all_const = true;
+            op.for_each_src(|r| all_const &= facts.cval[r.0 as usize].is_some());
+            if all_const {
+                let val =
+                    op.eval_scalar(&[], |r| facts.cval[r.0 as usize].expect("constant operand"));
+                facts.record_const(dst, val);
+                out_ops.push(Op::ConstF { dst, val });
+                *folded += 1;
+                changed = true;
+                continue;
+            }
+        }
         match op {
             Op::ConstF { val, .. } => {
                 facts.record_const(dst, val);
@@ -335,14 +347,6 @@ fn fold_pass(
             }
             Op::BinF { op: bop, a, b, .. } => {
                 let (ca, cb) = (facts.cval[a.0 as usize], facts.cval[b.0 as usize]);
-                if let (Some(x), Some(y)) = (ca, cb) {
-                    let val = bop.eval(x, y);
-                    facts.record_const(dst, val);
-                    out_ops.push(Op::ConstF { dst, val });
-                    *folded += 1;
-                    changed = true;
-                    continue;
-                }
                 match bop {
                     // x + (-0.0) → x and (-0.0) + x → x are exact for every
                     // f32; x + 0.0 is not (x = -0.0 gives +0.0).
@@ -410,14 +414,6 @@ fn fold_pass(
                 out_ops.push(op);
             }
             Op::UnF { op: uop, a, .. } => {
-                if let Some(x) = facts.cval[a.0 as usize] {
-                    let val = uop.eval(x);
-                    facts.record_const(dst, val);
-                    out_ops.push(Op::ConstF { dst, val });
-                    *folded += 1;
-                    changed = true;
-                    continue;
-                }
                 let ua = facts.unary[a.0 as usize];
                 match uop {
                     UnOp::Neg => {
@@ -451,29 +447,13 @@ fn fold_pass(
                 }
                 out_ops.push(op);
             }
-            Op::CmpMask { op: cop, a, b, .. } => {
-                if let (Some(x), Some(y)) = (facts.cval[a.0 as usize], facts.cval[b.0 as usize]) {
-                    let val = cop.mask(x, y);
-                    facts.record_const(dst, val);
-                    out_ops.push(Op::ConstF { dst, val });
-                    *folded += 1;
-                    changed = true;
-                    continue;
-                }
+            Op::CmpMask { .. } => {
                 facts.is_mask[di] = true;
                 facts.int_valued[di] = true;
                 out_ops.push(op);
             }
             Op::MaskAnd { a, b, .. } => {
                 let (ca, cb) = (facts.cval[a.0 as usize], facts.cval[b.0 as usize]);
-                if let (Some(x), Some(y)) = (ca, cb) {
-                    let val = x * y;
-                    facts.record_const(dst, val);
-                    out_ops.push(Op::ConstF { dst, val });
-                    *folded += 1;
-                    changed = true;
-                    continue;
-                }
                 // m · 1 → m (1.0 is the exact multiplicative identity).
                 if cb.map(f32::to_bits) == Some(ONE) {
                     alias!(rename, dst, a, simplified, changed);
@@ -501,14 +481,6 @@ fn fold_pass(
             }
             Op::MaskOr { a, b, .. } => {
                 let (ca, cb) = (facts.cval[a.0 as usize], facts.cval[b.0 as usize]);
-                if let (Some(x), Some(y)) = (ca, cb) {
-                    let val = x.max(y);
-                    facts.record_const(dst, val);
-                    out_ops.push(Op::ConstF { dst, val });
-                    *folded += 1;
-                    changed = true;
-                    continue;
-                }
                 // max(m, m) → m is exact for every f32.
                 if a == b {
                     alias!(rename, dst, a, simplified, changed);
@@ -534,14 +506,6 @@ fn fold_pass(
                 out_ops.push(op);
             }
             Op::MaskNot { a, .. } => {
-                if let Some(x) = facts.cval[a.0 as usize] {
-                    let val = 1.0 - x;
-                    facts.record_const(dst, val);
-                    out_ops.push(Op::ConstF { dst, val });
-                    *folded += 1;
-                    changed = true;
-                    continue;
-                }
                 // ¬¬m → m when m ∈ {0, 1} (1−(1−m) is exact there).
                 if let Some(x) = facts.not_of[a.0 as usize] {
                     if facts.is_mask[x.0 as usize] {
@@ -567,14 +531,6 @@ fn fold_pass(
                 out_ops.push(op);
             }
             Op::CastRound { a, .. } => {
-                if let Some(x) = facts.cval[a.0 as usize] {
-                    let val = round_ties_away(x);
-                    facts.record_const(dst, val);
-                    out_ops.push(Op::ConstF { dst, val });
-                    *folded += 1;
-                    changed = true;
-                    continue;
-                }
                 // round(x) → x when x is already round-idempotent.
                 if facts.int_valued[a.0 as usize] {
                     alias!(rename, dst, a, simplified, changed);
@@ -583,15 +539,7 @@ fn fold_pass(
                 facts.is_mask[di] = facts.is_mask[a.0 as usize];
                 out_ops.push(op);
             }
-            Op::CastSat { a, lo, hi, .. } => {
-                if let Some(x) = facts.cval[a.0 as usize] {
-                    let val = store_convert(x, Some((lo, hi)), true);
-                    facts.record_const(dst, val);
-                    out_ops.push(Op::ConstF { dst, val });
-                    *folded += 1;
-                    changed = true;
-                    continue;
-                }
+            Op::CastSat { .. } => {
                 facts.int_valued[di] = true;
                 out_ops.push(op);
             }
@@ -681,40 +629,11 @@ fn compact_pass(k: &mut Kernel) {
     k.nregs = next as usize;
 }
 
-/// Computes per-register dimension-dependence masks: bit `d` set iff the
-/// register can vary with consumer coordinate `d`.
-fn build_meta(k: &Kernel, ndims: usize) -> OptMeta {
-    debug_assert!(ndims <= 32);
-    let mut dep = vec![0u32; k.nregs];
-    for op in &k.ops {
-        let mut d = 0u32;
-        op.for_each_src(|r| d |= dep[r.0 as usize]);
-        match op {
-            Op::CoordF { dim, .. } => d |= 1 << dim,
-            Op::Load { plan, .. } => {
-                for p in plan {
-                    if let IdxPlan::Affine {
-                        dim: Some(dd), q, ..
-                    } = p
-                    {
-                        if *q != 0 {
-                            d |= 1 << dd;
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-        dep[op.dst().0 as usize] = d;
-    }
-    OptMeta { dep }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eval::{eval_kernel, ChunkCtx, RegFile};
-    use crate::BufId;
+    use crate::kernel::test_ops::{affine, bin, cf, coord, load};
     use polymage_ir::CmpOp;
 
     fn run(k: &Kernel, coords: &[i64], len: usize) -> Vec<f32> {
@@ -730,68 +649,41 @@ mod tests {
         regs.reg(k.out())[..len].to_vec()
     }
 
-    fn bin(op: BinOp, dst: u16, a: u16, b: u16) -> Op {
-        Op::BinF {
-            op,
-            dst: RegId(dst),
-            a: RegId(a),
-            b: RegId(b),
-        }
-    }
-
-    fn cf(dst: u16, val: f32) -> Op {
-        Op::ConstF {
-            dst: RegId(dst),
-            val,
-        }
-    }
-
     #[test]
     fn folds_constants_and_dces() {
         // (2 + 3) * x, plus a dead subtree
-        let mut k = Kernel {
-            ops: vec![
+        let mut k = Kernel::new(
+            vec![
                 cf(0, 2.0),
                 cf(1, 3.0),
                 bin(BinOp::Add, 2, 0, 1),
-                Op::CoordF {
-                    dst: RegId(3),
-                    dim: 0,
-                },
+                coord(3, 0),
                 bin(BinOp::Mul, 4, 2, 3),
                 bin(BinOp::Sub, 5, 0, 1), // dead
             ],
-            nregs: 6,
-            meta: None,
-            outs: vec![RegId(4)],
-        };
+            vec![RegId(4)],
+        );
         let unopt = k.clone();
         let rpt = optimize_kernel(&mut k, 1, &[], "t".into());
         assert!(rpt.folded >= 1, "constant add folds");
         assert!(rpt.ops_after < rpt.ops_before, "dead op removed");
-        assert!(k.meta.is_some());
         assert_eq!(run(&k, &[3], 4), run(&unopt, &[3], 4));
     }
 
     #[test]
     fn identity_rewrites_are_bit_exact() {
         // x * 1.0 → x; x / 2.0 → x * 0.5; min(x, x) → x
-        let mut k = Kernel {
-            ops: vec![
-                Op::CoordF {
-                    dst: RegId(0),
-                    dim: 0,
-                },
+        let mut k = Kernel::new(
+            vec![
+                coord(0, 0),
                 cf(1, 1.0),
                 bin(BinOp::Mul, 2, 0, 1),
                 cf(3, 2.0),
                 bin(BinOp::Div, 4, 2, 3),
                 bin(BinOp::Min, 5, 4, 4),
             ],
-            nregs: 6,
-            meta: None,
-            outs: vec![RegId(5)],
-        };
+            vec![RegId(5)],
+        );
         let unopt = k.clone();
         let rpt = optimize_kernel(&mut k, 1, &[], "t".into());
         assert!(rpt.simplified >= 2);
@@ -811,12 +703,10 @@ mod tests {
     #[test]
     fn unsafe_rewrites_not_applied() {
         // x + 0.0 must NOT fold to x (x = -0.0 ⇒ +0.0).
-        let mut k = Kernel {
-            ops: vec![cf(0, -0.0), cf(1, 0.0), bin(BinOp::Add, 2, 0, 1)],
-            nregs: 3,
-            meta: None,
-            outs: vec![RegId(2)],
-        };
+        let mut k = Kernel::new(
+            vec![cf(0, -0.0), cf(1, 0.0), bin(BinOp::Add, 2, 0, 1)],
+            vec![RegId(2)],
+        );
         optimize_kernel(&mut k, 1, &[], "t".into());
         // Folds (both const) — result must be +0.0, not -0.0.
         let out = run(&k, &[0], 1);
@@ -826,12 +716,9 @@ mod tests {
     #[test]
     fn mask_simplification() {
         // (x >= 0) & 1 → the compare; ¬¬m → m
-        let mut k = Kernel {
-            ops: vec![
-                Op::CoordF {
-                    dst: RegId(0),
-                    dim: 0,
-                },
+        let mut k = Kernel::new(
+            vec![
+                coord(0, 0),
                 cf(1, 0.0),
                 Op::CmpMask {
                     op: CmpOp::Ge,
@@ -854,10 +741,8 @@ mod tests {
                     a: RegId(5),
                 },
             ],
-            nregs: 7,
-            meta: None,
-            outs: vec![RegId(6)],
-        };
+            vec![RegId(6)],
+        );
         let unopt = k.clone();
         let rpt = optimize_kernel(&mut k, 1, &[], "t".into());
         assert!(rpt.simplified >= 2);
@@ -868,22 +753,10 @@ mod tests {
 
     #[test]
     fn cse_merges_duplicates() {
-        let mut k = Kernel {
-            ops: vec![
-                Op::CoordF {
-                    dst: RegId(0),
-                    dim: 0,
-                },
-                Op::CoordF {
-                    dst: RegId(1),
-                    dim: 0,
-                },
-                bin(BinOp::Add, 2, 0, 1),
-            ],
-            nregs: 3,
-            meta: None,
-            outs: vec![RegId(2)],
-        };
+        let mut k = Kernel::new(
+            vec![coord(0, 0), coord(1, 0), bin(BinOp::Add, 2, 0, 1)],
+            vec![RegId(2)],
+        );
         let rpt = optimize_kernel(&mut k, 1, &[], "t".into());
         assert!(rpt.simplified >= 1);
         assert_eq!(k.ops.len(), 2);
@@ -891,19 +764,10 @@ mod tests {
 
     #[test]
     fn compaction_renumbers_densely() {
-        let mut k = Kernel {
-            ops: vec![
-                cf(5, 2.0),
-                Op::CoordF {
-                    dst: RegId(9),
-                    dim: 0,
-                },
-                bin(BinOp::Mul, 11, 5, 9),
-            ],
-            nregs: 12,
-            meta: None,
-            outs: vec![RegId(11)],
-        };
+        let mut k = Kernel::new(
+            vec![cf(5, 2.0), coord(9, 0), bin(BinOp::Mul, 11, 5, 9)],
+            vec![RegId(11)],
+        );
         optimize_kernel(&mut k, 1, &[], "t".into());
         assert_eq!(k.nregs, 3);
         assert_eq!(k.outs[0], RegId(2));
@@ -912,56 +776,24 @@ mod tests {
     #[test]
     fn dep_masks_track_dimensions() {
         // r0 = coord(0) (outer), r1 = coord(1) (inner), r2 = r0+r1
-        let mut k = Kernel {
-            ops: vec![
-                Op::CoordF {
-                    dst: RegId(0),
-                    dim: 0,
-                },
-                Op::CoordF {
-                    dst: RegId(1),
-                    dim: 1,
-                },
-                bin(BinOp::Add, 2, 0, 1),
-            ],
-            nregs: 3,
-            meta: None,
-            outs: vec![RegId(2)],
-        };
+        let mut k = Kernel::new(
+            vec![coord(0, 0), coord(1, 1), bin(BinOp::Add, 2, 0, 1)],
+            vec![RegId(2)],
+        );
         let rpt = optimize_kernel(&mut k, 2, &[], "t".into());
-        let meta = k.meta.as_ref().unwrap();
-        assert_eq!(meta.dep[0], 0b01);
-        assert_eq!(meta.dep[1], 0b10);
-        assert_eq!(meta.dep[2], 0b11);
+        assert_eq!(k.dep[0], 0b01);
+        assert_eq!(k.dep[1], 0b10);
+        assert_eq!(k.dep[2], 0b11);
         // one op (the outer coord) is uniform under the nominal inner axis
         assert_eq!(rpt.uniform_ops, 1);
     }
 
     #[test]
     fn load_histogram_reported() {
-        let mut k = Kernel {
-            ops: vec![Op::Load {
-                dst: RegId(0),
-                buf: BufId(0),
-                plan: vec![
-                    IdxPlan::Affine {
-                        dim: Some(0),
-                        q: 1,
-                        o: 0,
-                        m: 1,
-                    },
-                    IdxPlan::Affine {
-                        dim: Some(1),
-                        q: 1,
-                        o: -1,
-                        m: 1,
-                    },
-                ],
-            }],
-            nregs: 1,
-            meta: None,
-            outs: vec![RegId(0)],
-        };
+        let mut k = Kernel::new(
+            vec![load(0, vec![affine(0, 1, 0, 1), affine(1, 1, -1, 1)])],
+            vec![RegId(0)],
+        );
         let rpt = optimize_kernel(&mut k, 2, &[], "t".into());
         assert_eq!(rpt.loads.contiguous, 1);
         assert_eq!(rpt.loads.total(), 1);

@@ -159,9 +159,8 @@ impl SimdOpt {
     /// `off`/`scalar`/`0`/`none` → `Off`, and the level names `sse2`,
     /// `avx2`, `neon` (case-insensitive). `None` for anything else.
     ///
-    /// This is the single source of truth for the knob's grammar — the
-    /// engine-level env override below and `polymage-core`'s centralized
-    /// `POLYMAGE_*` validation both parse through it.
+    /// This is the single source of truth for the knob's grammar; the
+    /// `POLYMAGE_SIMD` reader parses through it.
     pub fn parse_spelling(s: &str) -> Option<SimdOpt> {
         match s.to_ascii_lowercase().as_str() {
             "" | "auto" => Some(SimdOpt::Auto),
@@ -228,29 +227,22 @@ pub fn clamp_to_detected(level: SimdLevel) -> SimdLevel {
     }
 }
 
-/// The `POLYMAGE_SIMD` override, read once per process. `None` means unset
-/// or `auto`.
+/// The level a forced option selects, clamped to the CPU; `None` for
+/// [`SimdOpt::Auto`].
+fn forced(opt: SimdOpt) -> Option<SimdLevel> {
+    match opt {
+        SimdOpt::Auto => None,
+        SimdOpt::Off => Some(SimdLevel::Scalar),
+        SimdOpt::Sse2 => Some(clamp_to_detected(SimdLevel::Sse2)),
+        SimdOpt::Avx2 => Some(clamp_to_detected(SimdLevel::Avx2)),
+        SimdOpt::Neon => Some(clamp_to_detected(SimdLevel::Neon)),
+    }
+}
+
+/// The `POLYMAGE_SIMD` override (read by [`crate::env`]). `None` means
+/// unset, malformed or `auto`.
 fn env_override() -> Option<SimdLevel> {
-    static ENV: OnceLock<Option<SimdLevel>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        let raw = std::env::var("POLYMAGE_SIMD").ok()?;
-        match SimdOpt::parse_spelling(&raw) {
-            Some(SimdOpt::Auto) => None,
-            Some(SimdOpt::Off) => Some(SimdLevel::Scalar),
-            Some(SimdOpt::Sse2) => Some(clamp_to_detected(SimdLevel::Sse2)),
-            Some(SimdOpt::Avx2) => Some(clamp_to_detected(SimdLevel::Avx2)),
-            Some(SimdOpt::Neon) => Some(clamp_to_detected(SimdLevel::Neon)),
-            None => {
-                // `core::options::env` reports malformed values through
-                // diag too; this warning covers engine-only embedders.
-                eprintln!(
-                    "polymage: ignoring unknown POLYMAGE_SIMD value `{raw}` \
-                     (expected off|scalar|sse2|avx2|neon|auto)"
-                );
-                None
-            }
-        }
-    })
+    crate::env::get().simd.and_then(forced)
 }
 
 /// Resolves a compile-option knob to a concrete dispatch level.
@@ -259,16 +251,9 @@ fn env_override() -> Option<SimdLevel> {
 /// CI) beats the option; otherwise the option is honored, clamped to the
 /// CPU. The result is always executable on this machine.
 pub fn resolve(opt: SimdOpt) -> SimdLevel {
-    if let Some(forced) = env_override() {
-        return forced;
-    }
-    match opt {
-        SimdOpt::Auto => process_level(),
-        SimdOpt::Off => SimdLevel::Scalar,
-        SimdOpt::Sse2 => clamp_to_detected(SimdLevel::Sse2),
-        SimdOpt::Avx2 => clamp_to_detected(SimdLevel::Avx2),
-        SimdOpt::Neon => clamp_to_detected(SimdLevel::Neon),
-    }
+    env_override()
+        .or_else(|| forced(opt))
+        .unwrap_or_else(process_level)
 }
 
 /// The per-process default level: `POLYMAGE_SIMD` if set, else [`detect`].

@@ -39,8 +39,8 @@ fn chain_program(ngroups: usize, len: i64, tile: i64) -> Program {
     for g in 0..ngroups {
         let src = BufId(g);
         let dst = BufId(g + 1);
-        let kernel = Kernel {
-            ops: vec![
+        let kernel = Kernel::new(
+            vec![
                 Op::Load {
                     dst: RegId(0),
                     buf: src,
@@ -62,10 +62,8 @@ fn chain_program(ngroups: usize, len: i64, tile: i64) -> Program {
                     b: RegId(1),
                 },
             ],
-            nregs: 3,
-            meta: None,
-            outs: vec![RegId(2)],
-        };
+            vec![RegId(2)],
+        );
         let stage = StageExec {
             name: format!("s{g}"),
             scratch: src, // unused: direct stages stream to their full buffer

@@ -39,8 +39,8 @@ fn program(poisoned: bool) -> Program {
             m: 1,
         }],
     };
-    let kernel = Kernel {
-        ops: vec![
+    let kernel = Kernel::new(
+        vec![
             load(0, -1),
             load(1, 1),
             Op::BinF {
@@ -50,10 +50,8 @@ fn program(poisoned: bool) -> Program {
                 b: RegId(1),
             },
         ],
-        nregs: 3,
-        meta: None,
-        outs: vec![RegId(2)],
-    };
+        vec![RegId(2)],
+    );
     let mut reads = vec![img];
     if poisoned {
         // A full buffer written by the stage's own group is never readable

@@ -56,8 +56,8 @@ fn two_stage_program(mode: EvalMode) -> Program {
         },
     ];
 
-    let blur_kernel = Kernel {
-        ops: vec![
+    let blur_kernel = Kernel::new(
+        vec![
             load(0, img, &[-1]),
             load(1, img, &[0]),
             load(2, img, &[1]),
@@ -74,12 +74,10 @@ fn two_stage_program(mode: EvalMode) -> Program {
                 b: RegId(2),
             },
         ],
-        nregs: 5,
-        meta: None,
-        outs: vec![RegId(4)],
-    };
-    let out_kernel = Kernel {
-        ops: vec![
+        vec![RegId(4)],
+    );
+    let out_kernel = Kernel::new(
+        vec![
             load(0, blur_s, &[-1]),
             load(1, blur_s, &[1]),
             Op::BinF {
@@ -89,10 +87,8 @@ fn two_stage_program(mode: EvalMode) -> Program {
                 b: RegId(1),
             },
         ],
-        nregs: 3,
-        meta: None,
-        outs: vec![RegId(2)],
-    };
+        vec![RegId(2)],
+    );
 
     let blur_stage = StageExec {
         name: "blur".into(),
@@ -259,12 +255,7 @@ fn reduction_program(
                 name: "acc".into(),
                 out,
                 red_dom,
-                kernel: Kernel {
-                    ops,
-                    nregs,
-                    meta: None,
-                    outs: vec![RegId(0), RegId(nregs as u16 - 1)],
-                },
+                kernel: Kernel::new(ops, vec![RegId(0), RegId(nregs as u16 - 1)]),
                 op,
                 reads: vec![img],
             }),
@@ -313,8 +304,8 @@ fn sequential_scan_prefix_sum() {
     // f(x) = f(x−1) + in(x) for x ≥ 1; f(0) = in(0): a prefix sum.
     let img = BufId(0);
     let out = BufId(1);
-    let kernel_rec = Kernel {
-        ops: vec![
+    let kernel_rec = Kernel::new(
+        vec![
             load(0, out, &[-1]),
             load(1, img, &[0]),
             Op::BinF {
@@ -324,16 +315,9 @@ fn sequential_scan_prefix_sum() {
                 b: RegId(1),
             },
         ],
-        nregs: 3,
-        meta: None,
-        outs: vec![RegId(2)],
-    };
-    let kernel_base = Kernel {
-        ops: vec![load(0, img, &[0])],
-        nregs: 1,
-        meta: None,
-        outs: vec![RegId(0)],
-    };
+        vec![RegId(2)],
+    );
+    let kernel_base = Kernel::new(vec![load(0, img, &[0])], vec![RegId(0)]);
     let prog = Arc::new(Program {
         name: "scan".into(),
         buffers: vec![
@@ -424,8 +408,8 @@ fn saturating_stores() {
             cases: vec![CaseExec {
                 steps: vec![(1, 0)],
                 rect: Rect::new(vec![(0, 15)]),
-                kernel: Kernel {
-                    ops: vec![
+                kernel: Kernel::new(
+                    vec![
                         load(0, img, &[0]),
                         Op::ConstF {
                             dst: RegId(1),
@@ -438,10 +422,8 @@ fn saturating_stores() {
                             b: RegId(1),
                         },
                     ],
-                    nregs: 3,
-                    meta: None,
-                    outs: vec![RegId(2)],
-                },
+                    vec![RegId(2)],
+                ),
                 mask: None,
             }],
             dom: Rect::new(vec![(0, 15)]),

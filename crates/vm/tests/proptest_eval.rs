@@ -27,16 +27,14 @@ proptest! {
         // ensure indices stay in range
         let max_idx = (q * (x0 + len as i64 - 1) + oo) / m;
         prop_assume!(max_idx < 512);
-        let k = Kernel {
-            ops: vec![Op::Load {
+        let k = Kernel::new(
+            vec![Op::Load {
                 dst: RegId(0),
                 buf: BufId(0),
                 plan: vec![IdxPlan::Affine { dim: Some(0), q, o: oo, m }],
             }],
-            nregs: 1,
-            meta: None,
-            outs: vec![RegId(0)],
-        };
+            vec![RegId(0)],
+        );
         let view = polymage_vm::ChunkCtx {
             coords: &[x0],
             len,
@@ -67,8 +65,8 @@ proptest! {
     ) {
         let len = vals.len();
         let data = vals.clone();
-        let k = Kernel {
-            ops: vec![
+        let k = Kernel::new(
+            vec![
                 Op::Load {
                     dst: RegId(0),
                     buf: BufId(0),
@@ -80,10 +78,8 @@ proptest! {
                 Op::UnF { op: UnOp::Abs, dst: RegId(4), a: RegId(3) },
                 Op::BinF { op: BinOp::Max, dst: RegId(5), a: RegId(4), b: RegId(1) },
             ],
-            nregs: 6,
-            meta: None,
-            outs: vec![RegId(5)],
-        };
+            vec![RegId(5)],
+        );
         let (origin, strides, sizes) = view_1d(&data);
         let ctx = ChunkCtx {
             coords: &[0],
@@ -108,8 +104,8 @@ proptest! {
         let len = vals.len();
         let data = vals.clone();
         // select(!(v > 0 && v < 5), -1, v)
-        let k = Kernel {
-            ops: vec![
+        let k = Kernel::new(
+            vec![
                 Op::Load {
                     dst: RegId(0),
                     buf: BufId(0),
@@ -124,10 +120,8 @@ proptest! {
                 Op::ConstF { dst: RegId(7), val: -1.0 },
                 Op::SelectF { dst: RegId(8), mask: RegId(6), a: RegId(7), b: RegId(0) },
             ],
-            nregs: 9,
-            meta: None,
-            outs: vec![RegId(8)],
-        };
+            vec![RegId(8)],
+        );
         let (origin, strides, sizes) = view_1d(&data);
         let ctx = ChunkCtx {
             coords: &[0],
@@ -151,8 +145,8 @@ proptest! {
     fn chunk_axis_equivalence(rows in 2i64..8, cols in 2i64..8, ox in 0i64..2, oy in 0i64..2) {
         let n = (rows * cols) as usize;
         let data: Vec<f32> = (0..n).map(|i| i as f32).collect();
-        let mk = || Kernel {
-            ops: vec![Op::Load {
+        let mk = || Kernel::new(
+            vec![Op::Load {
                 dst: RegId(0),
                 buf: BufId(0),
                 plan: vec![
@@ -160,10 +154,8 @@ proptest! {
                     IdxPlan::Affine { dim: Some(1), q: 1, o: 0, m: 1 },
                 ],
             }],
-            nregs: 1,
-            meta: None,
-            outs: vec![RegId(0)],
-        };
+            vec![RegId(0)],
+        );
         let view = || BufView {
             data: &data,
             origin: vec![0, 0],

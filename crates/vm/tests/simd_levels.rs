@@ -140,13 +140,8 @@ fn all_ops_kernel() -> Kernel {
         ops.push(op);
         n += 1;
     }
-    Kernel {
-        ops,
-        nregs: n as usize,
-        meta: None,
-        // every computed register is an output
-        outs: (2..n).map(RegId).collect(),
-    }
+    // every computed register is an output
+    Kernel::new(ops, (2..n).map(RegId).collect())
 }
 
 /// 1-D contiguous view over a data slice.
@@ -205,8 +200,8 @@ fn strided_loads_bit_identical() {
     let data: Vec<f32> = (0..rows * cols)
         .map(|i| SPECIALS[i as usize % SPECIALS.len()])
         .collect();
-    let k = Kernel {
-        ops: vec![Op::Load {
+    let k = Kernel::new(
+        vec![Op::Load {
             dst: RegId(0),
             buf: BufId(0),
             plan: vec![
@@ -224,10 +219,8 @@ fn strided_loads_bit_identical() {
                 },
             ],
         }],
-        nregs: 1,
-        meta: None,
-        outs: vec![RegId(0)],
-    };
+        vec![RegId(0)],
+    );
     let bufs = [Some(BufView {
         data: &data,
         origin: vec![0, 0],
@@ -418,8 +411,8 @@ const INDEX_SPECIALS: [f32; 32] = [
 
 /// `Load r0 ← src[x]` then `Load r1 ← table[plan]`.
 fn lookup_kernel(plan: Vec<IdxPlan>) -> Kernel {
-    Kernel {
-        ops: vec![
+    Kernel::new(
+        vec![
             Op::Load {
                 dst: RegId(0),
                 buf: BufId(0),
@@ -436,10 +429,8 @@ fn lookup_kernel(plan: Vec<IdxPlan>) -> Kernel {
                 plan,
             },
         ],
-        nregs: 2,
-        meta: None,
-        outs: vec![RegId(1)],
-    }
+        vec![RegId(1)],
+    )
 }
 
 /// Evaluates `k` at `coords` and returns the live lanes of its output plus
@@ -540,8 +531,8 @@ fn floor_division_matches_div_euclid() {
     for q in [-3i64, -2, -1, 1, 2, 3] {
         for m in 1..=9i64 {
             for o in [0i64, -17, 5] {
-                let k = Kernel {
-                    ops: vec![Op::Load {
+                let k = Kernel::new(
+                    vec![Op::Load {
                         dst: RegId(0),
                         buf: BufId(0),
                         plan: vec![IdxPlan::Affine {
@@ -551,10 +542,8 @@ fn floor_division_matches_div_euclid() {
                             m,
                         }],
                     }],
-                    nregs: 1,
-                    meta: None,
-                    outs: vec![RegId(0)],
-                };
+                    vec![RegId(0)],
+                );
                 for x0 in [-41i64, -1, 0, 4, 13] {
                     for len in 1..=CHUNK {
                         let want: Vec<f32> = (0..len as i64)
@@ -728,12 +717,7 @@ fn scatter_program(op: polymage_ir::Reduction, n: i64, simd: SimdLevel) -> Progr
                 name: "acc".into(),
                 out: BufId(2),
                 red_dom: polymage_poly::Rect::new(vec![(0, n - 1)]),
-                kernel: Kernel {
-                    ops: vec![load(0, 0), load(1, 1)],
-                    nregs: 2,
-                    meta: None,
-                    outs: vec![RegId(0), RegId(1)],
-                },
+                kernel: Kernel::new(vec![load(0, 0), load(1, 1)], vec![RegId(0), RegId(1)]),
                 op,
                 reads: vec![BufId(0), BufId(1)],
             }),

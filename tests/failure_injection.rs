@@ -3,7 +3,9 @@
 //! bounds checking, compilation, or execution — never by computing garbage.
 
 use polymage::apps::{all_benchmarks, Scale};
-use polymage::core::{compile, instantiate, plan, CompileError, CompileOptions, Session};
+use polymage::core::{
+    compile, instantiate, interp, plan, CompileError, CompileOptions, Schedule, Session,
+};
 use polymage::graph::{GraphError, PipelineGraph};
 use polymage::ir::*;
 use polymage::poly::Rect;
@@ -250,6 +252,155 @@ fn five_data_dependent_dims_rejected() {
         check(session.compile(&pipe, &opts).unwrap_err());
     }
     assert_eq!((session.plan_cache_len(), session.cache_len()), (0, 0));
+}
+
+/// `name` over an 8×8 float image `I(y, x) = 8y + x`, with that image:
+/// `stage` defines the one output from the builder and the image.
+fn on_8x8(
+    name: &str,
+    stage: impl FnOnce(&mut PipelineBuilder, ImageId) -> FuncId,
+) -> (Pipeline, Buffer) {
+    let mut p = PipelineBuilder::new(name);
+    let img = p.image("I", ScalarType::Float, vec![PAff::cst(8), PAff::cst(8)]);
+    let out = stage(&mut p, img);
+    let input =
+        Buffer::zeros(Rect::new(vec![(0, 7), (0, 7)])).fill_with(|q| (q[0] * 8 + q[1]) as f32);
+    (p.finish(&[out]).unwrap(), input)
+}
+
+/// A `Sum` accumulator `name` over `dims`, reducing over `red`.
+fn sum(
+    p: &mut PipelineBuilder,
+    name: &str,
+    dims: &[(VarId, Interval)],
+    red: Vec<(VarId, Interval)>,
+    target: Vec<Expr>,
+    value: Expr,
+) -> FuncId {
+    let (red_vars, red_dom) = red.into_iter().unzip();
+    let acc = Accumulate {
+        red_vars,
+        red_dom,
+        target,
+        value,
+        op: Reduction::Sum,
+    };
+    p.accumulator(name, dims, ScalarType::Float, acc).unwrap()
+}
+
+/// Loops with no dimensions, and loops with more dimensions than the
+/// dependence masks' 32 bits, under every schedule with `kernel_opt` on and
+/// off. A stage without variables used to panic the caller inside
+/// `instantiate`, and a reduction over no variables failed every run with
+/// an internal error: both are now a typed error from `plan`. A scalar sum
+/// (an accumulator without variables over a 2-D domain) and a
+/// 33-dimensional stage (32 single-point dimensions, then one of extent 8,
+/// reading and computing with coordinates on both sides of the shared bit
+/// 31) match the interpreter bit for bit.
+#[test]
+fn zero_and_thirty_three_dimensional_loops() {
+    let nullary = on_8x8("nullary", |p, img| {
+        let f = p.func("f", &[], ScalarType::Float);
+        p.define(f, vec![Case::always(Expr::at(img, [3, 4]) * 2.0)])
+            .unwrap();
+        f
+    });
+    let no_red_vars = on_8x8("no_red_vars", |p, img| {
+        let b = p.var("b");
+        sum(
+            p,
+            "s",
+            &[(b, Interval::cst(0, 3))],
+            vec![],
+            vec![Expr::Const(2.0)],
+            Expr::at(img, [1, 1]),
+        )
+    });
+    let scalar_sum = on_8x8("scalar_sum", |p, img| {
+        let (r, c) = (p.var("r"), p.var("c"));
+        let red = vec![(r, Interval::cst(0, 7)), (c, Interval::cst(0, 7))];
+        sum(p, "total", &[], red, vec![], Expr::at(img, [r + 0, c + 0]))
+    });
+    let dims33 = on_8x8("dims33", |p, img| {
+        let v: Vec<VarId> = (0..33).map(|d| p.var(format!("v{d}"))).collect();
+        // v0..v31 pinned to d % 4, then v32 over [0, 7].
+        let dims: Vec<(VarId, Interval)> = (0..33i64)
+            .map(|d| {
+                (
+                    v[d as usize],
+                    Interval::cst(d % 4, if d < 32 { d % 4 } else { 7 }),
+                )
+            })
+            .collect();
+        let f = p.func("f", &dims, ScalarType::Float);
+        let value = Expr::at(img, [v[32] + 0, v[31] + 0])
+            + Expr::at(img, [v[31] + 0, v[30] + 0]) * Expr::from(v[31])
+            + Expr::from(v[32]) * 0.5
+            + Expr::from(v[0]);
+        p.define(f, vec![Case::always(value)]).unwrap();
+        f
+    });
+    let engine = Engine::with_threads(1);
+    for ((pipe, input), rejects) in [
+        (nullary, Some("f")),
+        (no_red_vars, Some("s")),
+        (scalar_sum, None),
+        (dims33, None),
+    ] {
+        let want = interp::interpret(&pipe, &[], std::slice::from_ref(&input)).unwrap();
+        for schedule in Schedule::ALL {
+            for kopt in [true, false] {
+                let opts = CompileOptions {
+                    schedule,
+                    ..CompileOptions::optimized(vec![]).with_kernel_opt(kopt)
+                };
+                let at = format!("{} {} kernel_opt {kopt}", pipe.name(), schedule.label());
+                match (plan(&pipe, &opts), rejects) {
+                    (Err(CompileError::UnsupportedAccess { func, reason }), Some(stage)) => {
+                        assert_eq!(func, stage, "{at}");
+                        assert!(reason.contains("no dimensions"), "{at}: {reason}");
+                    }
+                    (Ok(plan), None) => {
+                        let compiled = instantiate(&plan, &[]).unwrap();
+                        let got = engine
+                            .submit(RunRequest::new(
+                                &compiled.program,
+                                std::slice::from_ref(&input),
+                            ))
+                            .and_then(|h| h.join())
+                            .unwrap();
+                        let bits =
+                            |b: &Buffer| b.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&got[0]), bits(&want[0]), "{at}");
+                    }
+                    (other, _) => panic!("{at}: {:?}", other.err()),
+                }
+            }
+        }
+    }
+}
+
+/// A malformed `POLYMAGE_SIMD` is ignored and reported once on stderr,
+/// through compiles and runs (it used to be reported by two readers).
+#[test]
+fn malformed_simd_env_is_reported_once() {
+    let out = std::process::Command::new(std::env::current_exe().unwrap())
+        .args([
+            "zero_and_thirty_three_dimensional_loops",
+            "--exact",
+            "--nocapture",
+        ])
+        .env("POLYMAGE_SIMD", "avx512")
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let warnings: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.contains("POLYMAGE_SIMD"))
+        .collect();
+    assert_eq!(warnings.len(), 1, "{stderr}");
+    assert!(warnings[0].contains("`avx512`"), "{stderr}");
 }
 
 #[test]
