@@ -82,8 +82,9 @@ fn camera_matches_interpreter_at_tiny() {
     use polymage_apps::{Benchmark, Scale};
     let app = CameraPipe::new(Scale::Tiny);
     let inputs = app.make_inputs(21);
-    let expect = polymage_core::interp::interpret(app.pipeline(), &app.params(), &inputs).unwrap();
     let session = Session::with_threads(3);
+    let expect =
+        polymage_core::interp::interpret(app.pipeline(), &app.params(), &inputs, 3).unwrap();
     let got = session
         .run(
             app.pipeline(),

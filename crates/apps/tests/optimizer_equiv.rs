@@ -1,12 +1,13 @@
 //! Kernel-optimizer equivalence on the real benchmark apps: for every
-//! benchmark under {base, opt, opt+vec}, the program compiled with
-//! `kernel_opt` on must produce **bit-identical** outputs to the same
-//! schedule with the optimizer off — the optimizer's whole rewrite catalog
-//! is restricted to bit-exact f32 transformations. Also pins down that the
-//! optimizer actually *does* something on every multi-stage app: nonzero
+//! benchmark under {base, opt, opt+vec}, the optimized program must produce
+//! **bit-identical** outputs to the reference interpreter at the same
+//! thread count — the optimizer's whole rewrite catalog is restricted to
+//! bit-exact f32 transformations. Also pins down that the optimizer
+//! actually *does* something on every multi-stage app: nonzero
 //! folded/simplified ops and specialized (non-gather) loads.
 
 use polymage_apps::{all_benchmarks, Scale};
+use polymage_core::interp::interpret;
 use polymage_core::{compile, CompileOptions};
 use polymage_vm::{Engine, EvalMode, RunRequest};
 
@@ -32,21 +33,23 @@ fn kernel_opt_bit_exact_all_benchmarks_all_schedules() {
             ),
             ("opt+vec", CompileOptions::optimized(b.params())),
         ];
-        for (label, on) in schedules {
-            let off = on.clone().with_kernel_opt(false);
-            let c_on = compile(b.pipeline(), &on).unwrap_or_else(|e| panic!("{}: {e}", b.name()));
-            let c_off = compile(b.pipeline(), &off).unwrap_or_else(|e| panic!("{}: {e}", b.name()));
-            for threads in [1usize, 3] {
-                let [got, want] = [&c_on, &c_off].map(|c| {
-                    engine
-                        .submit(RunRequest::new(&c.program, &inputs).threads(threads))
-                        .and_then(|h| h.join())
-                        .unwrap_or_else(|e| panic!("{}: {e}", b.name()))
-                });
+        let oracles = [1usize, 3].map(|threads| {
+            let want = interpret(b.pipeline(), &b.params(), &inputs, threads)
+                .unwrap_or_else(|e| panic!("{}: interpreter: {e}", b.name()));
+            (threads, bits(&want))
+        });
+        for (label, opts) in schedules {
+            let c = compile(b.pipeline(), &opts).unwrap_or_else(|e| panic!("{}: {e}", b.name()));
+            for (threads, want) in &oracles {
+                let got = engine
+                    .submit(RunRequest::new(&c.program, &inputs).threads(*threads))
+                    .and_then(|h| h.join())
+                    .unwrap_or_else(|e| panic!("{}: {e}", b.name()));
                 assert_eq!(
-                    bits(&want),
+                    *want,
                     bits(&got),
-                    "{}: kernel_opt changed output bits ({label}, threads {threads})",
+                    "{}: the optimized program differs from the interpreter \
+                     ({label}, threads {threads})",
                     b.name()
                 );
             }

@@ -12,15 +12,8 @@
 //!   the two halves of the paper's headline optimization;
 //! - **overlap estimate**: the level-wise tight tile shapes vs forcing
 //!   group splits with a near-zero overlap threshold;
-//! - **kernel optimizer** (`no-kopt`): the bit-exact SSA rewrites
-//!   (folding, simplification, CSE, DCE, compaction, fixed-dimension
-//!   specialization) on/off — uniform-op hoisting and row-resolved loads
-//!   belong to the evaluator and run in both columns;
 //! - **SIMD backend**: runtime-dispatched vector chunk loops vs the
 //!   forced-scalar fallback (`CompileOptions::with_simd(SimdOpt::Off)`);
-//! - **storage folding** (§3.6, second half): liveness-based scratch-slot
-//!   reuse and early full-buffer release on/off
-//!   (`CompileOptions::with_storage_fold(false)`);
 //! - **tile model** (§3.8): the fixed `[32, 256]` shape for every group
 //!   (`CompileOptions::with_tiles`) vs the default per-group cache-model
 //!   shapes, which differ only for groups that overflow the L2 budget.
@@ -30,11 +23,9 @@ use polymage_core::{CompileOptions, Schedule, Session, SimdOpt, DEFAULT_TILE_SIZ
 
 /// The columns after the schedules: one other knob of `opt` each.
 type Knob = (&'static str, fn(CompileOptions) -> CompileOptions);
-const KNOBS: [Knob; 5] = [
+const KNOBS: [Knob; 3] = [
     ("thresh≈0", |o| o.with_threshold(1e-9)),
-    ("no-kopt", |o| o.with_kernel_opt(false)),
     ("simd-off", |o| o.with_simd(SimdOpt::Off)),
-    ("fold-off", |o| o.with_storage_fold(false)),
     ("tile-fixed", |o| o.with_tiles(DEFAULT_TILE_SIZES.to_vec())),
 ];
 

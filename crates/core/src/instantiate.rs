@@ -185,7 +185,7 @@ pub fn instantiate_with(
 
     // Storage optimization (§3.6) on the final kernels' reads.
     let span = diag.begin();
-    let storage = crate::storage::optimize_storage(&mut program, plan.opts.storage_fold);
+    let storage = crate::storage::optimize_storage(&mut program);
     for (gr, gs) in group_reports.iter_mut().zip(&storage.groups) {
         gr.scratch_folded_bytes = gs.folded_bytes;
         gr.scratch_slots = gs.slots;
@@ -196,7 +196,6 @@ pub fn instantiate_with(
         "phase.storage",
         if diag.enabled() {
             vec![
-                ("enabled", Value::UInt(plan.opts.storage_fold as u64)),
                 ("folded_bytes", Value::UInt(storage.folded_bytes as u64)),
                 (
                     "peak_full_bytes",
@@ -244,7 +243,7 @@ pub fn instantiate_with(
 
 /// One binding in progress: the buffers declared so far and the kernels
 /// built so far (optimizer reports in program order, and the
-/// reused/respecialized split under `kernel_opt`).
+/// reused/respecialized split).
 struct Binder<'a> {
     plan: &'a ParametricPlan,
     params: &'a [i64],
@@ -661,15 +660,12 @@ impl<'a> Binder<'a> {
         proto: &KernelProto,
         name: String,
     ) -> Result<(Kernel, Option<RegId>), CompileError> {
-        let kernel_opt = self.plan.opts.kernel_opt;
-        let (k, reused) = build_kernel(env, body, geom, Some(proto), kernel_opt, name)?;
-        if let Some(r) = k.report {
-            self.kernels.push(r);
-            if reused {
-                self.reused += 1;
-            } else {
-                self.respecialized += 1;
-            }
+        let (k, reused) = build_kernel(env, body, geom, Some(proto), name)?;
+        self.kernels.push(k.report);
+        if reused {
+            self.reused += 1;
+        } else {
+            self.respecialized += 1;
         }
         Ok((k.kernel, k.mask))
     }

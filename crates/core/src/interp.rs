@@ -3,7 +3,8 @@
 //! Evaluates every stage point-by-point into full buffers, with no fusion,
 //! tiling, or vectorization, so tests can use it as a semantic oracle: for
 //! every pipeline, `compile(...)` run on an `Engine` must agree with
-//! [`interpret`] **bit for bit**, under every schedule and SIMD level.
+//! [`interpret`] **bit for bit**, under every schedule and SIMD level, at
+//! the same requested thread count.
 //!
 //! What an operator means is shared, not reimplemented: values go through
 //! the op table of `polymage_ir` (`BinOp::eval`, `UnOp::eval`,
@@ -21,8 +22,11 @@
 //! - cases are applied in order (each writes where its guard holds);
 //! - dynamic indices clamp into the producer's domain;
 //! - stores saturate/round per declared scalar type;
-//! - reductions sweep their domain row-major; self-referential stages scan
-//!   row-major.
+//! - reductions split their outer dimension into the row chunks of
+//!   [`polymage_vm::reduction_chunks`] at the requested thread count, sweep
+//!   each chunk row-major from the identity into its own partial and
+//!   combine the partials in ascending order (one partial is the output);
+//!   self-referential stages scan row-major.
 
 use crate::CompileError;
 use polymage_graph::PipelineGraph;
@@ -31,13 +35,15 @@ use polymage_ir::{
     FuncId, Pipeline, Source, UnOp, VarId,
 };
 use polymage_poly::{narrow_rect_by_cond, Rect};
-use polymage_vm::Buffer;
+use polymage_vm::{reduction_chunks, Buffer};
 use std::collections::HashMap;
 
 struct Interp<'a> {
     pipe: &'a Pipeline,
     params: &'a [i64],
     images: &'a [Buffer],
+    /// The run's requested thread count, which fixes how reductions split.
+    threads: usize,
     values: HashMap<FuncId, Buffer>,
 }
 
@@ -248,23 +254,49 @@ impl Interp<'_> {
             }
             FuncBody::Reduce(acc) => {
                 let red = Rect::new(acc.red_dom.iter().map(|iv| iv.eval(self.params)).collect());
-                buf.data.fill(acc.op.identity());
-                if !red.is_empty() {
-                    let pts: Vec<Vec<i64>> = red.points().collect();
-                    for pt in pts {
-                        let idx: Vec<i64> = acc
-                            .target
-                            .iter()
-                            .map(|t| self.eval_index(t, &acc.red_vars, &pt))
-                            .collect();
-                        let clamped: Vec<i64> = idx
-                            .iter()
-                            .zip(dom.ranges())
-                            .map(|(&i, &(lo, hi))| i.clamp(lo, hi))
-                            .collect();
-                        let v = self.eval_value(&acc.value, &acc.red_vars, &pt);
-                        let flat = flat_index(&dom, &clamped);
-                        buf.data[flat] = acc.op.combine(buf.data[flat], v);
+                // The engine's row chunks at the same thread count (a
+                // domain without dimensions has no rows to split).
+                let chunks: Vec<Rect> = match red.ndim() {
+                    0 => vec![red],
+                    _ => reduction_chunks(red.range(0), self.threads)
+                        .into_iter()
+                        .map(|rows| {
+                            let mut chunk = red.clone();
+                            *chunk.range_mut(0) = rows;
+                            chunk
+                        })
+                        .collect(),
+                };
+                let mut parts: Vec<Vec<f32>> = chunks
+                    .iter()
+                    .map(|chunk| {
+                        let mut part = vec![acc.op.identity(); buf.data.len()];
+                        for pt in chunk.points() {
+                            let target: Vec<i64> = acc
+                                .target
+                                .iter()
+                                .zip(dom.ranges())
+                                .map(|(t, &(lo, hi))| {
+                                    self.eval_index(t, &acc.red_vars, &pt).clamp(lo, hi)
+                                })
+                                .collect();
+                            let v = self.eval_value(&acc.value, &acc.red_vars, &pt);
+                            let flat = flat_index(&dom, &target);
+                            part[flat] = acc.op.combine(part[flat], v);
+                        }
+                        part
+                    })
+                    .collect();
+                // One partial is the output; more are combined into the
+                // identity in ascending chunk order.
+                if parts.len() == 1 {
+                    buf.data = parts.remove(0);
+                } else {
+                    buf.data.fill(acc.op.identity());
+                    for part in &parts {
+                        for (o, p) in buf.data.iter_mut().zip(part) {
+                            *o = acc.op.combine(*o, *p);
+                        }
                     }
                 }
                 acc.op.finish(&mut buf.data);
@@ -295,7 +327,9 @@ fn flat_index(rect: &Rect, pt: &[i64]) -> usize {
 /// Interprets a pipeline directly (the testing oracle).
 ///
 /// Returns the live-out buffers in declaration order, like
-/// [`polymage_vm::RunHandle::join`].
+/// [`polymage_vm::RunHandle::join`] of a run requested with
+/// `RunRequest::threads(threads)`: `threads` only fixes how reductions
+/// split into partials, so a float sum rounds as the engine's does.
 ///
 /// ```
 /// use polymage_ir::*;
@@ -310,7 +344,7 @@ fn flat_index(rect: &Rect, pt: &[i64]) -> usize {
 /// p.define(f, vec![Case::always(Expr::at(img, [x + 0]) * 2.0)])?;
 /// let pipe = p.finish(&[f])?;
 /// let input = Buffer::from_vec(Rect::new(vec![(0, 3)]), vec![1.0, 2.0, 3.0, 4.0]);
-/// let out = interpret(&pipe, &[], &[input])?;
+/// let out = interpret(&pipe, &[], &[input], 1)?;
 /// assert_eq!(out[0].data, vec![2.0, 4.0, 6.0, 8.0]);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -323,6 +357,7 @@ pub fn interpret(
     pipe: &Pipeline,
     params: &[i64],
     inputs: &[Buffer],
+    threads: usize,
 ) -> Result<Vec<Buffer>, CompileError> {
     if params.len() != pipe.params().len() {
         return Err(CompileError::param_mismatch(pipe, params.len()));
@@ -332,6 +367,7 @@ pub fn interpret(
         pipe,
         params,
         images: inputs,
+        threads,
         values: HashMap::new(),
     };
     for &f in graph.topo_order() {
@@ -359,7 +395,7 @@ mod tests {
             .unwrap();
         let pipe = p.finish(&[f]).unwrap();
         let input = Buffer::from_vec(Rect::new(vec![(0, 3)]), vec![1.0, 2.0, 3.0, 4.0]);
-        let out = interpret(&pipe, &[], &[input]).unwrap();
+        let out = interpret(&pipe, &[], &[input], 1).unwrap();
         assert_eq!(out[0].data, vec![3.0, 5.0, 7.0, 9.0]);
     }
 
@@ -377,7 +413,7 @@ mod tests {
         )
         .unwrap();
         let pipe = p.finish(&[f]).unwrap();
-        let out = interpret(&pipe, &[], &[]).unwrap();
+        let out = interpret(&pipe, &[], &[], 1).unwrap();
         assert_eq!(
             out[0].data,
             vec![0.0, 0.0, 0.0, 3.0, 4.0, 5.0, 6.0, 99.0, 99.0, 99.0]
@@ -402,7 +438,7 @@ mod tests {
         )
         .unwrap();
         let pipe = p.finish(&[f]).unwrap();
-        let out = interpret(&pipe, &[], &[]).unwrap();
+        let out = interpret(&pipe, &[], &[], 1).unwrap();
         // f(3, x) = x * 8
         assert_eq!(out[0].at(&[3, 4]), 32.0);
         assert_eq!(out[0].at(&[3, 1]), 8.0);
@@ -426,7 +462,7 @@ mod tests {
     fn data_dependent_index_is_evaluated_in_f32() {
         let i = vec![0.3, 0.6, 1.2, 1.4, 0.0, 2.0, 0.5, 1.0];
         let input = Buffer::from_vec(Rect::new(vec![(0, 7)]), i);
-        let out = interpret(&data_index_pipeline(), &[], &[input]).unwrap();
+        let out = interpret(&data_index_pipeline(), &[], &[input], 1).unwrap();
         assert_eq!(out[0].data, vec![1.2, 1.4, 2.0, 2.0, 0.6, 1.0, 1.4, 0.0]);
     }
 
@@ -435,7 +471,7 @@ mod tests {
         // ±1e30·3 saturates and clamps to the ends; NaN indexes 0.
         let i = vec![1e30, -1e30, f32::NAN, 0.0, 0.0, 0.0, 0.0, 5.0];
         let input = Buffer::from_vec(Rect::new(vec![(0, 7)]), i);
-        let out = interpret(&data_index_pipeline(), &[], &[input]).unwrap();
+        let out = interpret(&data_index_pipeline(), &[], &[input], 1).unwrap();
         assert_eq!(out[0].data[..3], [5.0, 1e30, 1e30]);
     }
 
@@ -459,7 +495,10 @@ mod tests {
             Rect::new(vec![(0, 7)]),
             vec![0.0, 1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 0.0],
         );
-        let out = interpret(&pipe, &[], &[input]).unwrap();
-        assert_eq!(out[0].data, vec![2.0, 2.0, 1.0, 3.0]);
+        // Counts are exact however the rows split into partials.
+        for threads in 1..=3 {
+            let out = interpret(&pipe, &[], std::slice::from_ref(&input), threads).unwrap();
+            assert_eq!(out[0].data, vec![2.0, 2.0, 1.0, 3.0], "threads {threads}");
+        }
     }
 }

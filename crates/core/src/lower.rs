@@ -40,10 +40,9 @@ pub struct LowerEnv<'a> {
 /// interpolation weights, condition subtrees shared with the value. Sharing
 /// them is the job of the kernel optimizer's CSE pass
 /// (`polymage_vm::opt`), which keeps lowering trivially correct and makes
-/// the cleanup measurable and ablatable (`kernel_opt: false` runs the
-/// pristine structural form). [`KernelBuilder::finish`] builds through
-/// `Kernel::new`, so even that form carries its dependence masks and gets
-/// the evaluator's uniform preamble.
+/// the cleanup measurable (its report counts ops before and after).
+/// [`KernelBuilder::finish`] builds through `Kernel::new`, so even the
+/// structural form carries its dependence masks.
 pub struct KernelBuilder<'a> {
     env: &'a LowerEnv<'a>,
     ops: Vec<Op>,

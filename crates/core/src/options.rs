@@ -159,19 +159,6 @@ pub struct CompileOptions {
     /// Which passes run: [`Schedule::Opt`] (the default) or `base` or one
     /// of the ablations.
     pub schedule: Schedule,
-    /// Liveness-driven storage folding (§3.6, second half): reuse one
-    /// arena slot for scratchpads of stages whose live ranges don't
-    /// intersect, and release full buffers right after their last consumer
-    /// group instead of at run end. Bit-exact; purely a memory-footprint /
-    /// locality knob.
-    pub storage_fold: bool,
-    /// Run the kernel optimizer (`polymage_vm::opt`): bit-exact constant
-    /// folding, simplification, CSE, DCE, register compaction and
-    /// fixed-dimension specialization. `false` executes kernels as
-    /// lowering emits them (for ablation and as the optimizer's test
-    /// reference); the evaluator's uniform hoisting and row-resolved loads
-    /// run either way.
-    pub kernel_opt: bool,
     /// SIMD backend selection for the chunk evaluator. [`SimdOpt::Auto`]
     /// (the default) uses the best instruction set detected at startup;
     /// [`SimdOpt::Off`] forces the scalar loops; explicit levels are
@@ -194,8 +181,6 @@ impl CompileOptions {
             overlap_threshold: 0.4,
             mode: EvalMode::Vector,
             schedule: Schedule::Opt,
-            storage_fold: true,
-            kernel_opt: true,
             simd: SimdOpt::Auto,
         }
     }
@@ -228,22 +213,9 @@ impl CompileOptions {
         self
     }
 
-    /// Enables or disables the kernel optimizer (on by default).
-    pub fn with_kernel_opt(mut self, on: bool) -> Self {
-        self.kernel_opt = on;
-        self
-    }
-
     /// Selects the SIMD backend ([`SimdOpt::Auto`] by default).
     pub fn with_simd(mut self, simd: SimdOpt) -> Self {
         self.simd = simd;
-        self
-    }
-
-    /// Enables or disables liveness-driven storage folding (on by
-    /// default).
-    pub fn with_storage_fold(mut self, on: bool) -> Self {
-        self.storage_fold = on;
         self
     }
 
@@ -286,8 +258,8 @@ impl CompileOptions {
     /// The hashable normal form of these options, used (together with the
     /// pipeline's content hash) to key compile caches.
     ///
-    /// Every knob participates, since each can change the produced program
-    /// — including `kernel_opt`, which rewrites kernels.
+    /// Every knob participates, since each can change the produced
+    /// program.
     pub fn cache_key(&self) -> OptionsKey {
         OptionsKey {
             params: self.params.clone(),
@@ -328,8 +300,6 @@ impl CompileOptions {
             overlap_threshold_bits: self.overlap_threshold.to_bits(),
             mode: self.mode,
             schedule: self.schedule,
-            storage_fold: self.storage_fold,
-            kernel_opt: self.kernel_opt,
             simd: polymage_vm::resolve_simd(self.simd),
         }
     }
@@ -461,8 +431,6 @@ pub struct StructuralKey {
     overlap_threshold_bits: u64,
     mode: EvalMode,
     schedule: Schedule,
-    storage_fold: bool,
-    kernel_opt: bool,
     /// The *resolved* [`polymage_vm::SimdLevel`]: environment override and
     /// host clamping applied, so two option sets that resolve to the same
     /// level share a cache entry.
@@ -514,13 +482,6 @@ mod tests {
             };
             assert_ne!(a.cache_key(), other.cache_key(), "{}", s.label());
         }
-        // kernel_opt rewrites kernels, so it must change the key.
-        assert_ne!(a.cache_key(), a.clone().with_kernel_opt(false).cache_key());
-        // storage_fold changes slot assignments and buffer lifetimes.
-        assert_ne!(
-            a.cache_key(),
-            a.clone().with_storage_fold(!a.storage_fold).cache_key()
-        );
         // The simd option participates through its *resolved* level
         // (environment override and host clamping applied), so the keys
         // differ exactly when the resolved levels do.
@@ -555,7 +516,7 @@ mod tests {
     #[test]
     fn presets() {
         let o = CompileOptions::optimized(vec![100]);
-        assert!(o.schedule == Schedule::Opt && o.kernel_opt);
+        assert_eq!(o.schedule, Schedule::Opt);
         assert_eq!(o.mode, EvalMode::Vector);
         let b = CompileOptions::base(vec![100]);
         assert_eq!(b.schedule, Schedule::Base);

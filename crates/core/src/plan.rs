@@ -253,8 +253,7 @@ pub(crate) struct CasePlan {
 }
 
 /// A kernel as [`build_kernel`] returns it and the plan stores it:
-/// optimized under `kernel_opt`, raw otherwise, with the fixed-dimension
-/// signature it was built for.
+/// optimized, with the fixed-dimension signature it was specialized for.
 #[derive(Debug, Clone)]
 pub(crate) struct KernelProto {
     pub(crate) kernel: Kernel,
@@ -263,11 +262,10 @@ pub(crate) struct KernelProto {
     /// Whether the kernel embeds concrete parameter values (`Expr::Param`
     /// constants, parametric load offsets).
     pub(crate) param_sensitive: bool,
-    /// The `fixed_dims` signature the optimizer specialized the kernel for
-    /// (empty without `kernel_opt`: a raw kernel assumes nothing).
+    /// The `fixed_dims` signature the optimizer specialized the kernel for.
     pub(crate) fixed: Vec<Option<i64>>,
-    /// The optimizer's report (present iff `kernel_opt`).
-    pub(crate) report: Option<KernelOptReport>,
+    /// The optimizer's report.
+    pub(crate) report: KernelOptReport,
 }
 
 /// What [`build_kernel`] lowers.
@@ -289,15 +287,13 @@ pub(crate) enum KernelBody<'a> {
 /// prototype comes back verbatim — renamed, and flagged `true` — when it
 /// embeds no parameter value and was built for the same signature; then it
 /// is byte-identical to what lowering at `env.params` would produce.
-/// Otherwise the body is lowered at `env.params` and, under `kernel_opt`,
-/// optimized. A kernel over a zero-dimensional loop domain (a stage
+/// Otherwise the body is lowered at `env.params` and optimized. A kernel over a zero-dimensional loop domain (a stage
 /// without variables, a reduction over no variables) is rejected.
 pub(crate) fn build_kernel(
     env: &LowerEnv<'_>,
     body: KernelBody<'_>,
     (rect, steps): (&Rect, &[(i64, i64)]),
     proto: Option<&KernelProto>,
-    kernel_opt: bool,
     name: String,
 ) -> Result<(KernelProto, bool), CompileError> {
     if rect.ndim() == 0 {
@@ -307,16 +303,10 @@ pub(crate) fn build_kernel(
             reason: "its loop domain has no dimensions; the executor chunks along one".into(),
         });
     }
-    let fixed = if kernel_opt {
-        fixed_dims(rect, steps)
-    } else {
-        Vec::new()
-    };
+    let fixed = fixed_dims(rect, steps);
     if let Some(p) = proto.filter(|p| !p.param_sensitive && p.fixed == fixed) {
         let mut k = p.clone();
-        if let Some(r) = &mut k.report {
-            r.name = name;
-        }
+        k.report.name = name;
         return Ok((k, true));
     }
     let mut b = KernelBuilder::new(env);
@@ -338,11 +328,8 @@ pub(crate) fn build_kernel(
     let param_sensitive = b.param_sensitive();
     let (mut kernel, _reads) = b.finish(outs);
     check_index_terms(&kernel, &env.pipe.func(f).name)?;
-    let report = kernel_opt.then(|| {
-        let report = optimize_kernel(&mut kernel, rect.ndim(), &fixed, name);
-        sync_mask(&kernel, &mut mask);
-        report
-    });
+    let report = optimize_kernel(&mut kernel, rect.ndim(), &fixed, name);
+    sync_mask(&kernel, &mut mask);
     let k = KernelProto {
         kernel,
         mask,
@@ -768,7 +755,6 @@ fn plan_cases(
             KernelBody::Case(f, &expr, residual.as_ref()),
             (&rect_est.intersect(dom_est), &steps),
             None,
-            ctx.opts.kernel_opt,
             format!("{}/{}#{}", group_name, fd.name, ci),
         )?;
         out.push(CasePlan {
@@ -806,7 +792,6 @@ fn plan_reduction(ctx: &mut PlanCtx<'_>, f: FuncId) -> Result<GroupPlan, Compile
         KernelBody::Reduce(f),
         (&red_dom_est, &[]),
         None,
-        ctx.opts.kernel_opt,
         format!("{}/{}", group_name, fd.name),
     )?;
     // Every target dimension is a data-dependent index of the scatter.

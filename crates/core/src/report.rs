@@ -28,9 +28,8 @@ pub struct GroupReport {
     pub scratch_bytes: usize,
     /// Full-array bytes allocated for this group's outputs.
     pub full_bytes: usize,
-    /// Per-thread scratch arena bytes after liveness folding (equals the
-    /// aligned sum of `scratch_bytes` when folding is off; `0` for
-    /// non-tiled groups).
+    /// Per-thread scratch arena bytes after liveness folding (at most the
+    /// 64-byte-aligned sum of `scratch_bytes`; `0` for non-tiled groups).
     pub scratch_folded_bytes: usize,
     /// Number of shared arena slots after folding (`0` for non-tiled
     /// groups).
@@ -92,7 +91,7 @@ pub struct CompileReport {
     pub dead: Vec<String>,
     /// Scheduled groups, in execution order.
     pub groups: Vec<GroupReport>,
-    /// Per-kernel optimizer statistics (empty when `kernel_opt` is off).
+    /// Per-kernel optimizer statistics, one per kernel in program order.
     pub kernels: Vec<polymage_vm::KernelOptReport>,
     /// The SIMD level the compiled program dispatches to (environment
     /// override and host clamping already applied).

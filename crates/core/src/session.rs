@@ -33,8 +33,8 @@
 //!   live-outs);
 //! - the options participate via [`CompileOptions::cache_key`], which
 //!   includes every field (params, estimates, tile spec, threshold bits,
-//!   mode, schedule, `storage_fold`, `kernel_opt` and the resolved SIMD
-//!   level), since each can change the produced program;
+//!   mode, schedule and the resolved SIMD level), since each can change
+//!   the produced program;
 //! - errors are never cached — a failed compilation is retried on the
 //!   next call. The static bounds check runs on every bind, plan-cache
 //!   hits included, so a size that reads out of bounds is rejected even

@@ -21,8 +21,8 @@
 //!   copied in up front) and live-outs to completion (they are cloned into
 //!   the result).
 //!
-//! Both transformations are value-invisible: tests compare folded and
-//! unfolded programs bit-for-bit.
+//! Both transformations are value-invisible: tests compare every folded
+//! program with the reference interpreter bit for bit.
 
 use crate::Schedule;
 use polymage_graph::PipelineGraph;
@@ -66,8 +66,6 @@ impl StageStorage {
 /// Per-group outcome of scratch folding.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct GroupStorage {
-    /// Packed arena bytes with one private slot per stage.
-    pub unfolded_bytes: usize,
     /// Packed arena bytes after folding.
     pub folded_bytes: usize,
     /// Slots after folding (0 for non-tiled groups).
@@ -86,12 +84,9 @@ pub(crate) struct StorageOutcome {
     pub folded_bytes: usize,
 }
 
-/// Runs the storage pass over a scheduled program, in place.
-///
-/// With `enabled == false` the program keeps its identity slot assignment
-/// and run-scoped buffer lifetimes; the outcome still reports the
-/// (unchanged) footprints so ablations can compare.
-pub(crate) fn optimize_storage(prog: &mut Program, enabled: bool) -> StorageOutcome {
+/// Runs the storage pass over a scheduled program, in place: folds every
+/// tiled group's scratchpads and narrows every full buffer's lifetime.
+pub(crate) fn optimize_storage(prog: &mut Program) -> StorageOutcome {
     let mut out = StorageOutcome::default();
     let Program {
         ref buffers,
@@ -102,11 +97,9 @@ pub(crate) fn optimize_storage(prog: &mut Program, enabled: bool) -> StorageOutc
         match &mut g.kind {
             GroupKind::Tiled(tg) => {
                 let unfolded_bytes = tg.slots.arena_bytes();
-                if enabled {
-                    tg.slots = fold_group(tg, buffers);
-                }
+                tg.slots = fold_group(tg, buffers);
+                out.folded_bytes += unfolded_bytes - tg.slots.arena_bytes();
                 out.groups.push(GroupStorage {
-                    unfolded_bytes,
                     folded_bytes: tg.slots.arena_bytes(),
                     slots: tg.slots.nslots,
                 });
@@ -114,17 +107,8 @@ pub(crate) fn optimize_storage(prog: &mut Program, enabled: bool) -> StorageOutc
             _ => out.groups.push(GroupStorage::default()),
         }
     }
-    prog.storage = if enabled {
-        lifetime_plan(prog)
-    } else {
-        StoragePlan::run_scoped(prog.buffers.len())
-    };
+    prog.storage = lifetime_plan(prog);
     out.peak_full_bytes = peak_estimate(prog);
-    out.folded_bytes = out
-        .groups
-        .iter()
-        .map(|g| g.unfolded_bytes - g.folded_bytes)
-        .sum();
     out
 }
 

@@ -338,7 +338,7 @@ fn c_backend_matches_vm_on_time_iteration() {
     let pipe = p.finish(&[f]).unwrap();
     let inputs =
         [Buffer::zeros(Rect::new(vec![(0, 31)])).fill_with(|pt| (pt[0] * 5 % 13) as f32 - 2.5)];
-    let interp: Vec<Vec<u32>> = interpret(&pipe, &[], &inputs)
+    let interp: Vec<Vec<u32>> = interpret(&pipe, &[], &inputs, 1)
         .unwrap()
         .iter()
         .map(|b| b.data.iter().map(|v| v.to_bits()).collect())
@@ -600,7 +600,7 @@ fn c_backend_matches_vm_on_hostile_values() {
     // The interpreter is the third side, checked with or without a C
     // compiler: bit for bit with the engine at every schedule and level.
     let engine = Engine::with_threads(1);
-    let interp: Vec<Vec<u32>> = interpret(&pipe, &[], &inputs)
+    let interp: Vec<Vec<u32>> = interpret(&pipe, &[], &inputs, 1)
         .unwrap()
         .iter()
         .map(|b| b.data.iter().map(|v| v.to_bits()).collect())
@@ -626,16 +626,10 @@ fn c_backend_matches_vm_on_hostile_values() {
         eprintln!("no C compiler; skipping");
         return;
     }
-    // `kernel_opt` off: the raw kernels' ops are hoisted by the same
-    // dependence masks.
-    for (schedule, kopt) in [
-        (Schedule::Opt, true),
-        (Schedule::Base, true),
-        (Schedule::Opt, false),
-    ] {
+    for schedule in [Schedule::Opt, Schedule::Base] {
         let opts = CompileOptions {
             schedule,
-            ..CompileOptions::optimized(vec![]).with_kernel_opt(kopt)
+            ..CompileOptions::optimized(vec![])
         };
         let prog = compile(&pipe, &opts).unwrap().program;
         let dir = build_c(&prog);
@@ -648,10 +642,7 @@ fn c_backend_matches_vm_on_hostile_values() {
                 simd: level,
                 ..(*prog).clone()
             });
-            let what = format!(
-                "hostile under {} at {level}, kernel_opt {kopt}",
-                schedule.label()
-            );
+            let what = format!("hostile under {} at {level}", schedule.label());
             assert_bits_eq("C", &c, &engine_bits(&engine, &at_level, &inputs), &what);
         }
         let _ = std::fs::remove_dir_all(&dir);

@@ -1,8 +1,8 @@
 //! The compiler's central correctness property: for every pipeline and
 //! every schedule configuration (every `Schedule`, vector/scalar, several
 //! tile shapes and thresholds, any thread count), the compiled program
-//! computes the same function as the naive reference interpreter, bit for
-//! bit.
+//! computes the same function as the naive reference interpreter at the
+//! same thread count, bit for bit.
 
 use polymage_core::interp::interpret;
 use polymage_core::{compile, CompileOptions, Schedule};
@@ -11,8 +11,8 @@ use polymage_poly::Rect;
 use polymage_vm::{Buffer, Engine, EvalMode, RunRequest};
 
 fn check_all_configs(pipe: &Pipeline, params: Vec<i64>, inputs: &[Buffer]) {
-    let expect = interpret(pipe, &params, inputs).expect("interpreter");
     let engine = Engine::with_threads(3);
+    let expects = [1, 2, 3].map(|n| (n, interpret(pipe, &params, inputs, n).expect("interp")));
     let schedules = Schedule::ALL.map(|schedule| CompileOptions {
         schedule,
         ..CompileOptions::optimized(params.clone())
@@ -28,13 +28,13 @@ fn check_all_configs(pipe: &Pipeline, params: Vec<i64>, inputs: &[Buffer]) {
     for (ci, opts) in schedules.iter().chain(&others).enumerate() {
         let compiled = compile(pipe, opts)
             .unwrap_or_else(|e| panic!("config {ci} failed to compile {}: {e}", pipe.name()));
-        for threads in [1, 3] {
+        for (threads, expect) in &expects {
             let got = engine
-                .submit(RunRequest::new(&compiled.program, inputs).threads(threads))
+                .submit(RunRequest::new(&compiled.program, inputs).threads(*threads))
                 .and_then(|h| h.join())
                 .unwrap_or_else(|e| panic!("config {ci} run: {e}"));
             assert_eq!(got.len(), expect.len());
-            for (o, (g, w)) in got.iter().zip(&expect).enumerate() {
+            for (o, (g, w)) in got.iter().zip(expect).enumerate() {
                 assert_eq!(g.rect, w.rect, "output {o} shape");
                 for (i, (a, b)) in g.data.iter().zip(&w.data).enumerate() {
                     assert_eq!(
@@ -265,6 +265,40 @@ fn histogram_equalization_like() {
     let pipe = p.finish(&[out]).unwrap();
     let input = noise_image(Rect::new(vec![(0, 59), (0, 77)]), 3);
     check_all_configs(&pipe, vec![60, 78], &[input]);
+}
+
+/// Bilateral Grid's shape: pixel *values* (not counts) summed into
+/// intensity × column bins, so every bin's float sum rounds differently
+/// under a different association. The engine splits the rows into one
+/// partial per requested thread and the interpreter must split them the
+/// same way: row counts below, equal to and not divisible by the thread
+/// counts 1, 2 and 3.
+#[test]
+fn float_scatter_sum_splits_like_the_engine() {
+    let mut p = PipelineBuilder::new("grid");
+    let r = p.param("R");
+    let img = p.image("I", ScalarType::Float, vec![PAff::param(r), PAff::cst(29)]);
+    let (x, y, b, g) = (p.var("x"), p.var("y"), p.var("b"), p.var("g"));
+    let pixel = Expr::at(img, [Expr::from(x), Expr::from(y)]);
+    let acc = Accumulate {
+        red_vars: vec![x, y],
+        red_dom: vec![
+            Interval::new(PAff::cst(0), PAff::param(r) - 1),
+            Interval::cst(0, 28),
+        ],
+        target: vec![pixel.clone() / 64.0, Expr::from(y) / 4.0],
+        value: pixel * 0.37 + 0.011,
+        op: Reduction::Sum,
+    };
+    let dims = [(b, Interval::cst(0, 3)), (g, Interval::cst(0, 7))];
+    let grid = p
+        .accumulator("grid", &dims, ScalarType::Float, acc)
+        .unwrap();
+    let pipe = p.finish(&[grid]).unwrap();
+    for rows in [1, 2, 3, 7] {
+        let input = noise_image(Rect::new(vec![(0, rows - 1), (0, 28)]), rows);
+        check_all_configs(&pipe, vec![rows], &[input]);
+    }
 }
 
 /// Multiple live-outs from one fused group.

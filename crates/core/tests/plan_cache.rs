@@ -209,8 +209,7 @@ fn scale_by_param() -> Pipeline {
 /// The reuse rule, pinned: a bind hands back the plan's kernel unless the
 /// kernel embeds a parameter value or the bound rect pins other
 /// dimensions. Six apps reuse every kernel; Harris has one kernel that
-/// reads a parameter. Without `kernel_opt` nothing is counted. A kernel
-/// that reads a parameter is rebuilt at every size, with the bound value.
+/// reads a parameter. A kernel that reads a parameter is rebuilt at every size, with the bound value.
 #[test]
 fn binds_reuse_exactly_the_kernels_the_rule_allows() {
     let want = [
@@ -235,10 +234,6 @@ fn binds_reuse_exactly_the_kernels_the_rule_allows() {
         let p = plan(t.pipeline(), &CompileOptions::optimized(t.params())).unwrap();
         let off = instantiate(&p, &s.params()).unwrap();
         assert_eq!(reuse(&off), counts, "{name} off the estimates");
-        let mut raw = CompileOptions::optimized(t.params());
-        raw.kernel_opt = false;
-        let p = plan(t.pipeline(), &raw).unwrap();
-        assert_eq!(reuse(&instantiate(&p, &s.params()).unwrap()), (0, 0));
     }
 
     // A parameter-insensitive kernel is reused off the estimates.
@@ -256,7 +251,7 @@ fn binds_reuse_exactly_the_kernels_the_rule_allows() {
             .submit(RunRequest::new(&bound.program, &inputs))
             .and_then(|h| h.join())
             .unwrap();
-        let want = interpret(&pipe, &[n], &inputs).unwrap();
+        let want = interpret(&pipe, &[n], &inputs, 1).unwrap();
         let bits = |b: &[Buffer]| -> Vec<Vec<u32>> {
             b.iter()
                 .map(|b| b.data.iter().map(|v| v.to_bits()).collect())

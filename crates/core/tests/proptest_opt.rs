@@ -1,9 +1,9 @@
 //! End-to-end bit-exactness of the kernel optimizer on random *pipelines*:
 //! for randomly generated two-stage stencil pipelines, the compiled
-//! program with `kernel_opt` on must produce **bit identical** outputs to
-//! the same schedule with the optimizer off, and both must match the
-//! naive reference interpreter bit-for-bit (lowering is structural — the
-//! evaluation tree, and therefore every f32 rounding step, is the same).
+//! (optimized) program must produce **bit identical** outputs to the naive
+//! reference interpreter (lowering is structural and every rewrite is
+//! bit-exact — the evaluation tree, and therefore every f32 rounding step,
+//! is the same).
 
 use polymage_core::interp::interpret;
 use polymage_core::{compile, CompileOptions};
@@ -84,8 +84,8 @@ fn noise_image(rect: Rect, seed: i64) -> Buffer {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-    /// kernel_opt on ≡ kernel_opt off ≡ interpreter, bit-exactly, across
-    /// schedules (base, opt, opt+vec).
+    /// Optimized program ≡ interpreter, bit-exactly, across schedules
+    /// (base, opt, opt+vec).
     #[test]
     fn optimized_pipelines_bit_exact(
         coeffs in proptest::collection::vec(-3i64..4, 9..10),
@@ -102,31 +102,20 @@ proptest! {
         let params = vec![rr, cc];
         let input = noise_image(Rect::new(vec![(0, rr + 1), (0, cc + 1)]), seed);
         let inputs = [input];
-        let expect = interpret(&pipe, &params, &inputs).expect("interpreter");
+        let expect = interpret(&pipe, &params, &inputs, 1).expect("interpreter");
         let engine = Engine::with_threads(1);
         let schedules = [
             CompileOptions::base(params.clone()).with_mode(EvalMode::Scalar),
             CompileOptions::optimized(params.clone()).with_mode(EvalMode::Scalar),
             CompileOptions::optimized(params.clone()),
         ];
-        for (si, on) in schedules.iter().enumerate() {
-            let off = on.clone().with_kernel_opt(false);
-            let c_on = compile(&pipe, on).expect("compile on");
-            let c_off = compile(&pipe, &off).expect("compile off");
-            let [o_on, o_off] = [&c_on, &c_off].map(|c| {
-                engine
-                    .submit(RunRequest::new(&c.program, &inputs))
-                    .and_then(|h| h.join())
-                    .expect("run")
-            });
-            for (b_on, (b_off, b_ref)) in
-                o_on.iter().zip(o_off.iter().zip(&expect))
-            {
-                for (i, (a, b)) in b_on.data.iter().zip(&b_off.data).enumerate() {
-                    prop_assert_eq!(
-                        a.to_bits(), b.to_bits(),
-                        "schedule {} elem {}: opt {} vs unopt {}", si, i, a, b);
-                }
+        for (si, opts) in schedules.iter().enumerate() {
+            let c = compile(&pipe, opts).expect("compile");
+            let got = engine
+                .submit(RunRequest::new(&c.program, &inputs))
+                .and_then(|h| h.join())
+                .expect("run");
+            for (b_on, b_ref) in got.iter().zip(&expect) {
                 for (i, (a, b)) in b_on.data.iter().zip(&b_ref.data).enumerate() {
                     prop_assert_eq!(
                         a.to_bits(), b.to_bits(),

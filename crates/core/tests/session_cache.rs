@@ -85,28 +85,6 @@ fn changed_knobs_and_params_miss() {
 }
 
 #[test]
-fn kernel_opt_is_part_of_the_key() {
-    let session = Session::with_threads(1);
-    let pipe = blur1d();
-    let on = CompileOptions::optimized(vec![64]);
-    let first = session.compile(&pipe, &on).unwrap();
-
-    // kernel_opt rewrites kernels → different program → must miss.
-    let off = on.clone().with_kernel_opt(false);
-    let second = session.compile(&pipe, &off).unwrap();
-    assert!(
-        !Arc::ptr_eq(&first, &second),
-        "flipping kernel_opt must not reuse the cached program"
-    );
-    assert_eq!(session.cache_stats().misses, 2);
-
-    // The optimized entry reports kernel statistics; the unoptimized must
-    // be the pristine lowering.
-    assert!(!first.report.kernels.is_empty());
-    assert!(second.report.kernels.is_empty());
-}
-
-#[test]
 fn bounds_check_runs_on_every_bind_including_plan_hits() {
     // f(x) = in(x) over [0, N-1], reading an image of constant extent 64:
     // in bounds up to N = 64, out of bounds beyond.

@@ -1,15 +1,15 @@
-//! Bit-exactness and footprint checks for liveness-driven storage folding
-//! (`CompileOptions::storage_fold`): on randomized stencil *chains* — the
-//! shape where scratchpad live ranges actually close early — the folded
-//! program must produce **bit identical** outputs to the unfolded one (and
-//! to the reference interpreter), while never using a larger per-worker
-//! scratch arena.
+//! Bit-exactness and footprint checks for liveness-driven storage folding:
+//! on randomized stencil *chains* — the shape where scratchpad live ranges
+//! actually close early — the folded program must produce **bit
+//! identical** outputs to the reference interpreter, while never using a
+//! larger per-worker scratch arena than one private slot per scratchpad
+//! or a higher peak than holding every full buffer for the whole run.
 
 use polymage_core::interp::interpret;
 use polymage_core::{compile, CompileOptions};
 use polymage_ir::*;
 use polymage_poly::Rect;
-use polymage_vm::{Buffer, Engine, EvalMode, RunRequest};
+use polymage_vm::{Buffer, Engine, EvalMode, GroupKind, Program, RunRequest, ScratchSlots};
 use proptest::prelude::*;
 
 /// A depth-`k` chain of 3-point vertical stencils over a border-guarded
@@ -58,6 +58,17 @@ fn chain_pipeline(depth: usize, weights: &[i64], div: i64) -> Pipeline {
     p.finish(&[prev.unwrap()]).unwrap()
 }
 
+/// The per-worker arena with one private slot per scratchpad.
+fn unfolded_arena_bytes(prog: &Program) -> usize {
+    prog.groups
+        .iter()
+        .map(|g| match &g.kind {
+            GroupKind::Tiled(tg) => ScratchSlots::unfolded(&tg.stages, &prog.buffers).arena_bytes(),
+            _ => 0,
+        })
+        .sum()
+}
+
 fn noise_image(rect: Rect, seed: i64) -> Buffer {
     Buffer::zeros(rect).fill_with(|p| {
         let mut h = seed;
@@ -72,8 +83,8 @@ fn noise_image(rect: Rect, seed: i64) -> Buffer {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-    /// storage_fold on ≡ storage_fold off ≡ interpreter, bit-exactly,
-    /// across schedules and thread counts; the folded arena never grows.
+    /// Folded program ≡ interpreter, bit-exactly, across schedules and
+    /// thread counts; the folded arena never grows.
     #[test]
     fn folded_pipelines_bit_exact(
         depth in 3usize..7,
@@ -87,43 +98,31 @@ proptest! {
         let params = vec![rr, cc];
         let input = noise_image(Rect::new(vec![(0, rr + 1), (0, cc + 1)]), seed);
         let inputs = [input];
-        let expect = interpret(&pipe, &params, &inputs).expect("interpreter");
         let engine = Engine::with_threads(3);
+        let expects =
+            [1usize, 3].map(|n| (n, interpret(&pipe, &params, &inputs, n).expect("interpreter")));
         let schedules = [
             CompileOptions::optimized(params.clone()).with_mode(EvalMode::Scalar),
             CompileOptions::optimized(params.clone()),
         ];
-        for (si, base) in schedules.iter().enumerate() {
-            let on = base.clone().with_storage_fold(true);
-            let off = base.clone().with_storage_fold(false);
-            let c_on = compile(&pipe, &on).expect("compile fold on");
-            let c_off = compile(&pipe, &off).expect("compile fold off");
+        for (si, opts) in schedules.iter().enumerate() {
+            let c = compile(&pipe, opts).expect("compile");
             prop_assert!(
-                c_on.program.arena_bytes() <= c_off.program.arena_bytes(),
+                c.program.arena_bytes() <= unfolded_arena_bytes(&c.program),
                 "folding grew the arena: {} > {}",
-                c_on.program.arena_bytes(),
-                c_off.program.arena_bytes()
+                c.program.arena_bytes(),
+                unfolded_arena_bytes(&c.program)
             );
             prop_assert!(
-                c_on.report.peak_full_bytes <= c_off.report.peak_full_bytes,
+                c.report.peak_full_bytes <= c.program.full_bytes(),
                 "folding raised the peak estimate"
             );
-            for threads in [1usize, 3] {
-                let [o_on, o_off] = [&c_on, &c_off].map(|c| {
-                    engine
-                        .submit(RunRequest::new(&c.program, &inputs).threads(threads))
-                        .and_then(|h| h.join())
-                        .expect("run")
-                });
-                for (b_on, (b_off, b_ref)) in
-                    o_on.iter().zip(o_off.iter().zip(&expect))
-                {
-                    for (i, (a, b)) in b_on.data.iter().zip(&b_off.data).enumerate() {
-                        prop_assert_eq!(
-                            a.to_bits(), b.to_bits(),
-                            "schedule {} threads {} elem {}: fold {} vs unfold {}",
-                            si, threads, i, a, b);
-                    }
+            for (threads, expect) in &expects {
+                let got = engine
+                    .submit(RunRequest::new(&c.program, &inputs).threads(*threads))
+                    .and_then(|h| h.join())
+                    .expect("run");
+                for (b_on, b_ref) in got.iter().zip(expect) {
                     for (i, (a, b)) in b_on.data.iter().zip(&b_ref.data).enumerate() {
                         prop_assert_eq!(
                             a.to_bits(), b.to_bits(),
@@ -142,17 +141,8 @@ proptest! {
 fn deep_chain_folds_strictly() {
     let pipe = chain_pipeline(8, &[1, 2, 1], 4);
     let params = vec![64, 64];
-    let on = compile(
-        &pipe,
-        &CompileOptions::optimized(params.clone()).with_storage_fold(true),
-    )
-    .unwrap();
-    let off = compile(
-        &pipe,
-        &CompileOptions::optimized(params).with_storage_fold(false),
-    )
-    .unwrap();
-    let (a_on, a_off) = (on.program.arena_bytes(), off.program.arena_bytes());
+    let on = compile(&pipe, &CompileOptions::optimized(params)).unwrap();
+    let (a_on, a_off) = (on.program.arena_bytes(), unfolded_arena_bytes(&on.program));
     assert!(
         a_on < a_off,
         "deep chain did not fold: {a_on} vs {a_off} arena bytes"

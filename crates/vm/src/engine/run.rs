@@ -12,7 +12,9 @@ use std::time::{Duration, Instant};
 
 use super::{lock, panic_error, RunRequest, SchedCounters, Shared};
 use crate::exec::{decl_rect, execute_seq, strip_layout, written_stages, StripRows};
-use crate::{BufId, BufKind, Buffer, CancelReason, GroupKind, Program, RunStats, VmError};
+use crate::{
+    reduction_chunks, BufId, BufKind, Buffer, CancelReason, GroupKind, Program, RunStats, VmError,
+};
 use polymage_diag::{Counter, Diag, Span, Value};
 
 /// Shared state of one tiled-group execution (one run, one group).
@@ -375,21 +377,6 @@ fn publish(shared: &Shared, run: &RunContext, task: Task, unit_tiles: Vec<u64>) 
     slot.run.task = Some(task);
     slot.publish(unit_tiles);
     shared.work_cv.notify_all();
-}
-
-/// Outer-dimension chunks of a reduction, one task unit each: at least
-/// one (an empty domain sweeps nothing into one identity-filled partial),
-/// at most one per requested thread. Based on the *requested* thread
-/// count, not the pool size, so partial boundaries — and therefore float
-/// combine order — are those of a single-worker run with the same count.
-fn reduction_chunks((rlo, rhi): (i64, i64), req_threads: usize) -> Vec<(i64, i64)> {
-    let total = (rhi - rlo + 1).max(0);
-    let nth = req_threads.min(total as usize).max(1);
-    let chunk = total.div_euclid(nth as i64) + 1;
-    (0..nth as i64)
-        .map(|t| (rlo + t * chunk, (rlo + (t + 1) * chunk - 1).min(rhi)))
-        .filter(|&(lo, hi)| lo <= hi || lo == rlo)
-        .collect()
 }
 
 /// Combines a drained reduction's partials into its output. One partial

@@ -71,8 +71,8 @@ pub use loadclass::{LoadClass, LoadHistogram};
 pub use opt::{collect_reads, fixed_dims, optimize_kernel, sync_mask, KernelOptReport};
 pub use pool::{BufferPool, PoolStats, SharedPool};
 pub use program::{
-    CaseExec, EvalMode, GroupExec, GroupKind, Program, ReductionExec, ScratchSlots, SeqExec,
-    SlotRange, StageExec, StoragePlan, TileWork, TiledGroup,
+    reduction_chunks, CaseExec, EvalMode, GroupExec, GroupKind, Program, ReductionExec,
+    ScratchSlots, SeqExec, SlotRange, StageExec, StoragePlan, TileWork, TiledGroup,
 };
 pub use simd::{
     available_levels as available_simd_levels, clamp_to_detected as clamp_simd_level,

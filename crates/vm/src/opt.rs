@@ -32,10 +32,10 @@
 //! for the raw kernel, and reports how many ops are chunk-invariant and
 //! which load classes they take under the nominal chunk axis.
 //!
-//! All rewrites preserve bit-exact results; `kernel_opt: false` in
-//! `polymage_core::CompileOptions` skips this module for ablation. The
-//! uniform preamble and row-resolved loads are the evaluator's, so they
-//! run either way.
+//! All rewrites preserve bit-exact results, and `polymage_core` runs them
+//! on every kernel it builds. The uniform preamble and row-resolved loads
+//! are the evaluator's, not rewrites: they need only the dependence masks
+//! every kernel carries.
 
 use crate::loadclass::{classify, LoadHistogram};
 use crate::{Kernel, Op, RegId};

@@ -255,6 +255,23 @@ pub struct ReductionExec {
     pub reads: Vec<BufId>,
 }
 
+/// The outer-dimension row chunks `(lo, hi)` a reduction over rows
+/// `rlo..=rhi` is split into at `threads` requested threads: one partial
+/// each, swept from the identity and combined in ascending order. The rows
+/// are split evenly (chunk `t` starts at `rlo + t·total/n`), giving exactly
+/// `min(threads, total)` non-empty chunks, and one empty chunk for an empty
+/// domain (a single identity-filled partial). The split depends on the
+/// *requested* count, not on the pool size, so float combine order is that
+/// of a single-worker run at the same count; the reference interpreter
+/// splits the same way.
+pub fn reduction_chunks((rlo, rhi): (i64, i64), threads: usize) -> Vec<(i64, i64)> {
+    let total = (rhi - rlo + 1).max(0);
+    let nth = (threads as i64).clamp(1, total.max(1));
+    // In `i128`: `t · total` may pass `i64` on a huge domain.
+    let start = |t: i64| rlo + (t as i128 * total as i128 / nth as i128) as i64;
+    (0..nth).map(|t| (start(t), start(t + 1) - 1)).collect()
+}
+
 /// A compiled self-referential (time-iterated) stage, executed as a
 /// sequential scan in row-major order.
 #[derive(Debug, Clone)]
@@ -368,6 +385,21 @@ impl Program {
 mod tests {
     use super::*;
     use crate::BufKind;
+
+    #[test]
+    fn reduction_chunks_split_rows_evenly() {
+        // `rows` rows from row 10 at `threads` threads → chunks `(lo, hi)`.
+        let check = |rows: i64, threads: usize, want: &[(i64, i64)]| {
+            let got = reduction_chunks((10, 9 + rows), threads);
+            assert_eq!(got, want, "{rows} rows at {threads} threads");
+        };
+        check(0, 3, &[(10, 9)]);
+        check(3, 3, &[(10, 10), (11, 11), (12, 12)]);
+        check(6, 3, &[(10, 11), (12, 13), (14, 15)]);
+        check(5, 4, &[(10, 10), (11, 11), (12, 12), (13, 14)]);
+        check(384, 2, &[(10, 201), (202, 393)]);
+        check(5, 0, &[(10, 14)]);
+    }
 
     #[test]
     fn byte_accounting() {

@@ -289,8 +289,7 @@ fn sum(
 }
 
 /// Loops with no dimensions, and loops with more dimensions than the
-/// dependence masks' 32 bits, under every schedule with `kernel_opt` on and
-/// off. A stage without variables used to panic the caller inside
+/// dependence masks' 32 bits, under every schedule. A stage without variables used to panic the caller inside
 /// `instantiate`, and a reduction over no variables failed every run with
 /// an internal error: both are now a typed error from `plan`. A scalar sum
 /// (an accumulator without variables over a 2-D domain) and a
@@ -347,34 +346,31 @@ fn zero_and_thirty_three_dimensional_loops() {
         (scalar_sum, None),
         (dims33, None),
     ] {
-        let want = interp::interpret(&pipe, &[], std::slice::from_ref(&input)).unwrap();
+        let want = interp::interpret(&pipe, &[], std::slice::from_ref(&input), 1).unwrap();
         for schedule in Schedule::ALL {
-            for kopt in [true, false] {
-                let opts = CompileOptions {
-                    schedule,
-                    ..CompileOptions::optimized(vec![]).with_kernel_opt(kopt)
-                };
-                let at = format!("{} {} kernel_opt {kopt}", pipe.name(), schedule.label());
-                match (plan(&pipe, &opts), rejects) {
-                    (Err(CompileError::UnsupportedAccess { func, reason }), Some(stage)) => {
-                        assert_eq!(func, stage, "{at}");
-                        assert!(reason.contains("no dimensions"), "{at}: {reason}");
-                    }
-                    (Ok(plan), None) => {
-                        let compiled = instantiate(&plan, &[]).unwrap();
-                        let got = engine
-                            .submit(RunRequest::new(
-                                &compiled.program,
-                                std::slice::from_ref(&input),
-                            ))
-                            .and_then(|h| h.join())
-                            .unwrap();
-                        let bits =
-                            |b: &Buffer| b.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                        assert_eq!(bits(&got[0]), bits(&want[0]), "{at}");
-                    }
-                    (other, _) => panic!("{at}: {:?}", other.err()),
+            let opts = CompileOptions {
+                schedule,
+                ..CompileOptions::optimized(vec![])
+            };
+            let at = format!("{} {}", pipe.name(), schedule.label());
+            match (plan(&pipe, &opts), rejects) {
+                (Err(CompileError::UnsupportedAccess { func, reason }), Some(stage)) => {
+                    assert_eq!(func, stage, "{at}");
+                    assert!(reason.contains("no dimensions"), "{at}: {reason}");
                 }
+                (Ok(plan), None) => {
+                    let compiled = instantiate(&plan, &[]).unwrap();
+                    let got = engine
+                        .submit(RunRequest::new(
+                            &compiled.program,
+                            std::slice::from_ref(&input),
+                        ))
+                        .and_then(|h| h.join())
+                        .unwrap();
+                    let bits = |b: &Buffer| b.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got[0]), bits(&want[0]), "{at}");
+                }
+                (other, _) => panic!("{at}: {:?}", other.err()),
             }
         }
     }

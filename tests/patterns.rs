@@ -10,7 +10,8 @@ use polymage::poly::Rect;
 use polymage::vm::{Buffer, Engine, RunRequest};
 
 fn run_both(pipe: &Pipeline, params: Vec<i64>, inputs: &[Buffer]) -> Vec<Buffer> {
-    let expect = interpret(pipe, &params, inputs).expect("interpret");
+    // The engine's two workers run every request at two threads.
+    let expect = interpret(pipe, &params, inputs, 2).expect("interpret");
     let compiled = compile(pipe, &CompileOptions::optimized(params)).expect("compile");
     let got = Engine::with_threads(2)
         .submit(RunRequest::new(&compiled.program, inputs))

@@ -196,8 +196,9 @@ proptest! {
         });
         // generator guarantees in-bounds accesses; verify that claim too
         prop_assert!(polymage::graph::check_bounds(&pipe, &[]).is_empty());
-        let expect = interpret(&pipe, &[], std::slice::from_ref(&input)).unwrap();
         let engine = Engine::with_threads(3);
+        let expects = [1usize, 3]
+            .map(|n| (n, interpret(&pipe, &[], std::slice::from_ref(&input), n).unwrap()));
         let configs = [
             CompileOptions::optimized(vec![]),
             CompileOptions::optimized(vec![]).with_mode(EvalMode::Scalar),
@@ -206,15 +207,15 @@ proptest! {
         ];
         for opts in configs {
             let compiled = compile(&pipe, &opts).unwrap();
-            for threads in [1usize, 3] {
+            for (threads, expect) in &expects {
                 let got = engine
                     .submit(
                         RunRequest::new(&compiled.program, std::slice::from_ref(&input))
-                            .threads(threads),
+                            .threads(*threads),
                     )
                     .and_then(|h| h.join())
                     .unwrap();
-                for (g, w) in got.iter().zip(&expect) {
+                for (g, w) in got.iter().zip(expect) {
                     prop_assert_eq!(&g.rect, &w.rect);
                     for (a, b) in g.data.iter().zip(&w.data) {
                         prop_assert!(
@@ -446,8 +447,9 @@ proptest! {
                 let h = (p[0] as u64 * 31 + p[1] as u64 * 17 + seed) % 23;
                 h as f32 / 3.0 - 3.0
             });
-        let expect = interpret(&pipe, &[], std::slice::from_ref(&input)).unwrap();
         let engine = Engine::with_threads(4);
+        let expects = [1usize, 4]
+            .map(|n| (n, interpret(&pipe, &[], std::slice::from_ref(&input), n).unwrap()));
         for opts in [
             CompileOptions::optimized(vec![]).with_tiles(vec![16, 16]),
             CompileOptions::optimized(vec![]).with_tiles(vec![8, 64]).with_threshold(2.0),
@@ -455,15 +457,15 @@ proptest! {
         ] {
             let compiled = compile(&pipe, &opts).unwrap();
             polymage::core::assert_valid(&compiled.program);
-            for threads in [1usize, 4] {
+            for (threads, expect) in &expects {
                 let got = engine
                     .submit(
                         RunRequest::new(&compiled.program, std::slice::from_ref(&input))
-                            .threads(threads),
+                            .threads(*threads),
                     )
                     .and_then(|h| h.join())
                     .unwrap();
-                for (g, w) in got.iter().zip(&expect) {
+                for (g, w) in got.iter().zip(expect) {
                     prop_assert_eq!(&g.rect, &w.rect);
                     for (a, b) in g.data.iter().zip(&w.data) {
                         prop_assert!(

@@ -29,7 +29,7 @@ fn compilation_and_execution_are_deterministic() {
 
 /// Tiled groups produce bit-identical results for every thread count
 /// (tiles are computed independently; only reductions may reassociate, and
-/// those are compared with tolerance elsewhere).
+/// those are compared with the interpreter at each thread count elsewhere).
 #[test]
 fn thread_count_invariance_outside_reductions() {
     let engine = Engine::with_threads(8);
@@ -190,7 +190,7 @@ fn empty_deep_stages_are_skipped() {
         let input = polymage::vm::Buffer::zeros(polymage::poly::Rect::new(vec![(0, n_val - 1)]))
             .fill_with(|p| p[0] as f32);
         let expect =
-            polymage::core::interp::interpret(&pipe, &[n_val], std::slice::from_ref(&input))
+            polymage::core::interp::interpret(&pipe, &[n_val], std::slice::from_ref(&input), 2)
                 .unwrap();
         let got = engine
             .submit(RunRequest::new(&compiled.program, &[input]))
